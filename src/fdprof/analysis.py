@@ -77,7 +77,8 @@ def ode_residual(profile: Profile) -> float:
     N = len(r)
     if N < 5:
         raise DomainError(f"profile has {N} nodes; residual needs at least 5")
-    w, A, B = profile.system_coefficients()
+    chart = profile.chart
+    w, A, B = chart.w, chart.A, chart.B
     v, vr = profile.v, profile.vr
     half = 3 if N >= 7 else 2
     worst = 0.0
@@ -85,7 +86,7 @@ def ode_residual(profile: Profile) -> float:
         sl = slice(i - half, i + half + 1)
         wts = deriv_weights(r[sl], r[i])
         dP_fd = float(wts @ P[sl])
-        rhs = -r[i] ** w * (A * v[i] + B * r[i] * vr[i])
+        rhs = chart.dflux(r[i], v[i], vr[i])
         den = abs(dP_fd) + r[i] ** w * (abs(A) * abs(v[i]) + abs(B) * r[i] * abs(vr[i]))
         if den == 0.0:
             continue
@@ -124,30 +125,26 @@ def _richardson(seq) -> Estimate:
     return Estimate(e, abs(e - seq[-1]))
 
 
-def _far_ladder_radii(profile: Profile):
-    """Geometric f-side radii ending at the largest available radius."""
-    if profile.kind is ProfileKind.ORIGIN:
-        top, bottom = profile.r_end, float(profile.r[0])
-    else:
-        top, bottom = 1.0 / float(profile.r[0]), 1.0 / profile.r_end
+def _ladder(profile: Profile, far: bool):
+    """Geometric f-side radii, ordered toward the limit r -> inf (far) or r -> 0."""
+    bottom, top = profile.fside_span
     if top < 4.0 * bottom:
         raise InsufficientRange(
             f"radial span [{bottom:g}, {top:g}] cannot hold a geometric ladder")
     count = 4 if top >= 8.0 * bottom else 3
-    return [top / 2 ** (count - 1 - j) for j in range(count)]
-
-
-def _origin_ladder_radii(profile: Profile):
-    if profile.kind is ProfileKind.ORIGIN:
-        bottom, top = float(profile.r[0]), profile.r_end
-    else:
-        bottom, top = 1.0 / profile.r_end, 1.0 / float(profile.r[0])
-    if top < 4.0 * bottom:
-        raise InsufficientRange(
-            f"radial span [{bottom:g}, {top:g}] cannot hold a geometric ladder")
-    count = 4 if top >= 8.0 * bottom else 3
-    # ordered toward the limit r -> 0
+    if far:
+        return [top / 2 ** (count - 1 - j) for j in range(count)]
     return [bottom * 2 ** (count - 1 - j) for j in range(count)]
+
+
+def _sample(profile: Profile, radii):
+    """f, f_r and the log-slope r f_r / f at each f-side radius, as floats."""
+    fs, frs = [], []
+    for rr in radii:
+        f, fr = fside_samples(profile, rr)
+        fs.append(float(f))
+        frs.append(float(fr))
+    return fs, frs, [rr * fr / f for rr, f, fr in zip(radii, fs, frs)]
 
 
 @dataclass(frozen=True)
@@ -169,30 +166,22 @@ def asymptotic_limits(profile: Profile) -> LimitEstimates:
     k = profile.params.k
     one_m = 1.0 - profile.params.m
 
-    far = _far_ladder_radii(profile)
+    far = _ladder(profile, far=True)
     top = far[-1]
     if top < 50.0:
         raise InsufficientRange(
             f"largest radius {top:g} below the 50 needed for far-field limits")
-    fs, frs = [], []
-    for rr in far:
-        f, fr = fside_samples(profile, rr)
-        fs.append(float(f))
-        frs.append(float(fr))
+    fs, frs, slopes = _sample(profile, far)
     l1 = _richardson([rr ** k * f for rr, f in zip(far, fs)])
     l2 = _richardson([rr ** (k + 1.0) * fr for rr, fr in zip(far, frs)])
     l3 = _richardson([rr ** 2 * f ** one_m for rr, f in zip(far, fs)])
-    slope_far = _richardson([rr * fr / f for rr, f, fr in zip(far, fs, frs)])
+    slope_far = _richardson(slopes)
 
     slope_origin = None
     try:
-        near = _origin_ladder_radii(profile)
+        near = _ladder(profile, far=False)
         if near[-1] <= 1e-3:
-            ss = []
-            for rr in near:
-                f, fr = fside_samples(profile, rr)
-                ss.append(float(rr * fr / f))
-            slope_origin = _richardson(ss)
+            slope_origin = _richardson(_sample(profile, near)[2])
     except InsufficientRange:
         pass
     return LimitEstimates(l1=l1, l2=l2, l3=l3, slope_far=slope_far,
@@ -329,12 +318,7 @@ def classify_decay(profile: Profile) -> DecayClass:
     target_fast = -p.k
     target_slow = -2.0 / (1.0 - p.m)
     try:
-        far = _far_ladder_radii(profile)
-        ss = []
-        for rr in far:
-            f, fr = fside_samples(profile, rr)
-            ss.append(float(rr * fr / f))
-        slope = _richardson(ss).value
+        slope = _richardson(_sample(profile, _ladder(profile, far=True))[2]).value
     except InsufficientRange:
         if profile.kind is ProfileKind.ORIGIN:
             slope = float(profile.r[-1] * profile.vr[-1] / profile.v[-1])
@@ -500,10 +484,7 @@ def selfsimilar_eval(profile: Profile, T: float, x_norm: float, t: float) -> flo
     p = profile.params
     tau = T - t
     rr = tau ** p.beta * x_norm
-    if profile.kind is ProfileKind.ORIGIN:
-        lo, hi = float(profile.r[0]), profile.r_end
-    else:
-        lo, hi = 1.0 / profile.r_end, 1.0 / float(profile.r[0])
+    lo, hi = profile.fside_span
     if not (lo <= rr <= hi):
         raise RangeError(
             f"rescaled radius {rr:g} outside the stored range [{lo:g}, {hi:g}]")

@@ -23,7 +23,7 @@ from .inversion import fside_nodes, invert_pointwise
 from .localsolve import NoContraction
 from .params import DomainError, derive_params, require_farfield_admissible, \
     require_origin_admissible
-from .profile import Profile, ProfileKind, TerminalEvent
+from .profile import Chart, Profile, ProfileKind, TerminalEvent
 
 DEFAULTS = {
     "tol": 1e-9,
@@ -291,11 +291,10 @@ def cmd_verify(ns, cfg) -> int:
         r, v, vr = invert_pointwise(r, v, vr, p)
         kind = ProfileKind.FARFIELD
 
-    w, A, B = ((p.n - 1.0, p.alpha, p.beta) if kind is ProfileKind.ORIGIN
-               else (p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde))
+    chart = Chart.of(p, kind)
     with np.errstate(all="ignore"):
-        P = r ** (p.n - 1) * v ** (p.m - 1.0) * vr
-        dP = -r ** w * (A * v + B * r * vr)
+        P = chart.flux(r, v, vr)
+        dP = chart.dflux(r, v, vr)
     profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
                       flux=P, dflux=dP, eps=float(r[0]), n_local=0,
                       terminal=terminal, tol=tol)
@@ -344,7 +343,7 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
         row["decay_class"] = report.decay.label.value
         row["shape"] = report.shape.label
         write_json(os.path.join(out, f"report_{idx:04d}.json"), report.to_dict())
-    except (DomainError, NoContraction, InsufficientRange) as e:
+    except (DomainError, NoContraction, InsufficientRange, MemoryError) as e:
         row["error"] = f"{type(e).__name__}: {e}"
     except ContinuationFailed as e:
         row["terminal_event"] = e.terminal.value

@@ -1,27 +1,25 @@
 """Adaptive outward continuation of the flux system.
 
-Both profile equations reduce to the first-order system
-
-    v_r = v^{1-m} P / r^{n-1},    P' = -r^w (A v + B r v_r)
-
-with (w, A, B) = (n-1, alpha, beta) for the origin profile and
-(n + sigma - 3, alpha_tilde, beta_tilde) for the far-field one.  The stepper
-is an embedded 5(4) pair with FSAL, PI step control and a relative error
-measure: the value error is weighed against tol times the step's value
-magnitude, the flux error against tol times the seam flux scale plus the
-running |P|.  Accepted steps are recorded and dense output is cubic Hermite
-between them.
+Both profile equations reduce to one first-order flux system; profile.Chart
+holds its coefficients (w, A, B) in each chart.  The stepper is an embedded
+5(4) pair with FSAL, PI step control and a relative error measure: the value
+error is weighed against tol times the step's value magnitude, the flux
+error against tol times the seam flux scale plus the running |P|.  Accepted
+steps are recorded and dense output is cubic Hermite between them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .localsolve import LocalSolution, picard_f_origin, picard_g_origin
-from .params import ProfileParams
-from .profile import Profile, ProfileKind, TerminalEvent, thin_local_nodes
+from .localsolve import (LocalSolution, ProblemKind, picard_f_origin,
+                         picard_g_origin)
+from .params import DomainError, ProfileParams
+from .profile import (Chart, Profile, ProfileKind, TerminalEvent,
+                      thin_local_nodes)
 
 _TAG_TO_EVENT = {
     kernels.TAG_RMAX: TerminalEvent.REACHED_RMAX,
@@ -37,9 +35,6 @@ class OdeState:
     r: float
     v: float
     flux: float
-
-    def deriv(self, params: ProfileParams) -> float:
-        return self.v ** (1.0 - params.m) * self.flux / self.r ** (params.n - 1)
 
 
 @dataclass(frozen=True)
@@ -71,18 +66,15 @@ class ContinuationFailed(RuntimeError):
         self.partial = partial
 
 
-def _advance(params: ProfileParams, w: float, A: float, B: float,
-             state: OdeState, r_max: float, tol: float) -> Trajectory:
+def _advance(chart: Chart, state: OdeState, r_max: float,
+             tol: float) -> Trajectory:
     if r_max < state.r:
-        raise ValueError(f"r_max={r_max} is below the start radius {state.r}")
-    if r_max == state.r:
-        vr = state.deriv(params)
-        dP = kernels._rhs_P(state.r, state.v, vr, w, A, B)
-        one = np.array([state.r]), np.array([state.v]), np.array([vr])
-        return Trajectory(one[0], one[1], one[2], np.array([state.flux]),
-                          np.array([dP]), np.zeros(1), TerminalEvent.REACHED_RMAX)
+        raise DomainError(
+            f"r_max={r_max} is below the start radius {state.r} "
+            f"(a solve starts at the Picard seam eps)")
+    p = chart.params
     rs, vs, vrs, Ps, dPs, errs, tag = kernels.integrate_flux_system(
-        1.0 - params.m, params.n - 1, w, A, B,
+        1.0 - p.m, p.n - 1, chart.w, chart.A, chart.B,
         state.r, state.v, state.flux, r_max, tol)
     return Trajectory(rs, vs, vrs, Ps, dPs, errs, _TAG_TO_EVENT[int(tag)])
 
@@ -90,28 +82,17 @@ def _advance(params: ProfileParams, w: float, A: float, B: float,
 def advance_f(params: ProfileParams, state: OdeState, r_max: float,
               tol: float = 1e-9) -> Trajectory:
     """Continue the origin profile outward to r_max or a terminal event."""
-    return _advance(params, params.n - 1.0, params.alpha, params.beta,
-                    state, r_max, tol)
+    return _advance(Chart.of(params, ProfileKind.ORIGIN), state, r_max, tol)
 
 
 def advance_g(params: ProfileParams, state: OdeState, r_max: float,
               tol: float = 1e-9) -> Trajectory:
     """Continue the far-field profile outward to r_max or a terminal event."""
-    return _advance(params, params.n + params.sigma - 3.0,
-                    params.alpha_tilde, params.beta_tilde, state, r_max, tol)
-
-
-def _local_flux(params: ProfileParams, loc: LocalSolution, w: float,
-                A: float, B: float):
-    """Nodal flux data for the Picard region, from value and derivative."""
-    r, v, vr = loc.grid, loc.value, loc.deriv
-    P = r ** (params.n - 1) * v ** (params.m - 1.0) * vr
-    dP = -r ** w * (A * v + B * r * vr)
-    return P, dP
+    return _advance(Chart.of(params, ProfileKind.FARFIELD), state, r_max, tol)
 
 
 def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
-                     tol: float = 1e-9, kind: ProfileKind | None = None) -> Profile:
+                     tol: float = 1e-9) -> Profile:
     """Stitch a Picard local solution to the adaptive outward integration.
 
     The hand-off state at eps is rebuilt from the local solution's last node
@@ -120,43 +101,26 @@ def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
     ContinuationFailed, carrying the partial profile, if an event fires
     before r_max.
     """
-    from .localsolve import ProblemKind
-    if kind is None:
-        kind = (ProfileKind.ORIGIN if loc.problem_kind is ProblemKind.F_ORIGIN
-                else ProfileKind.FARFIELD)
-    if kind is ProfileKind.ORIGIN:
-        w, A, B = params.n - 1.0, params.alpha, params.beta
-        gamma = 2.0
-    else:
-        w, A, B = params.n + params.sigma - 3.0, params.alpha_tilde, params.beta_tilde
-        gamma = max(2.0, 2.0 / (1.0 - params.delta1)) if params.delta1 < 1.0 else 2.0
-
+    kind = (ProfileKind.ORIGIN if loc.problem_kind is ProblemKind.F_ORIGIN
+            else ProfileKind.FARFIELD)
+    chart = Chart.of(params, kind)
     eps = loc.eps
     v_eps = float(loc.value[-1])
     vr_eps = float(loc.deriv[-1])
-    P_eps = eps ** (params.n - 1) * v_eps ** (params.m - 1.0) * vr_eps
+    traj = _advance(chart, OdeState(eps, v_eps, chart.flux(eps, v_eps, vr_eps)),
+                    r_max, tol)
 
-    traj = _advance(params, w, A, B, OdeState(eps, v_eps, P_eps), r_max, tol)
-
-    # the inverted problem's integrand carries fractional powers whose grid
-    # curvature inflates the trapezoid constant ~30x, so its usable-node cut
-    # sits 3x deeper than the direct problem's
-    lead = 2739.0 if kind is ProfileKind.ORIGIN else 8217.0
-    keep = thin_local_nodes(loc.grid, gamma, lead=lead)
+    keep = thin_local_nodes(loc.grid, chart)
     keep = keep[loc.grid[keep] < eps * (1.0 - 1e-12)]
     rl = loc.grid[keep]
     vl = loc.value[keep]
     vrl = loc.deriv[keep]
-    Pl, dPl = _local_flux(params, LocalSolution(
-        eps=eps, grid=rl, value=vl, deriv=vrl, boundary_value=loc.boundary_value,
-        problem_kind=loc.problem_kind, iterations=loc.iterations,
-        contraction_estimate=loc.contraction_estimate, residual=loc.residual), w, A, B)
 
     r = np.concatenate([rl, traj.r])
     v = np.concatenate([vl, traj.v])
     vr = np.concatenate([vrl, traj.vr])
-    P = np.concatenate([Pl, traj.flux])
-    dP = np.concatenate([dPl, traj.dflux])
+    P = np.concatenate([chart.flux(rl, vl, vrl), traj.flux])
+    dP = np.concatenate([chart.dflux(rl, vl, vrl), traj.dflux])
     errs = np.concatenate([np.zeros(len(rl)), traj.step_errors])
 
     prof = Profile(kind=kind, params=params, boundary=loc.boundary_value,
@@ -174,9 +138,16 @@ def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
     return prof
 
 
+def _require_run_settings(r_max: float, tol: float) -> None:
+    for name, x in (("r_max", r_max), ("tol", tol)):
+        if not (math.isfinite(x) and x > 0.0):
+            raise DomainError(f"{name}={x} violates 0 < {name} < inf")
+
+
 def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
                          tol: float = 1e-9) -> Profile:
     """Full origin profile: Picard near r = 0, then adaptive continuation."""
+    _require_run_settings(r_max, tol)
     loc = picard_f_origin(params, eta0, tol=tol)
     return continue_profile(params, loc, r_max, tol=tol)
 
@@ -184,5 +155,6 @@ def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
 def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
                            tol: float = 1e-9) -> Profile:
     """Full far-field profile in the inverted variable, from g(0) = eta."""
+    _require_run_settings(r_max, tol)
     loc = picard_g_origin(params, eta, tol=tol)
     return continue_profile(params, loc, r_max, tol=tol)

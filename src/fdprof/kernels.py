@@ -7,8 +7,7 @@ undecorated).  Both ODE systems share the form
     v'(r) = v^{1-m} P / r^{n-1}
     P'(r) = -r^w (A v + B r v')
 
-with (w, A, B) = (n-1, alpha, beta) for the origin problem and
-(n + (n-2-n m)/m - 3, alpha_tilde, beta_tilde) for the inverted one.
+and profile.Chart supplies (w, A, B) for each chart.
 """
 from __future__ import annotations
 
@@ -34,6 +33,7 @@ TAG_DERIV_BLOWUP = 2
 TAG_STEP_UNDERFLOW = 3
 TAG_OVERFLOW = 4
 
+MAX_NODES = 250_000      # trajectory node capacity; beyond it MemoryError
 VALUE_FLOOR = 1e-30
 DERIV_CAP = 1e30
 STEP_FLOOR_REL = 1e-14
@@ -212,12 +212,17 @@ def _integrate_core(one_m, n1, w, A, B, r0, v0, P0, r_max, tol,
         count += 1
         if r >= r_max:
             return count, TAG_RMAX
-        fac = _SAFETY * err ** (-0.14) * err_prev ** 0.08
-        if fac < 0.2:
-            fac = 0.2
-        elif fac > 5.0:
+        if err == 0.0:
+            # an exact step (e.g. a constant solution) gives the PI
+            # controller nothing to work from: grow at the cap
             fac = 5.0
-        err_prev = err
+        else:
+            fac = _SAFETY * err ** (-0.14) * err_prev ** 0.08
+            if fac < 0.2:
+                fac = 0.2
+            elif fac > 5.0:
+                fac = 5.0
+            err_prev = err
         h *= fac
         hcap = HMAX_REL * r
         if h > hcap:
@@ -241,14 +246,14 @@ if os.environ.get("FDPROF_NO_NUMBA", "") != "1":
         pass
 
 
-def integrate_flux_system(one_m, n1, w, A, B, r0, v0, P0, r_max, tol, max_nodes=250_000):
+def integrate_flux_system(one_m, n1, w, A, B, r0, v0, P0, r_max, tol):
     """Driver: allocates node storage and runs the compiled (or plain) core."""
-    rs = np.empty(max_nodes)
-    vs = np.empty(max_nodes)
-    vrs = np.empty(max_nodes)
-    Ps = np.empty(max_nodes)
-    dPs = np.empty(max_nodes)
-    errs = np.empty(max_nodes)
+    rs = np.empty(MAX_NODES)
+    vs = np.empty(MAX_NODES)
+    vrs = np.empty(MAX_NODES)
+    Ps = np.empty(MAX_NODES)
+    dPs = np.empty(MAX_NODES)
+    errs = np.empty(MAX_NODES)
     cnt, tag = _integrate_core(one_m, n1, w, A, B, r0, v0, P0, r_max, float(tol),
                                rs, vs, vrs, Ps, dPs, errs)
     if tag == TAG_OVERFLOW:

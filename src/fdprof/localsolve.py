@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DomainError, ProfileParams, classify_regime
+from .profile import Chart, ProfileKind
 
 MAX_ITER = 200
 MAX_HALVINGS = 40
@@ -43,8 +44,8 @@ class LocalSolution:
 
 def _grid_count(tol: float) -> int:
     # Trapezoid truncation at node j is ~(gamma/j)^2 relative, so the global
-    # error is ~1/J^2 and the retained outer nodes (index above ~2700*gamma,
-    # see profile.thin_local_nodes) are consistent to ~1e-7.  The dense floor
+    # error is ~1/J^2 and the retained outer nodes (index above lead*gamma,
+    # see profile.Chart) are consistent to ~1e-7.  The dense floor
     # keeps those retained nodes starting well inside r < 1e-3.
     J = 8 * int(np.sqrt(1.0 / max(tol, 1e-16)))
     J = 1 << int(np.ceil(np.log2(max(J, 1 << 17))))
@@ -66,6 +67,51 @@ def _cumtrap(u: np.ndarray, r: np.ndarray, first: float) -> np.ndarray:
     return out
 
 
+def _picard(p: ProfileParams, boundary: float, tol: float, gamma: float,
+            kind: ProblemKind, start, apply, in_ball, what: str) -> LocalSolution:
+    """Largest eps, halving from the scale set by the datum, on which Picard contracts.
+
+    The iterate is a tuple of arrays on the graded grid, starting from the
+    constants in `start`; apply(r, u) returns the next iterate and the
+    derivative that u itself implies.  Iteration stops on leaving the ball
+    (in_ball false, eps is halved) or once a step moves it by less than
+    tol/10.  The reported defect is one more application of the map; `what`
+    names the problem and its datum in the NoContraction message.
+    """
+    J = _grid_count(tol)
+    eps = min(1.0, boundary ** ((p.m - 1.0) / 2.0))
+    for _ in range(MAX_HALVINGS):
+        r = _graded_grid(eps, gamma, J)
+        u = tuple(np.full(J + 1, c) for c in start)
+        prev_diff = np.inf
+        contraction = np.inf
+        for it in range(1, MAX_ITER + 1):
+            u_new, _ = apply(r, u)
+            diff = _sup_change(u_new, u)
+            u = u_new
+            if not in_ball(u):
+                break
+            if np.isfinite(prev_diff) and prev_diff > 0.0:
+                contraction = diff / prev_diff
+            prev_diff = diff
+            if diff < tol / 10.0:
+                u_next, deriv = apply(r, u)
+                return LocalSolution(
+                    eps=eps, grid=r[1:], value=u[0][1:], deriv=deriv[1:],
+                    boundary_value=boundary, problem_kind=kind,
+                    iterations=it,
+                    contraction_estimate=min(contraction, 1.0),
+                    residual=_sup_change(u_next, u),
+                )
+        eps /= 2.0
+    raise NoContraction(
+        f"{what}={boundary} after {MAX_HALVINGS} halvings")
+
+
+def _sup_change(a, b) -> float:
+    return max(np.max(np.abs(x - y)) for x, y in zip(a, b))
+
+
 def picard_f_origin(p: ProfileParams, eta0: float, tol: float) -> LocalSolution:
     """Fixed point of (f, h) -> (eta0 + int h, -f^{1-m} r^{1-n} int r^{n-1}(af + b r h)).
 
@@ -78,56 +124,29 @@ def picard_f_origin(p: ProfileParams, eta0: float, tol: float) -> LocalSolution:
         raise DomainError(
             f"beta={p.beta:.17g} must lie below beta_threshold={p.beta_threshold:.17g}"
         )
-    n, m, al, be = p.n, p.m, p.alpha, p.beta
-    J = _grid_count(tol)
-    eps = min(1.0, eta0 ** ((m - 1.0) / 2.0))
-    for _ in range(MAX_HALVINGS):
-        r = _graded_grid(eps, 2.0, J)
-        f = np.full(J + 1, eta0)
-        h = np.zeros(J + 1)
-        prev_diff = np.inf
-        contraction = np.inf
-        for it in range(1, MAX_ITER + 1):
-            integrand = r ** (n - 1) * (al * f + be * r * h)
-            # first cell: integrand ~ (al*eta0) * rho^{n-1}
-            first = al * eta0 * r[1] ** n / n
-            inner = _cumtrap(integrand, r, first)
-            h_new = np.zeros(J + 1)
-            h_new[1:] = -(f[1:] ** (1.0 - m) / r[1:] ** (n - 1)) * inner[1:]
-            # outer: h ~ h'(0)*rho on the first cell, h(0)=0
-            f_new = eta0 + _cumtrap(h_new, r, 0.5 * h_new[1] * r[1])
-            diff = max(np.max(np.abs(f_new - f)), np.max(np.abs(h_new - h)))
-            f, h = f_new, h_new
-            in_ball = (np.max(np.abs(f - eta0)) <= eta0 / 2.0
-                       and np.max(np.abs(h)) <= eta0 / 2.0)
-            if not in_ball:
-                break
-            if np.isfinite(prev_diff) and prev_diff > 0.0:
-                contraction = diff / prev_diff
-            prev_diff = diff
-            if diff < tol / 10.0:
-                res = _fixed_point_defect_f(p, eta0, r, f, h)
-                return LocalSolution(
-                    eps=eps, grid=r[1:], value=f[1:], deriv=h[1:],
-                    boundary_value=eta0, problem_kind=ProblemKind.F_ORIGIN,
-                    iterations=it,
-                    contraction_estimate=min(contraction, 1.0),
-                    residual=res,
-                )
-        eps /= 2.0
-    raise NoContraction(
-        f"f-origin Picard failed to contract for eta0={eta0} after {MAX_HALVINGS} halvings"
-    )
+    chart = Chart.of(p, ProfileKind.ORIGIN)
+    n, m, al, be = p.n, p.m, chart.A, chart.B
 
+    def apply(r, u):
+        f, h = u
+        integrand = r ** (n - 1) * (al * f + be * r * h)
+        # first cell: integrand ~ (al*eta0) * rho^{n-1}
+        first = al * eta0 * r[1] ** n / n
+        inner = _cumtrap(integrand, r, first)
+        h_new = np.zeros(len(r))
+        h_new[1:] = -(f[1:] ** (1.0 - m) / r[1:] ** (n - 1)) * inner[1:]
+        # outer: h ~ h'(0)*rho on the first cell, h(0)=0
+        f_new = eta0 + _cumtrap(h_new, r, 0.5 * h_new[1] * r[1])
+        return (f_new, h_new), h
 
-def _fixed_point_defect_f(p, eta0, r, f, h) -> float:
-    n, m, al, be = p.n, p.m, p.alpha, p.beta
-    integrand = r ** (n - 1) * (al * f + be * r * h)
-    inner = _cumtrap(integrand, r, al * eta0 * r[1] ** n / n)
-    phi2 = np.zeros_like(h)
-    phi2[1:] = -(f[1:] ** (1.0 - m) / r[1:] ** (n - 1)) * inner[1:]
-    phi1 = eta0 + _cumtrap(phi2, r, 0.5 * phi2[1] * r[1])
-    return max(np.max(np.abs(phi1 - f)), np.max(np.abs(phi2 - h)))
+    def in_ball(u):
+        f, h = u
+        return (np.max(np.abs(f - eta0)) <= eta0 / 2.0
+                and np.max(np.abs(h)) <= eta0 / 2.0)
+
+    return _picard(p, eta0, tol, chart.gamma, ProblemKind.F_ORIGIN,
+                   (eta0, 0.0), apply, in_ball,
+                   "f-origin Picard failed to contract for eta0")
 
 
 def picard_g_origin(p: ProfileParams, eta: float, tol: float) -> LocalSolution:
@@ -147,46 +166,25 @@ def picard_g_origin(p: ProfileParams, eta: float, tol: float) -> LocalSolution:
         raise DomainError(
             f"alpha_tilde = {p.alpha_tilde:.17g} must be positive for the g-problem"
         )
-    n, m = p.n, p.m
-    at, bt = p.alpha_tilde, p.beta_tilde
+    chart = Chart.of(p, ProfileKind.FARFIELD)
+    n, m, at, bt = p.n, p.m, chart.A, chart.B
     q = (n - 2.0) / m - 3.0
     delta1 = p.delta1
     singular = classify_regime(p).singular_g_origin
     kind = ProblemKind.G_SINGULAR if singular else ProblemKind.G_REGULAR
-    gamma = max(2.0, 2.0 / (1.0 - delta1)) if delta1 < 1.0 else 2.0
-    J = _grid_count(tol)
-    eps = min(1.0, eta ** ((m - 1.0) / 2.0))
-    for _ in range(MAX_HALVINGS):
-        r = _graded_grid(eps, gamma, J)
-        g = np.full(J + 1, eta)
-        prev_diff = np.inf
-        contraction = np.inf
-        for it in range(1, MAX_ITER + 1):
-            G = _g_operator(r, g, m, n, at, bt, q, eta)
-            # G ~ c * rho^{-delta1}: integrable power, weight on the first cell
-            g_new = eta + _cumtrap(G, r, G[1] * r[1] / (1.0 - delta1))
-            diff = np.max(np.abs(g_new - g))
-            g = g_new
-            if not (np.min(g) > eta / 2.0 and np.max(g) < 1.5 * eta):
-                break
-            if np.isfinite(prev_diff) and prev_diff > 0.0:
-                contraction = diff / prev_diff
-            prev_diff = diff
-            if diff < tol / 10.0:
-                G = _g_operator(r, g, m, n, at, bt, q, eta)
-                defect = np.max(np.abs(
-                    (eta + _cumtrap(G, r, G[1] * r[1] / (1.0 - delta1))) - g))
-                return LocalSolution(
-                    eps=eps, grid=r[1:], value=g[1:], deriv=G[1:],
-                    boundary_value=eta, problem_kind=kind,
-                    iterations=it,
-                    contraction_estimate=min(contraction, 1.0),
-                    residual=defect,
-                )
-        eps /= 2.0
-    raise NoContraction(
-        f"g-origin Picard failed to contract for eta={eta} after {MAX_HALVINGS} halvings"
-    )
+
+    def apply(r, u):
+        g, = u
+        G = _g_operator(r, g, m, n, at, bt, q, eta)
+        # G ~ c * rho^{-delta1}: integrable power, weight on the first cell
+        return (eta + _cumtrap(G, r, G[1] * r[1] / (1.0 - delta1)),), G
+
+    def in_ball(u):
+        g, = u
+        return np.min(g) > eta / 2.0 and np.max(g) < 1.5 * eta
+
+    return _picard(p, eta, tol, chart.gamma, kind, (eta,), apply, in_ball,
+                   "g-origin Picard failed to contract for eta")
 
 
 def _g_operator(r, g, m, n, at, bt, q, eta):

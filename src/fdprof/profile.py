@@ -27,6 +27,47 @@ class TerminalEvent(enum.Enum):
     STEP_UNDERFLOW = "StepUnderflow"
 
 
+@dataclass(frozen=True)
+class Chart:
+    """Everything that differs between the origin and the far-field chart.
+
+    Both profile equations reduce to the flux system
+
+        v_r = v^{1-m} P / r^{n-1},    P' = -r^w (A v + B r v_r)
+
+    in the native variable of their chart.  The Picard stage solves it on the
+    graded grid r = eps (j/J)^gamma, and thin_local_nodes drops the Picard
+    nodes below index lead*gamma.
+    """
+    params: ProfileParams
+    w: float
+    A: float
+    B: float
+    gamma: float
+    lead: float
+
+    @classmethod
+    def of(cls, params: ProfileParams, kind: ProfileKind) -> Chart:
+        p = params
+        if kind is ProfileKind.ORIGIN:
+            return cls(p, p.n - 1.0, p.alpha, p.beta, 2.0, 2739.0)
+        # gamma*(1 - delta1) >= 2 turns g_r ~ r^{-delta1} at a singular
+        # origin into a smooth power of the grid variable.  The inverted
+        # problem's integrand carries fractional powers whose grid curvature
+        # inflates the trapezoid constant ~30x, so its usable-node cut sits
+        # 3x deeper than the direct problem's.
+        return cls(p, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
+                   max(2.0, 2.0 / (1.0 - p.delta1)), 8217.0)
+
+    def flux(self, r, v, vr):
+        """P = r^{n-1} v^{m-1} v_r."""
+        return r ** (self.params.n - 1) * v ** (self.params.m - 1.0) * vr
+
+    def dflux(self, r, v, vr):
+        """P' = -r^w (A v + B r v_r)."""
+        return -r ** self.w * (self.A * v + self.B * r * vr)
+
+
 def hermite_many(rs, ys, dys, x):
     """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys."""
     x = np.asarray(x, dtype=np.float64)
@@ -59,12 +100,16 @@ class Profile:
     def r_end(self) -> float:
         return float(self.r[-1])
 
-    def system_coefficients(self):
-        """(weight exponent w, A, B) of the flux equation P' = -r^w (A v + B r v_r)."""
-        p = self.params
+    @property
+    def chart(self) -> Chart:
+        return Chart.of(self.params, self.kind)
+
+    @property
+    def fside_span(self) -> tuple[float, float]:
+        """(lowest, highest) f-side radius the stored nodes represent."""
         if self.kind is ProfileKind.ORIGIN:
-            return p.n - 1.0, p.alpha, p.beta
-        return p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde
+            return float(self.r[0]), self.r_end
+        return 1.0 / self.r_end, 1.0 / float(self.r[0])
 
     def value_at(self, x):
         return hermite_many(self.r, self.v, self.vr, x)
@@ -81,26 +126,24 @@ class Profile:
         return bool(np.all((x >= self.r[0]) & (x <= self.r[-1])))
 
 
-def thin_local_nodes(grid: np.ndarray, gamma: float,
-                     min_ratio: float = 1.01,
-                     lead: float = 2739.0) -> np.ndarray:
+def thin_local_nodes(grid: np.ndarray, chart: Chart) -> np.ndarray:
     """Indices of Picard nodes suitable as profile nodes.
 
     The trapezoid construction of the local solution is consistent with the
     flux equation to ~(gamma/j)^2 relative at grid index j, times a constant
     set by the curvature of the integrand on the graded grid.  Nodes below
     index lead*gamma cannot support residual checks near the 1e-7 level and
-    are dropped; lead absorbs the per-problem constant.  The rest is thinned
-    to a roughly geometric set with neighbor ratio >= min_ratio.
+    are dropped; the chart's lead absorbs the per-problem constant.  The rest
+    is thinned to a roughly geometric set with neighbor ratio >= 1.01.
     """
     J = len(grid)
-    j0 = int(np.ceil(lead * gamma))
+    j0 = int(np.ceil(chart.lead * chart.gamma))
     if j0 >= J // 2:
         j0 = max(1, J // 2)
     keep = [j0]
     last = grid[j0]
     for j in range(j0 + 1, J - 1):
-        if grid[j] >= last * min_ratio:
+        if grid[j] >= last * 1.01:
             keep.append(j)
             last = grid[j]
     return np.array(keep, dtype=np.intp)

@@ -7,11 +7,13 @@ available for value checks on whatever the CLI writes to disk.
 """
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from conftest import f_exact, fr_exact
 
+from fdprof import kernels
 from fdprof.cli import main
 
 M13 = "0.3333333333333333"
@@ -264,6 +266,39 @@ def test_sweep_worker_count_does_not_change_output(sweep_run, tmp_path,
     ours = (tmp_path / "summary.csv").read_bytes()
     theirs = open(os.path.join(sweep_run, "summary.csv"), "rb").read()
     assert ours == theirs
+
+
+def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
+    # every tuple needs more accepted steps than this capacity
+    monkeypatch.setattr(kernels, "MAX_NODES", 50)
+    code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.35:2",
+                           "--beta", "0.0:0.1:2", "--rmax", "60",
+                           "--workers", "1", "--out", str(tmp_path))
+    assert code == 0
+    assert out.startswith("4 tuples -> ")
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 4
+    assert all(row[12] == "MemoryError: trajectory exceeded node capacity"
+               for row in rows)
+
+
+@pytest.mark.parametrize("flag, value, fragment", [
+    ("--rmax", "0.5", "below the start radius"),
+    ("--rmax", "nan", "r_max=nan violates 0 < r_max < inf"),
+    ("--tol", "0", "tol=0.0 violates 0 < tol < inf"),
+    ("--tol", "-1", "tol=-1.0 violates 0 < tol < inf"),
+    ("--tol", "nan", "tol=nan violates 0 < tol < inf"),
+])
+def test_bad_radius_or_tolerance_fails_fast(flag, value, fragment, tmp_path,
+                                            capsys):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "solve-origin", "--n", "4", "--m", M13,
+                           "--beta", "0.0", f"{flag}={value}",
+                           "--out", str(tmp_path))
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 1
+    assert fragment in err
 
 
 @pytest.mark.parametrize("axis, fragment", [

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import _flux, _gflux, f_exact, g_exact, rk4_oracle
 from fdprof import (ContinuationFailed, OdeState, Profile, TerminalEvent,
-                    advance_f, advance_g, derive_params, solve_farfield_profile,
-                    solve_origin_profile)
+                    advance_f, advance_g, derive_params, kernels,
+                    solve_farfield_profile, solve_origin_profile)
 from fdprof.profile import hermite_many
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
@@ -49,6 +49,16 @@ def test_backward_target_rejected():
         advance_f(CF, st, 0.25, tol=1e-9)
 
 
+def test_zero_error_step_grows_at_cap():
+    # A = B = 0 and P0 = 0 keep v = 1 exactly, so every step's error
+    # estimate is exactly zero and the controller must not divide by it
+    rs, vs, _, Ps, _, errs, tag = kernels.integrate_flux_system(
+        2 / 3, 3, 3.0, 0.0, 0.0, 0.5, 1.0, 0.0, 2.0, 1e-9)
+    assert tag == kernels.TAG_RMAX
+    assert rs[-1] == 2.0
+    assert np.all(vs == 1.0) and np.all(Ps == 0.0) and np.all(errs == 0.0)
+
+
 def test_against_fixed_step_rk4_f_side():
     st = OdeState(0.5, float(f_exact(0.5)), _flux(CF, 0.5))
     tr = advance_f(CF, st, 2.0, tol=1e-9)
@@ -87,6 +97,24 @@ def test_nodal_flux_relation():
     lhs = tr.flux
     rhs = tr.r ** 3 * tr.v ** (CF.m - 1.0) * tr.vr
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+
+@pytest.mark.parametrize("solve, p, boundary", [
+    (solve_origin_profile, CF, 1.0),
+    (solve_farfield_profile, CF, 4096.0),
+    (solve_farfield_profile, derive_params(3, 0.3, 1.0, 0.0), 1.0),
+    (solve_farfield_profile, derive_params(3, 0.2, 1.0, 0.05), 0.7),
+], ids=["origin", "farfield-regular", "farfield-singular", "farfield-drift"])
+def test_chart_matches_stored_nodes(solve, p, boundary):
+    """The chart's flux relations reproduce the stored flux data on every
+    node, the Picard nodes and the stepper's accepted steps alike."""
+    prof = solve(p, boundary, 50.0, tol=1e-9)
+    assert 0 < prof.n_local < prof.r.size
+    chart = prof.chart
+    np.testing.assert_allclose(chart.flux(prof.r, prof.v, prof.vr), prof.flux,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(chart.dflux(prof.r, prof.v, prof.vr), prof.dflux,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_stitched_profile_shape():
