@@ -2,10 +2,11 @@
 
 Radially symmetric backward self-similar solutions V(x, t) =
 (T-t)^alpha f((T-t)^beta |x|) reduce to a one-dimensional profile equation.
-This package constructs the origin and far-field profiles (Picard iteration
-near the boundary point, adaptive embedded Runge-Kutta continuation outward),
-relates them through a Kelvin-type inversion, verifies the proven invariants
-and asymptotics, and searches for the anomalous decay exponent.
+This package constructs the origin and far-field profiles (the power series
+of the invariant manifold that carries the datum near the boundary point,
+adaptive embedded Runge-Kutta continuation outward), relates them through a
+Kelvin-type inversion, verifies the proven invariants and asymptotics, and
+searches for the anomalous decay exponent.
 """
 from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
                        Estimate, InsufficientRange, LimitEstimates, RangeError,
@@ -19,8 +20,8 @@ from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
 from .inversion import (FarFieldData, boundary_dictionary, fside_nodes,
                         fside_samples, invert_pointwise, roundtrip)
 from .kernels import NUMBA_ENABLED
-from .localsolve import (LocalSolution, NoContraction, ProblemKind,
-                         picard_f_origin, picard_g_origin, singular_slope_limit)
+from .localsolve import (LocalSolution, LocalStageFailed, picard_f_origin,
+                         picard_g_origin, singular_slope_limit)
 from .params import (DomainError, ProfileParams, RegimeFlags, classify_regime,
                      derive_params, require_farfield_admissible,
                      require_origin_admissible)
@@ -31,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BadBracket", "BetaSearchResult", "ContinuationFailed", "DecayClass",
     "DecayLabel", "DomainError", "Estimate", "FarFieldData",
-    "InsufficientRange", "LimitEstimates", "LocalSolution", "NoContraction",
-    "NUMBA_ENABLED", "OdeState", "ProblemKind", "Profile", "ProfileKind",
+    "InsufficientRange", "LimitEstimates", "LocalSolution", "LocalStageFailed",
+    "NUMBA_ENABLED", "OdeState", "Profile", "ProfileKind",
     "ProfileParams", "RangeError", "RegimeFlags", "Shape", "SolveReport",
     "TerminalEvent", "Trajectory", "Verdict", "advance_f", "advance_g",
     "asymptotic_limits", "boundary_dictionary", "build_report",

@@ -70,21 +70,22 @@ def ode_residual(profile: Profile) -> float:
     """Worst relative defect of the profile equation over interior nodes.
 
     The flux form P' = -r^w (A v + B r v_r) is checked with P' recovered by
-    differentiating the stored flux samples once; the stored right-hand side
-    supplies the comparison, so no value is ever second-differenced.
+    differentiating once the flux P = r^{n-1} v^{m-1} v_r of the stored
+    (r, v, v_r) triples, which are exactly what a profile CSV holds; no value
+    is ever second-differenced.
     """
-    r, P = profile.r, profile.flux
+    r, v, vr = profile.r, profile.v, profile.vr
     N = len(r)
     if N < 5:
         raise DomainError(f"profile has {N} nodes; residual needs at least 5")
     chart = profile.chart
     w, A, B = chart.w, chart.A, chart.B
-    v, vr = profile.v, profile.vr
+    P = chart.flux(r, v, vr)
     half = 3 if N >= 7 else 2
     worst = 0.0
     for i in range(half, N - half):
         sl = slice(i - half, i + half + 1)
-        wts = deriv_weights(r[sl], r[i])
+        wts = deriv_weights(r[sl] / r[i], 1.0) / r[i]
         dP_fd = float(wts @ P[sl])
         rhs = chart.dflux(r[i], v[i], vr[i])
         den = abs(dP_fd) + r[i] ** w * (abs(A) * abs(v[i]) + abs(B) * r[i] * abs(vr[i]))

@@ -20,7 +20,7 @@ from .analysis import BadBracket, InsufficientRange, build_report
 from .integrate import (ContinuationFailed, solve_farfield_profile,
                         solve_origin_profile)
 from .inversion import fside_nodes, invert_pointwise
-from .localsolve import NoContraction
+from .localsolve import LocalStageFailed
 from .params import DomainError, derive_params, require_farfield_admissible, \
     require_origin_admissible
 from .profile import Chart, Profile, ProfileKind, TerminalEvent
@@ -343,7 +343,7 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
         row["decay_class"] = report.decay.label.value
         row["shape"] = report.shape.label
         write_json(os.path.join(out, f"report_{idx:04d}.json"), report.to_dict())
-    except (DomainError, NoContraction, InsufficientRange, MemoryError) as e:
+    except (DomainError, LocalStageFailed, InsufficientRange, MemoryError) as e:
         row["error"] = f"{type(e).__name__}: {e}"
     except ContinuationFailed as e:
         row["terminal_event"] = e.terminal.value
@@ -491,7 +491,7 @@ def main(argv=None) -> int:
     except InsufficientRange as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 2
-    except (NoContraction, ContinuationFailed, MemoryError) as e:
+    except (LocalStageFailed, ContinuationFailed, MemoryError) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
     except OSError as e:

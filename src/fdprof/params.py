@@ -64,6 +64,10 @@ def derive_params(n: int, m: float, rho1: float, beta: float) -> ProfileParams:
         raise DomainError(f"m must satisfy 0 < m < (n-2)/n = {(n - 2) / n:.17g}, got {m}")
     if not rho1 > 0.0:
         raise DomainError(f"rho1 must be > 0, got {rho1}")
+    if not n - 2 - n * m > 0.0:
+        raise DomainError(
+            f"m={m!r} is too close to (n-2)/n: n - 2 - n*m = {n - 2 - n * m!r} "
+            f"is not positive in floating point")
     alpha = (2.0 * beta + rho1) / (1.0 - m)
     sigma = (n - 2 - n * m) / m
     return ProfileParams(

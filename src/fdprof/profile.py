@@ -1,9 +1,10 @@
 """Stitched profile representation shared by the solvers and the checks.
 
-A Profile concatenates the Picard region (thinned to roughly 1% radial
-spacing) with the accepted steps of the outward integration.  Nodes carry
-value, derivative, flux P = r^{n-1} v^{m-1} v_r and the flux derivative, so
-dense evaluation is C1 cubic Hermite and never re-differences values.
+A Profile concatenates the local nodes of the manifold series (1% radial
+spacing below the seam) with the accepted steps of the outward integration.
+Nodes carry value, derivative, flux P = r^{n-1} v^{m-1} v_r and the flux
+derivative, so dense evaluation is C1 cubic Hermite and never re-differences
+values.
 """
 from __future__ import annotations
 
@@ -35,29 +36,24 @@ class Chart:
 
         v_r = v^{1-m} P / r^{n-1},    P' = -r^w (A v + B r v_r)
 
-    in the native variable of their chart.  The Picard stage solves it on the
-    graded grid r = eps (j/J)^gamma, and thin_local_nodes drops the Picard
-    nodes below index lead*gamma.
+    in the native variable of their chart.  The chart's datum is an invariant
+    manifold of a fixed point of the reduced system (see localsolve): lam is
+    the fixed point's eigenvalue along the manifold, mu the other one.
     """
     params: ProfileParams
     w: float
     A: float
     B: float
-    gamma: float
-    lead: float
+    lam: float
+    mu: float
 
     @classmethod
     def of(cls, params: ProfileParams, kind: ProfileKind) -> Chart:
         p = params
         if kind is ProfileKind.ORIGIN:
-            return cls(p, p.n - 1.0, p.alpha, p.beta, 2.0, 2739.0)
-        # gamma*(1 - delta1) >= 2 turns g_r ~ r^{-delta1} at a singular
-        # origin into a smooth power of the grid variable.  The inverted
-        # problem's integrand carries fractional powers whose grid curvature
-        # inflates the trapezoid constant ~30x, so its usable-node cut sits
-        # 3x deeper than the direct problem's.
+            return cls(p, p.n - 1.0, p.alpha, p.beta, 2.0, 2.0 - p.n)
         return cls(p, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
-                   max(2.0, 2.0 / (1.0 - p.delta1)), 8217.0)
+                   -p.sigma, p.n - 2.0)
 
     def flux(self, r, v, vr):
         """P = r^{n-1} v^{m-1} v_r."""
@@ -90,8 +86,8 @@ class Profile:
     vr: np.ndarray
     flux: np.ndarray
     dflux: np.ndarray
-    eps: float                    # Picard/integration seam radius
-    n_local: int                  # nodes taken from the Picard region
+    eps: float                    # series/stepper seam radius
+    n_local: int                  # nodes taken from the series
     terminal: TerminalEvent
     tol: float
     step_errors: np.ndarray = field(repr=False, default=None)
@@ -124,26 +120,3 @@ class Profile:
 
     def in_range(self, x) -> bool:
         return bool(np.all((x >= self.r[0]) & (x <= self.r[-1])))
-
-
-def thin_local_nodes(grid: np.ndarray, chart: Chart) -> np.ndarray:
-    """Indices of Picard nodes suitable as profile nodes.
-
-    The trapezoid construction of the local solution is consistent with the
-    flux equation to ~(gamma/j)^2 relative at grid index j, times a constant
-    set by the curvature of the integrand on the graded grid.  Nodes below
-    index lead*gamma cannot support residual checks near the 1e-7 level and
-    are dropped; the chart's lead absorbs the per-problem constant.  The rest
-    is thinned to a roughly geometric set with neighbor ratio >= 1.01.
-    """
-    J = len(grid)
-    j0 = int(np.ceil(chart.lead * chart.gamma))
-    if j0 >= J // 2:
-        j0 = max(1, J // 2)
-    keep = [j0]
-    last = grid[j0]
-    for j in range(j0 + 1, J - 1):
-        if grid[j] >= last * 1.01:
-            keep.append(j)
-            last = grid[j]
-    return np.array(keep, dtype=np.intp)

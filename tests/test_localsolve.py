@@ -1,134 +1,233 @@
-"""Picard construction of the profile near its boundary point."""
+"""The invariant-manifold series near the profile's boundary point."""
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import f_exact, fr_exact, g_exact, gr_exact
-from fdprof import (DomainError, ProblemKind, derive_params, picard_f_origin,
+from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
+                    classify_regime, derive_params, picard_f_origin,
                     picard_g_origin, singular_slope_limit)
 from fdprof import localsolve
+from fdprof.localsolve import manifold_series
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
-TOL = 1e-9
-
 
 def test_f_closed_form():
-    sol = picard_f_origin(CF, 1.0, TOL)
-    assert sol.problem_kind is ProblemKind.F_ORIGIN
-    assert np.max(np.abs(sol.value - f_exact(sol.grid))) <= 1e-8
-    assert np.max(np.abs(sol.deriv - fr_exact(sol.grid))) <= 1e-8
+    sol = picard_f_origin(CF, 1.0)
+    assert sol.kind is ProfileKind.ORIGIN
+    assert np.max(np.abs(sol.value - f_exact(sol.grid))) <= 1e-13
+    assert np.max(np.abs(sol.deriv - fr_exact(sol.grid))) <= 1e-13
 
 
 def test_f_curvature_at_origin():
     # f_r / r -> f_rr(0) = -3/8 for the closed form
-    sol = picard_f_origin(CF, 1.0, TOL)
+    sol = picard_f_origin(CF, 1.0)
     i = np.searchsorted(sol.grid, 1e-3)
     assert sol.deriv[i] / sol.grid[i] == pytest.approx(-0.375, rel=1e-5)
 
 
 def test_f_boundary_behaviour():
-    sol = picard_f_origin(CF, 1.0, TOL)
-    assert sol.grid[0] > 0.0
+    # the datum f(0) = 1, f_r(0) = 0 through the closed form at the first node
+    sol = picard_f_origin(CF, 1.0)
+    r0 = sol.grid[0]
+    assert 0.0 < r0 <= 1e-3
     assert np.all(np.diff(sol.grid) > 0.0)
-    assert abs(sol.value[0] - 1.0) <= 1e-12
-    assert abs(sol.deriv[0]) <= 1e-10
+    assert sol.value[0] == pytest.approx(float(f_exact(r0)), rel=1e-15, abs=0.0)
+    assert sol.deriv[0] == pytest.approx(float(fr_exact(r0)), rel=1e-13, abs=0.0)
+    assert abs(sol.value[0] - 1.0) <= 0.1875 * r0 ** 2
     assert sol.boundary_value == 1.0
 
 
 def test_f_stays_in_ball():
-    sol = picard_f_origin(CF, 1.0, TOL)
+    sol = picard_f_origin(CF, 1.0)
     assert np.max(np.abs(sol.value - 1.0)) <= 0.5
     assert np.max(np.abs(sol.deriv)) <= 0.5
     assert np.min(sol.value) > 0.0
 
 
 def test_f_diagnostics():
-    sol = picard_f_origin(CF, 1.0, TOL)
-    assert sol.iterations >= 2
-    assert 0.0 < sol.contraction_estimate < 1.0
-    assert sol.residual <= TOL
+    sol = picard_f_origin(CF, 1.0)
+    assert sol.iterations == localsolve.ORDER
+    assert sol.eps == sol.grid[-1] <= 1.0
+    assert np.allclose(sol.grid[1:] / sol.grid[:-1], localsolve.SPACING,
+                       rtol=1e-13, atol=0.0)
     assert np.all(sol.deriv < 0.0)
 
 
-def test_f_grid_refinement_consistency(monkeypatch):
-    """Doubling the node count moves retained values by at most O(tol)."""
-    tol = 1e-6
-    coarse = {}
+def test_f_order_refinement_consistency(monkeypatch):
+    """Halving the series order moves node values by rounding only.
 
-    def counted(t):
-        return coarse["J"]
-
-    monkeypatch.setattr(localsolve, "_grid_count", counted)
-    coarse["J"] = 1 << 14
-    a = picard_f_origin(CF, 1.0, tol)
-    coarse["J"] = 1 << 15
-    b = picard_f_origin(CF, 1.0, tol)
-    assert a.eps == b.eps
-    # the fine grid contains the coarse one at its even indices
-    assert np.array_equal(b.grid[1::2], a.grid)
-    assert np.max(np.abs(b.value[1::2] - a.value)) <= 10 * tol
+    The closed form's series converges for theta < 16, so at either order
+    the seam sits at the cap and the tail is below 16^-30 there.
+    """
+    a = picard_f_origin(CF, 1.0)
+    monkeypatch.setattr(localsolve, "ORDER", localsolve.ORDER // 2)
+    b = picard_f_origin(CF, 1.0)
+    assert b.iterations == a.iterations // 2
+    assert np.array_equal(a.grid, b.grid)
+    assert np.max(np.abs(a.value - b.value)) <= 1e-15
+    assert np.max(np.abs(a.deriv - b.deriv)) <= 1e-15
 
 
 def test_g_closed_form():
-    sol = picard_g_origin(CF, 4096.0, TOL)
-    assert sol.problem_kind is ProblemKind.G_REGULAR
-    assert np.max(np.abs(sol.value - g_exact(sol.grid))) <= 1e-8 * 4096.0
-    assert np.max(np.abs(sol.deriv - gr_exact(sol.grid))) <= 1e-8 * 4096.0
-    assert abs(sol.value[0] - 4096.0) <= 1e-6
+    sol = picard_g_origin(CF, 4096.0)
+    assert sol.kind is ProfileKind.FARFIELD
+    s = sol.grid
+    assert np.max(np.abs(sol.value / g_exact(s) - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.deriv / gr_exact(s) - 1.0)) <= 1e-13
+    assert sol.value[0] == pytest.approx(float(g_exact(s[0])), rel=1e-15, abs=0.0)
+    assert 1.0 / s[0] >= 50.0
     assert np.all(sol.deriv < 0.0)
-    assert sol.residual <= TOL
 
 
 def test_g_singular_kind_and_slope():
     """In the singular regime g_r blows up like r^{-delta1} with a known
     leading coefficient; a two-node power-law extrapolation recovers it."""
     p = derive_params(3, 0.3, 1.0, 0.0)
-    sol = picard_g_origin(p, 1.0, TOL)
-    assert sol.problem_kind is ProblemKind.G_SINGULAR
+    sol = picard_g_origin(p, 1.0)
+    assert sol.kind is ProfileKind.FARFIELD
+    assert classify_regime(p).singular_g_origin
     c_true = singular_slope_limit(p, 1.0)
     assert c_true == pytest.approx(-15.0 / 14.0, rel=1e-12)
     r, y = sol.grid, sol.grid ** p.delta1 * sol.deriv
     q = 1.0 - p.delta1
     i, j = np.searchsorted(r, 1e-12), np.searchsorted(r, 2e-12)
     c = (y[i] * r[j] ** q - y[j] * r[i] ** q) / (r[j] ** q - r[i] ** q)
-    assert c == pytest.approx(c_true, rel=1e-4)
-    # raw composite value converges too, just slowly
-    assert y[i] == pytest.approx(c_true, rel=1e-2)
+    assert c == pytest.approx(-15.0 / 14.0, rel=1e-6)
+    # the raw scaled derivative converges too, at the rate r^q
+    assert y[i] == pytest.approx(-15.0 / 14.0, rel=1e-3)
 
 
 def test_g_regular_slope_vanishes():
-    # away from the singular regime g_r(0) = 0
-    sol = picard_g_origin(CF, 4096.0, TOL)
-    assert abs(sol.deriv[0]) <= 1e-6
+    # away from the singular regime g_r(0) = 0: g_r / s -> g_rr(0) = -6 * 16^4
+    sol = picard_g_origin(CF, 4096.0)
+    assert sol.deriv[0] / sol.grid[0] == pytest.approx(-6.0 * 16.0 ** 4, rel=1e-5)
 
 
 @pytest.mark.parametrize("m", [0.399, 0.401])
 def test_g_converges_across_regime_boundary(m):
-    # n = 4 flips singular_g_origin at m = 0.4; both sides must converge
+    # n = 4 flips singular_g_origin at m = 0.4; on both sides the stepper,
+    # started from the deepest series node, lands on the series at the seam
     p = derive_params(4, m, 1.0, 0.0)
-    sol = picard_g_origin(p, 1.0, 1e-8)
-    assert sol.residual <= 1e-8
-    assert 0.0 < sol.contraction_estimate < 1.0
+    assert classify_regime(p).singular_g_origin is (m > 0.4)
+    sol = picard_g_origin(p, 1.0)
+    s0, g0, gr0 = sol.grid[0], sol.value[0], sol.deriv[0]
+    P0 = s0 ** (p.n - 1) * g0 ** (p.m - 1.0) * gr0
+    tr = advance_g(p, OdeState(s0, g0, P0), sol.eps, tol=1e-12)
+    assert tr.r[-1] == pytest.approx(sol.eps, rel=1e-14)
+    assert tr.v[-1] == pytest.approx(sol.value[-1], rel=1e-10)
+    assert tr.vr[-1] == pytest.approx(sol.deriv[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_critical_bubble_family(n):
+    """At m = (n-2)/(n+2), beta = 0 the origin profile is the bubble
+    f = eta0 (1 + eta0^{1-m} r^2 / A)^{-(n-2)/(2m)}, A = n(n-2)(1-m)/(m rho1),
+    and its g-image is g(s) = eta0 A^{k/2} (A s^2 + eta0^{1-m})^{-k/2}."""
+    m = (n - 2) / (n + 2)
+    p = derive_params(n, m, 1.0, 0.0)
+    A = n * (n - 2) * (1 - m) / (m * p.rho1)
+    half_k = (n - 2) / (2 * m)
+    eta0 = 1.7
+    sol = picard_f_origin(p, eta0)
+    r = sol.grid
+    core = 1.0 + eta0 ** (1 - m) * r ** 2 / A
+    f = eta0 * core ** -half_k
+    fr = -half_k * eta0 * core ** (-half_k - 1) * 2 * eta0 ** (1 - m) * r / A
+    assert np.max(np.abs(sol.value / f - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.deriv / fr - 1.0)) <= 1e-13
+
+    eta = eta0 * (A / eta0 ** (1 - m)) ** half_k
+    sol = picard_g_origin(p, eta)
+    s = sol.grid
+    core = A * s ** 2 + eta0 ** (1 - m)
+    g = eta0 * A ** half_k * core ** -half_k
+    gr = -half_k * eta0 * A ** half_k * core ** (-half_k - 1) * 2 * A * s
+    assert np.max(np.abs(sol.value / g - 1.0)) <= 1e-13
+    assert np.max(np.abs(sol.deriv / gr - 1.0)) <= 1e-13
+
+
+def _mp_series(p, kind, order):
+    """The manifold recursion in the chart's own reduced variables.
+
+    Origin: X, Y with theta = eta0^{1-m} r^2.  Far field: xi = X + k, Y with
+    theta = eta^{1-m} s^sigma.  Returns (x_j, y_j) as mpf lists.
+    """
+    m, be = mpmath.mpf(p.m), mpmath.mpf(p.beta)
+    x = [mpmath.mpf(0)] * (order + 1)
+    y = [mpmath.mpf(0)] * (order + 1)
+    y[1] = mpmath.mpf(1)
+    for j in range(1, order + 1):
+        xy = mpmath.fsum(x[i] * y[j - i] for i in range(1, j))
+        xx = mpmath.fsum(x[i] * x[j - i] for i in range(1, j))
+        if kind is ProfileKind.ORIGIN:
+            if j > 1:
+                y[j] = (1 - m) * xy / (2 * j - 2)
+            x[j] = (-m * xx - be * xy - mpmath.mpf(p.alpha) * y[j]) / (2 * j + p.n - 2)
+        else:
+            sig = mpmath.mpf(p.sigma)
+            if j > 1:
+                y[j] = -(1 - m) * xy / (sig * (j - 1))
+            x[j] = (mpmath.mpf(p.alpha_tilde) * y[j] + m * xx + be * xy) / (
+                p.n - 2 + sig * j)
+    return x, y
+
+
+@pytest.mark.parametrize("kind, n, m, beta, b", [
+    (ProfileKind.ORIGIN, 4, 1 / 3, 0.25, 1.0),
+    (ProfileKind.ORIGIN, 3, 0.2, 0.1, 0.6),
+    (ProfileKind.ORIGIN, 4, 0.3, -0.1, 2.0),
+    (ProfileKind.FARFIELD, 3, 0.3, 0.0, 1.0),
+    (ProfileKind.FARFIELD, 3, 0.2, 0.05, 0.7),
+    (ProfileKind.FARFIELD, 5, 0.45, 0.1, 2.0),
+])
+def test_recursion_against_mpmath(kind, n, m, beta, b):
+    """Double-precision coefficients and node values against 30 digits."""
+    p = derive_params(n, m, 1.0, beta)
+    order = localsolve.ORDER
+    with mpmath.workdps(30):
+        xs, ys = _mp_series(p, kind, order)
+        u, y = manifold_series(p, kind)
+        # compare coefficients on the scale of the series at the seam
+        sol = (picard_f_origin if kind is ProfileKind.ORIGIN else picard_g_origin)(p, b)
+        e = 2.0 if kind is ProfileKind.ORIGIN else p.sigma
+        th_seam = b ** (1 - m) * sol.eps ** e
+        for j in range(1, order + 1):
+            scale = th_seam ** j
+            assert abs(u[j] - float(xs[j])) * scale <= 1e-15
+            assert abs(y[j] - float(ys[j])) * scale / th_seam <= 1e-15
+        one_m = 1 - mpmath.mpf(m)
+        sign = 1 if kind is ProfileKind.ORIGIN else -1
+        worst = 0.0
+        for x, v, vx in zip(sol.grid, sol.value, sol.deriv):
+            x = mpmath.mpf(x)
+            th = mpmath.mpf(b) ** one_m * x ** mpmath.mpf(e)
+            ratio = mpmath.polyval(ys[:0:-1], th)
+            val = b * ratio ** (1 / one_m)
+            der = sign * mpmath.polyval(xs[::-1], th) * val / x
+            worst = max(worst, float(abs(v / val - 1)), float(abs(vx / der - 1)))
+        assert worst <= 1e-13
 
 
 def test_f_rejects_nonpositive_eta():
     p = derive_params(4, 1 / 3, 1.0, 0.0)
     with pytest.raises(DomainError, match="eta0 must be positive"):
-        picard_f_origin(p, 0.0, TOL)
+        picard_f_origin(p, 0.0)
     with pytest.raises(DomainError, match="eta0 must be positive"):
-        picard_f_origin(p, -1.0, TOL)
+        picard_f_origin(p, -1.0)
 
 
 def test_f_rejects_beta_at_threshold():
     p = derive_params(4, 1 / 3, 1.0, 0.5)
     with pytest.raises(DomainError, match="below beta_threshold"):
-        picard_f_origin(p, 1.0, TOL)
+        picard_f_origin(p, 1.0)
 
 
 def test_g_rejects_bad_inputs():
     p = derive_params(4, 1 / 3, 1.0, 0.0)
     with pytest.raises(DomainError, match="eta must be positive"):
-        picard_g_origin(p, 0.0, TOL)
+        picard_g_origin(p, 0.0)
     bad = derive_params(4, 1 / 3, 1.0, 0.7)   # alpha_tilde < 0
     with pytest.raises(DomainError, match="alpha_tilde"):
-        picard_g_origin(bad, 1.0, TOL)
+        picard_g_origin(bad, 1.0)

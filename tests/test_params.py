@@ -1,6 +1,10 @@
 """Parameter derivation, regime flags, and their algebraic invariants."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdprof import (DomainError, classify_regime, derive_params,
                     require_farfield_admissible, require_origin_admissible)
@@ -176,3 +180,21 @@ def test_positional_signature_order():
     a = derive_params(4, 1 / 3, 1.0, 0.25)
     b = derive_params(n=4, m=1 / 3, rho1=1.0, beta=0.25)
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 11), rho1=st.floats(0.01, 100.0),
+       beta=st.floats(-10.0, 10.0))
+@example(n=11, rho1=1.0, beta=0.0)
+def test_near_critical_m_is_refused_or_finite(n, rho1, beta):
+    """At the largest double below (n-2)/n, n - 2 - n*m can round to 0 (it
+    does for n = 11); that is a DomainError, never a ZeroDivisionError, and
+    any accepted m carries a positive sigma and a finite threshold."""
+    m = math.nextafter((n - 2) / n, 0.0)
+    try:
+        p = derive_params(n, m, rho1, beta)
+    except DomainError as e:
+        assert "n - 2 - n*m" in str(e)
+        return
+    assert p.sigma > 0.0
+    assert math.isfinite(p.beta_threshold) and p.beta_threshold > 0.0
