@@ -17,8 +17,7 @@ from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
 from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
                         advance_g, continue_profile, solve_farfield_profile,
                         solve_origin_profile)
-from .inversion import (FarFieldData, boundary_dictionary, fside_nodes,
-                        fside_samples, invert_pointwise, roundtrip)
+from .inversion import fside_nodes, fside_samples, invert_pointwise, roundtrip
 from .kernels import NUMBA_ENABLED
 from .localsolve import (LocalSolution, LocalStageFailed, picard_f_origin,
                          picard_g_origin, singular_slope_limit)
@@ -31,12 +30,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadBracket", "BetaSearchResult", "ContinuationFailed", "DecayClass",
-    "DecayLabel", "DomainError", "Estimate", "FarFieldData",
+    "DecayLabel", "DomainError", "Estimate",
     "InsufficientRange", "LimitEstimates", "LocalSolution", "LocalStageFailed",
     "NUMBA_ENABLED", "OdeState", "Profile", "ProfileKind",
     "ProfileParams", "RangeError", "RegimeFlags", "Shape", "SolveReport",
     "TerminalEvent", "Trajectory", "Verdict", "advance_f", "advance_g",
-    "asymptotic_limits", "boundary_dictionary", "build_report",
+    "asymptotic_limits", "build_report",
     "certify_bracket", "classify_decay", "classify_regime", "classify_shape",
     "continue_profile", "derive_params", "find_anomalous_beta", "fside_nodes",
     "fside_samples", "invert_pointwise", "ode_residual", "pde_residual_V",

@@ -1,7 +1,7 @@
 """Verification and classification of solved profiles.
 
 Residual checks differentiate the stored flux once (first derivative on
-scattered nodes, arbitrary-order stencil weights); values are never
+scattered nodes, closed-form 7-point Lagrange weights); values are never
 second-differenced.  Asymptotic limits come from Richardson extrapolation
 over geometric ladders with an empirical error bar.  Decay classification
 and the anomalous-exponent search both work off the log-slope
@@ -39,31 +39,33 @@ class RangeError(ValueError):
 # residual
 
 
-def deriv_weights(x: np.ndarray, x0: float) -> np.ndarray:
-    """First-derivative stencil weights at x0 for arbitrary nodes x."""
-    # standard recursion for finite-difference weights on scattered nodes
-    n = len(x)
-    c = np.zeros((n, 2))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, 1)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, 1]
+def flux_slope(r: np.ndarray, P: np.ndarray):
+    """P' at the interior nodes of strictly increasing radii r.
+
+    Each interior node i gets the derivative of the Lagrange interpolant
+    through its 2h neighbours and itself, h = 3 (or 2 when there are fewer
+    than 7 nodes).  In offsets x_j = (r_{i+j} - r_i)/r_i, scaled by the centre
+    so that radii near 1e-60 do not underflow, the weight of neighbour j is
+    prod_{l != j} x_l/(x_l - x_j) / x_j and the centre weight is
+    -sum_j 1/x_j.  The sum is taken as sum_j w_j (P_{i+j} - P_i): the same
+    value, but its rounding scales with the differences, not with P, which
+    matters on far tails where P is nearly constant.  Returns the slice of
+    interior nodes and P' there.
+    """
+    N = len(r)
+    h = 3 if N >= 7 else 2
+    inner = slice(h, N - h)
+    rc, Pc = r[inner], P[inner]
+    offsets = [j for j in range(-h, h + 1) if j]
+    x = {j: (r[h + j:N - h + j] - rc) / rc for j in offsets}
+    total = np.zeros_like(rc)
+    for j in offsets:
+        wj = 1.0 / x[j]
+        for l in offsets:
+            if l != j:
+                wj = wj * (x[l] / (x[l] - x[j]))
+        total += wj * (P[h + j:N - h + j] - Pc)
+    return inner, total / rc
 
 
 def ode_residual(profile: Profile) -> float:
@@ -72,7 +74,8 @@ def ode_residual(profile: Profile) -> float:
     The flux form P' = -r^w (A v + B r v_r) is checked with P' recovered by
     differentiating once the flux P = r^{n-1} v^{m-1} v_r of the stored
     (r, v, v_r) triples, which are exactly what a profile CSV holds; no value
-    is ever second-differenced.
+    is ever second-differenced.  Nodes where every term vanishes are
+    skipped; a NaN defect at any other node makes the result NaN.
     """
     r, v, vr = profile.r, profile.v, profile.vr
     N = len(r)
@@ -80,21 +83,13 @@ def ode_residual(profile: Profile) -> float:
         raise DomainError(f"profile has {N} nodes; residual needs at least 5")
     chart = profile.chart
     w, A, B = chart.w, chart.A, chart.B
-    P = chart.flux(r, v, vr)
-    half = 3 if N >= 7 else 2
-    worst = 0.0
-    for i in range(half, N - half):
-        sl = slice(i - half, i + half + 1)
-        wts = deriv_weights(r[sl] / r[i], 1.0) / r[i]
-        dP_fd = float(wts @ P[sl])
-        rhs = chart.dflux(r[i], v[i], vr[i])
-        den = abs(dP_fd) + r[i] ** w * (abs(A) * abs(v[i]) + abs(B) * r[i] * abs(vr[i]))
-        if den == 0.0:
-            continue
-        defect = abs(dP_fd - rhs) / den
-        if defect > worst:
-            worst = defect
-    return worst
+    inner, dP_fd = flux_slope(r, chart.flux(r, v, vr))
+    r, v, vr = r[inner], v[inner], vr[inner]
+    rhs = chart.dflux(r, v, vr)
+    den = np.abs(dP_fd) + r ** w * (abs(A) * np.abs(v) + abs(B) * r * np.abs(vr))
+    keep = den != 0.0
+    defect = np.abs(dP_fd[keep] - rhs[keep]) / den[keep]
+    return float(np.max(defect, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +185,16 @@ def asymptotic_limits(profile: Profile) -> LimitEstimates:
 
 
 def l3_reference(p: ProfileParams) -> float:
-    """Reference constant for the quadratic-decay limit; diagnostic only."""
-    return 2.0 * (p.n - 2.0 - p.n * p.m) / ((1.0 - p.m) * (p.alpha * (1.0 - p.m) - p.beta))
+    """Reference constant for the quadratic-decay limit; diagnostic only.
+
+    In X = r f_r / f, Y = r^2 f^{1-m} and t = ln r the profile equation is
+    X' = -X (n-2 + m X) - Y (alpha + beta X), Y' = Y (2 + (1-m) X).  Slow
+    decay is its fixed point with Y != 0: Y' = 0 gives X* = -2/(1-m), where
+    n-2 + m X* = (n-2-nm)/(1-m) and alpha + beta X* = rho1/(1-m) (using
+    alpha (1-m) - 2 beta = rho1), so X' = 0 gives
+    Y* = 2 (n-2-nm) / ((1-m) rho1).
+    """
+    return 2.0 * (p.n - 2.0 - p.n * p.m) / ((1.0 - p.m) * p.rho1)
 
 
 # ---------------------------------------------------------------------------

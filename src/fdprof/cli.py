@@ -239,7 +239,7 @@ def _read_profile_csv(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DomainError(f"cannot read {path}: {e}")
     if not lines or lines[0] not in ("r,f,f_r", "r,g,g_r"):
         raise DomainError(f"{path}: header must be r,f,f_r or r,g,g_r")
@@ -252,9 +252,12 @@ def _read_profile_csv(path: str):
         if len(parts) != 3:
             raise DomainError(f"{path}: row {i} has {len(parts)} fields, expected 3")
         try:
-            rows.append(tuple(float(x) for x in parts))
+            row = tuple(float(x) for x in parts)
         except ValueError:
             raise DomainError(f"{path}: row {i} is not numeric: {line!r}")
+        if not all(math.isfinite(x) for x in row):
+            raise DomainError(f"{path}: row {i} is not finite: {line!r}")
+        rows.append(row)
     if len(rows) < 5:
         raise DomainError(f"{path}: only {len(rows)} data rows, need at least 5")
     arr = np.array(rows, dtype=float)

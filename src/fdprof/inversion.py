@@ -6,8 +6,6 @@ inequality checks on mapped samples stay exact consequences of the input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .params import DomainError, ProfileParams
@@ -39,23 +37,6 @@ def roundtrip(radii, values, derivs, p: ProfileParams):
     """Apply the transform twice; returns the input up to rounding."""
     r1, v1, d1 = invert_pointwise(radii, values, derivs, p)
     return invert_pointwise(r1, v1, d1, p)
-
-
-@dataclass(frozen=True)
-class FarFieldData:
-    """Far-field datum eta translated to both sides of the transform."""
-    g_origin_value: float        # g(0) = eta
-    value_limit: float           # lim r^{(n-2)/m} f(r) = eta
-    deriv_limit: float           # lim r^{(n-2)/m+1} f_r(r) = -((n-2)/m) eta
-    bound_coefficient: float     # strict bound f(r) < eta r^{-(n-2)/m}
-
-
-def boundary_dictionary(p: ProfileParams, eta: float) -> FarFieldData:
-    """Translate the far-field datum eta into g-side and f-side data."""
-    if not eta > 0.0:
-        raise DomainError(f"eta={eta} violates eta > 0")
-    return FarFieldData(g_origin_value=eta, value_limit=eta,
-                        deriv_limit=-p.k * eta, bound_coefficient=eta)
 
 
 def fside_samples(profile: Profile, r):

@@ -117,6 +117,3 @@ class Profile:
         v = self.value_at(x)
         n1 = self.params.n - 1
         return v ** (1.0 - self.params.m) * P / np.asarray(x, dtype=float) ** n1
-
-    def in_range(self, x) -> bool:
-        return bool(np.all((x >= self.r[0]) & (x <= self.r[-1])))

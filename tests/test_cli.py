@@ -12,9 +12,11 @@ import time
 import numpy as np
 import pytest
 from conftest import f_exact, fr_exact
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdprof import kernels
-from fdprof.cli import main
+from fdprof import DomainError, kernels
+from fdprof.cli import _read_profile_csv, main
 
 M13 = "0.3333333333333333"
 
@@ -180,6 +182,57 @@ def test_verify_corrupt_row(origin_run, tmp_path, capsys):
                            os.path.join(origin_run, "report.json"))
     assert code == 1
     assert "row 18 has 2 fields" in err
+
+
+@pytest.mark.parametrize("column, token", [(1, "nan"), (2, "inf"), (0, "nan")])
+def test_verify_rejects_non_finite_field(origin_run, tmp_path, capsys,
+                                         column, token):
+    with open(os.path.join(origin_run, "profile.csv")) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[17].split(",")
+    fields[column] = token
+    lines[17] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", str(bad), "--report",
+                             os.path.join(origin_run, "report.json"))
+    assert code == 1
+    assert out == ""
+    assert "row 18 is not finite" in err
+
+
+_FIELD = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                   st.text(max_size=8))
+_ROW = st.one_of(st.text(max_size=30),
+                 st.lists(_FIELD, min_size=3, max_size=3).map(",".join))
+# arbitrary rows, or sorted positive radii (repeats possible) with any values
+_BODY = st.one_of(
+    st.lists(_ROW, max_size=8),
+    st.lists(st.floats(1e-300, 1e300), min_size=5, max_size=9).flatmap(
+        lambda rs: st.lists(st.tuples(st.floats(), st.floats()),
+                            min_size=len(rs), max_size=len(rs)).map(
+            lambda vals: [f"{r!r},{a!r},{b!r}"
+                          for r, (a, b) in zip(sorted(rs), vals)])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["r,f,f_r", "r,g,g_r"]), body=_BODY,
+       extra=st.lists(_ROW, max_size=2),
+       tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=4)))
+def test_csv_reader_returns_clean_rows_or_domain_error(tmp_path_factory,
+                                                       header, body, extra,
+                                                       tail):
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    # raw trailing bytes, often not UTF-8, stand for a corrupted file
+    text = "\n".join([header] + body + extra) + "\n"
+    path.write_bytes(text.encode("utf-8") + tail)
+    try:
+        _, r, v, vr = _read_profile_csv(str(path))
+    except DomainError:
+        return
+    assert len(r) == len(v) == len(vr) >= 5
+    assert np.all(np.isfinite(r) & np.isfinite(v) & np.isfinite(vr))
+    assert r[0] > 0.0 and np.all(np.diff(r) > 0.0)
 
 
 def test_verify_tampered_values(origin_run, tmp_path, capsys):

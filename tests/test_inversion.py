@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 from conftest import f_exact, fr_exact, g_exact, gr_exact
-from fdprof import (DomainError, ProfileKind, boundary_dictionary,
-                    derive_params, fside_nodes, fside_samples,
-                    invert_pointwise, roundtrip, solve_farfield_profile,
-                    solve_origin_profile)
-from fdprof.analysis import deriv_weights
+from fdprof import (DomainError, ProfileKind, derive_params, fside_nodes,
+                    fside_samples, invert_pointwise, roundtrip,
+                    solve_farfield_profile, solve_origin_profile)
+from fdprof.analysis import flux_slope
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -62,19 +61,6 @@ def test_roundtrip_returns_input_over_random_samples():
         assert np.max(np.abs(d2 - d) / np.abs(d)) <= 1e-12
 
 
-def test_boundary_dictionary_values():
-    d = boundary_dictionary(CF, 4096.0)
-    assert d.g_origin_value == 4096.0
-    assert d.value_limit == 4096.0
-    assert d.deriv_limit == -24576.0
-    assert d.bound_coefficient == 4096.0
-
-
-def test_boundary_dictionary_rejects_nonpositive_eta():
-    with pytest.raises(DomainError, match="violates eta > 0"):
-        boundary_dictionary(CF, 0.0)
-
-
 def test_invert_rejects_bad_samples():
     with pytest.raises(DomainError, match="empty"):
         invert_pointwise([], [], [], CF)
@@ -90,12 +76,9 @@ def test_transported_samples_satisfy_the_direct_equation():
     r, f, fr = invert_pointwise(s, g_exact(s), gr_exact(s), CF)
     P = r ** 3 * f ** (CF.m - 1.0) * fr
     rhs = -(r ** 3) * (CF.alpha * f + CF.beta * r * fr)
-    worst = 0.0
-    for i in range(3, r.size - 3, 7):
-        w = deriv_weights(r[i - 3:i + 4], r[i])
-        defect = abs(w @ P[i - 3:i + 4] - rhs[i]) / (abs(rhs[i]) + 1.0)
-        worst = max(worst, defect)
-    assert worst <= 1e-8
+    inner, dP = flux_slope(r, P)
+    defect = np.abs(dP - rhs[inner]) / (np.abs(rhs[inner]) + 1.0)
+    assert np.max(defect) <= 1e-8
 
 
 def test_fside_nodes_identity_on_origin_profiles():
