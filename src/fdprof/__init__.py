@@ -11,9 +11,9 @@ searches for the anomalous decay exponent.
 from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
                        Estimate, InsufficientRange, LimitEstimates, RangeError,
                        Shape, SolveReport, Verdict, asymptotic_limits,
-                       build_report, certify_bracket, classify_decay,
-                       classify_shape, find_anomalous_beta, ode_residual,
-                       pde_residual_V, selfsimilar_eval, verify_inequalities)
+                       build_report, classify_decay, classify_shape,
+                       find_anomalous_beta, ode_residual, pde_residual_V,
+                       selfsimilar_eval, verify_inequalities)
 from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
                         advance_g, continue_profile, solve_farfield_profile,
                         solve_origin_profile)
@@ -36,7 +36,7 @@ __all__ = [
     "ProfileParams", "RangeError", "RegimeFlags", "Shape", "SolveReport",
     "TerminalEvent", "Trajectory", "Verdict", "advance_f", "advance_g",
     "asymptotic_limits", "build_report",
-    "certify_bracket", "classify_decay", "classify_regime", "classify_shape",
+    "classify_decay", "classify_regime", "classify_shape",
     "continue_profile", "derive_params", "find_anomalous_beta", "fside_nodes",
     "fside_samples", "invert_pointwise", "ode_residual", "pde_residual_V",
     "picard_f_origin", "picard_g_origin", "require_farfield_admissible",

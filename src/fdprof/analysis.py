@@ -4,9 +4,11 @@ Residual checks differentiate the stored flux once (first derivative on
 scattered nodes, closed-form 7-point Lagrange weights); values are never
 second-differenced.  Asymptotic limits come from Richardson extrapolation
 over geometric ladders with an empirical error bar.  Decay classification
-and the anomalous-exponent search both work off the log-slope
-s(r) = r f_r / f, whose two candidate limits are separated by a computable
-gap for every admissible (n, m).
+works off the log-slope X = r f_r / f, whose two candidate limits are
+separated by a computable gap for every admissible (n, m).  The anomalous
+exponent is the beta at which the origin profile joins the fast-decay
+saddle: the root of the difference of Y = r^2 f^{1-m} between the origin
+and the far-field solve where each first crosses X = -2/(1-m).
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import ContinuationFailed, solve_origin_profile
+from .integrate import (ContinuationFailed, solve_farfield_profile,
+                        solve_origin_profile)
 from .inversion import fside_samples
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
@@ -28,7 +31,7 @@ class InsufficientRange(RuntimeError):
 
 
 class BadBracket(RuntimeError):
-    """The bracket ends classify to the same side, or probes lost monotone order."""
+    """The bracket ends do not straddle beta*, or a solve misses the section."""
 
 
 class RangeError(ValueError):
@@ -208,24 +211,21 @@ class Verdict:
     at_r: float | None = None    # first violating radius when status == "fails-at"
 
     @staticmethod
-    def check(lhs: np.ndarray, r: np.ndarray, tie_sign=None) -> "Verdict":
+    def check(lhs: np.ndarray, r: np.ndarray, tie_sign=0.0) -> "Verdict":
         """Strict positivity of lhs over nodes.
 
         A node where lhs rounds to exactly zero counts as holding when
         tie_sign is positive there: tie_sign is an algebraically equivalent
         quantity evaluated in a cancellation-free form, so its sign settles
-        strictness below the resolution of the direct difference.
+        strictness below the resolution of the direct difference.  A NaN node
+        fails: nothing about it is known to hold.
         """
         lhs = np.asarray(lhs, dtype=float)
-        bad = lhs < 0.0
-        if tie_sign is None:
-            bad |= lhs == 0.0
-        else:
-            bad |= (lhs == 0.0) & ~(np.asarray(tie_sign) > 0.0)
+        holds = (lhs > 0.0) | ((lhs == 0.0) & (np.asarray(tie_sign) > 0.0))
         margin = float(np.min(lhs))
-        if not bad.any():
+        if holds.all():
             return Verdict("holds", margin=margin)
-        i = int(np.nonzero(bad)[0][0])
+        i = int(np.argmin(holds))   # the first failing node
         return Verdict("fails-at", margin=margin, at_r=float(r[i]))
 
 
@@ -398,83 +398,118 @@ class BetaSearchResult:
     beta_star: float
     bracket: tuple[float, float]
     probes: int
-    history: tuple = field(default=())   # (beta, measured_slope, side) per probe
+    history: tuple = field(default=())   # (beta, gap, side) per gap evaluation
 
     def __float__(self) -> float:
         return self.beta_star
 
 
-def _probe_side(n, m, rho1, eta0, beta, tol, r_max):
-    """Side of the positivity boundary at beta: -1 vanishing, +1 global."""
-    p = derive_params(n, m, rho1, beta)
-    try:
-        prof = solve_origin_profile(p, eta0, r_max, tol=tol)
-    except ContinuationFailed:
-        # value floor (or step collapse chasing it): the profile vanishes at
-        # finite radius, so beta sits below the anomalous exponent
-        return -1, -math.inf
-    return 1, classify_decay(prof).measured_slope
+REACH_TRIES = 4   # solves per manifold to reach the section, each 8x farther
+
+
+def _section_Y(profile: Profile):
+    """Y = r^2 f^{1-m} where the nodes first cross X = r f_r / f = -2/(1-m).
+
+    In the chart radius x, X = X* + sign(lam) x v_x / v and Y = x^|lam| v^{1-m}
+    (see localsolve).  Y' = Y (2 + (1-m) X) vanishes on the section, so a
+    crossing placed by linear interpolation of X moves Y only to second
+    order.  None if no pair of nodes brackets the section.
+    """
+    p, lam, r = profile.params, profile.chart.lam, profile.r
+    x_star = 0.0 if profile.kind is ProfileKind.ORIGIN else -p.k
+    d = x_star + 2.0 / (1.0 - p.m) + np.sign(lam) * r * profile.vr / profile.v
+    hit = np.flatnonzero(d[1:] * d[0] <= 0.0)
+    if not hit.size:
+        return None
+    i = int(hit[0])
+    x = r[i] + (r[i + 1] - r[i]) * d[i] / (d[i] - d[i + 1])
+    return float(x ** abs(lam) * profile.value_at(x) ** (1.0 - p.m))
+
+
+def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
+    """D = Y_origin - Y_fast on the section X = -2/(1-m).
+
+    Y_origin is read on the origin manifold (the solve from eta0), Y_fast on
+    the stable manifold of the fast-decay point (-k, 0) (the far-field solve
+    from eta = 1).  The scaling symmetry moves a solve along its manifold, so
+    D depends on beta alone; it vanishes where the manifolds join, at the
+    anomalous exponent, and is positive below it, where the origin profile
+    vanishes at finite radius.  Such a solve crosses the section before it
+    floors, so its partial profile serves.
+    """
+    ys = []
+    for solve, boundary, reach in (
+            (solve_origin_profile, eta0, 8.0 * eta0 ** ((p.m - 1.0) / 2.0)),
+            (solve_farfield_profile, 1.0, 1.0)):
+        for _ in range(REACH_TRIES):
+            try:
+                profile = solve(p, boundary, reach, tol=tol)
+            except ContinuationFailed as e:
+                profile = e.partial
+            y = _section_Y(profile)
+            if y is not None or profile.terminal is not TerminalEvent.REACHED_RMAX:
+                break
+            reach *= 8.0
+        if y is None:
+            raise BadBracket(f"the {profile.kind.value} solve at beta={p.beta:g} "
+                             f"never reaches the section X = -2/(1-m)")
+        ys.append(y)
+    return ys[0] - ys[1]
 
 
 def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
                         bracket: tuple[float, float], tol_beta: float = 1e-3,
-                        tol: float = 1e-9, r_max: float = 800.0) -> BetaSearchResult:
-    """Bisect for the exponent at the edge of global positivity.
+                        tol: float = 1e-9) -> BetaSearchResult:
+    """Root of saddle_gap in beta, bracketed to tol_beta.
 
-    Below the anomalous exponent the origin profile vanishes at a finite
-    radius (the continuation ends in a value-floor event); at and above it
-    the profile stays positive out to r_max, with the fast decay rate
-    attained exactly at the exponent.  Each probe is a full origin solve;
-    survival to r_max decides the side, and the measured far slope of each
-    surviving probe is kept in the history as a diagnostic.  Probes must
-    stay ordered (every vanishing beta below every surviving beta) or the
-    search aborts with BadBracket.
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971): an end that
+    stays put for a second step running has its gap halved.  A step that
+    did not halve the bracket is followed by a bisection, and every trial
+    point stays tol_beta/2 inside the bracket, so a trial next to the root
+    lands across it.  The sign of the gap at each point is its side: -1
+    (D > 0, the origin profile vanishes) below the root, +1 above.
     """
     lo, hi = (float(min(bracket)), float(max(bracket)))
-    if not tol_beta > 0.0:
-        raise DomainError(f"tol_beta={tol_beta} violates tol_beta > 0")
     if lo == hi:
         raise DomainError("bracket has zero width")
     for b in (lo, hi):
         require_origin_admissible(derive_params(n, m, rho1, b))
+    # below a few ulps no trial point fits strictly inside the bracket
+    floor = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    if not tol_beta > floor:
+        raise DomainError(f"tol_beta={tol_beta} violates tol_beta > {floor:g}")
 
     history = []
-    sides = {}
 
-    def probe(b):
-        side, slope = _probe_side(n, m, rho1, eta0, b, tol, r_max)
-        history.append((b, slope, side))
-        sides[b] = side
-        below = [x for x, s in sides.items() if s == -1]
-        above = [x for x, s in sides.items() if s == +1]
-        if below and above and max(below) > min(above):
-            raise BadBracket(
-                f"probe ordering violated: fast side at beta={max(below):g} "
-                f"above slow side at beta={min(above):g}")
-        return side
+    def gap(b):
+        d = saddle_gap(derive_params(n, m, rho1, b), eta0, tol)
+        history.append((b, d, -1 if d > 0.0 else 1))
+        return d
 
-    s_lo, s_hi = probe(lo), probe(hi)
-    if s_lo == s_hi:
-        raise BadBracket(
-            f"both bracket ends classify to the same side at beta={lo:g} and beta={hi:g}")
-
+    d_lo, d_hi = gap(lo), gap(hi)
+    if not d_lo > 0.0 >= d_hi:
+        how = "the same side" if (d_lo > 0.0) == (d_hi > 0.0) else "swapped sides"
+        raise BadBracket(f"both bracket ends classify to {how} "
+                         f"at beta={lo:g} and beta={hi:g}")
+    moved, bisect = None, False
     while hi - lo > tol_beta:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) < 0:
-            lo = mid
+        width = hi - lo
+        b = 0.5 * (lo + hi) if bisect else lo - d_lo * width / (d_hi - d_lo)
+        b = min(max(b, lo + 0.5 * tol_beta), hi - 0.5 * tol_beta)
+        d = gap(b)
+        if d > 0.0:
+            d_hi *= 0.5 if moved == "lo" else 1.0
+            lo, d_lo, moved = b, d, "lo"
         else:
-            hi = mid
-    return BetaSearchResult(beta_star=0.5 * (lo + hi), bracket=(lo, hi),
+            d_lo *= 0.5 if moved == "hi" else 1.0
+            hi, d_hi, moved = b, d, "hi"
+        bisect = not bisect and hi - lo > 0.5 * width
+    # the secant root of the true end gaps lies in the bracket, and on a
+    # nearly linear gap far closer to beta* than the midpoint
+    d_of = {b: d for b, d, _ in history}
+    beta_star = lo - d_of[lo] * (hi - lo) / (d_of[hi] - d_of[lo])
+    return BetaSearchResult(beta_star=beta_star, bracket=(lo, hi),
                             probes=len(history), history=tuple(history))
-
-
-def certify_bracket(n, m, rho1, eta0, result: BetaSearchResult,
-                    tol: float = 1e-9, r_max: float = 800.0) -> bool:
-    """Re-solve the final bracket ends 10x tighter; sides must still differ."""
-    lo, hi = result.bracket
-    s_lo, _ = _probe_side(n, m, rho1, eta0, lo, tol / 10.0, r_max)
-    s_hi, _ = _probe_side(n, m, rho1, eta0, hi, tol / 10.0, r_max)
-    return s_lo == -1 and s_hi == +1
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +605,7 @@ class SolveReport:
                 "slope_far": _estimate_dict(self.limits.slope_far),
                 "slope_origin": _estimate_dict(self.limits.slope_origin),
             }
-            if limits["L3"] is not None:
-                limits["L3"]["exploratory"] = True
+            limits["L3"]["exploratory"] = True
         return {
             "params": {
                 "n": p.n, "m": p.m, "rho1": p.rho1, "beta": p.beta,

@@ -7,6 +7,7 @@ failures and failed bracket searches, 3 solver breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import analysis
 from .analysis import BadBracket, InsufficientRange, build_report
-from .integrate import (ContinuationFailed, solve_farfield_profile,
-                        solve_origin_profile)
+from .integrate import (ContinuationFailed, _require_run_settings,
+                        solve_farfield_profile, solve_origin_profile)
 from .inversion import fside_nodes, invert_pointwise
 from .localsolve import LocalStageFailed
 from .params import DomainError, derive_params, require_farfield_admissible, \
@@ -34,7 +35,6 @@ DEFAULTS = {
     "tol-beta": 1e-3,
     "beta-lo": -0.4,
     "beta-hi": 0.4,
-    "probe-rmax": 800.0,
 }
 
 RESIDUAL_FACTOR = 100.0   # verification threshold: residual <= factor * tol
@@ -122,9 +122,6 @@ def write_profile_csv(path: str, header: str, r, v, vr) -> None:
 
 def _write_plots(out: str, stem: str, r, f, fr) -> None:
     """Two-column data files: profile, log-log decay, and log-slope."""
-    r = np.asarray(r, float)
-    f = np.asarray(f, float)
-    fr = np.asarray(fr, float)
     views = {
         f"{stem}_profile.dat": (r, f),
         f"{stem}_loglog.dat": (np.log10(r), np.log10(np.maximum(f, 1e-300))),
@@ -136,14 +133,11 @@ def _write_plots(out: str, stem: str, r, f, fr) -> None:
                 fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def _verdicts_ok(report) -> bool:
-    return all(v.status != "fails-at" for v in report.inequalities.values())
-
-
 def _solve_exit(report, tol: float) -> int:
     if report.terminal_event is not TerminalEvent.REACHED_RMAX:
         return 3
-    if not _verdicts_ok(report) or not report.residual <= _residual_threshold(tol):
+    if (any(v.status == "fails-at" for v in report.inequalities.values())
+            or not report.residual <= _residual_threshold(tol)):
         return 2
     return 0
 
@@ -152,57 +146,42 @@ def _solve_exit(report, tol: float) -> int:
 # commands
 
 
-def cmd_solve_origin(ns, cfg) -> int:
+def cmd_solve(ns, cfg) -> int:
+    """solve-origin (f from f(0) = eta0) or solve-farfield (g from g(0) = eta)."""
+    origin = ns.kind is ProfileKind.ORIGIN
+    name = "eta0" if origin else "eta"
     n = _opt(ns, cfg, "n", int, required=True)
     m = _opt(ns, cfg, "m", required=True)
     rho1 = _opt(ns, cfg, "rho1")
     beta = _opt(ns, cfg, "beta", required=True)
-    eta0 = _opt(ns, cfg, "eta0")
+    boundary = _opt(ns, cfg, name, required=True)   # eta0 has a default
     tol = _opt(ns, cfg, "tol")
     rmax = _opt(ns, cfg, "rmax")
     out = _opt(ns, cfg, "out", str)
     os.makedirs(out, exist_ok=True)
 
     p = derive_params(n, m, rho1, beta)
-    require_origin_admissible(p)
-    if not eta0 > 0.0:
-        raise DomainError(f"eta0={eta0} violates eta0 > 0")
+    if origin:
+        require_origin_admissible(p)
+    else:
+        require_farfield_admissible(p)
+    if not boundary > 0.0:
+        raise DomainError(f"{name}={boundary} violates {name} > 0")
 
-    profile = solve_origin_profile(p, eta0, rmax, tol=tol)
+    solve = solve_origin_profile if origin else solve_farfield_profile
+    profile = solve(p, boundary, rmax, tol=tol)
     report = build_report(profile)
-    write_profile_csv(os.path.join(out, "profile.csv"), "r,f,f_r",
-                      profile.r, profile.v, profile.vr)
+    native = (profile.r, profile.v, profile.vr)
+    if origin:
+        write_profile_csv(os.path.join(out, "profile.csv"), "r,f,f_r", *native)
+        fside = native
+    else:
+        write_profile_csv(os.path.join(out, "profile_g.csv"), "r,g,g_r", *native)
+        fside = fside_nodes(profile)
+        write_profile_csv(os.path.join(out, "profile_f.csv"), "r,f,f_r", *fside)
     write_json(os.path.join(out, "report.json"), report.to_dict())
     if ns.plots:
-        _write_plots(out, "origin", profile.r, profile.v, profile.vr)
-    return _solve_exit(report, tol)
-
-
-def cmd_solve_farfield(ns, cfg) -> int:
-    n = _opt(ns, cfg, "n", int, required=True)
-    m = _opt(ns, cfg, "m", required=True)
-    rho1 = _opt(ns, cfg, "rho1")
-    beta = _opt(ns, cfg, "beta", required=True)
-    eta = _opt(ns, cfg, "eta", required=True)
-    tol = _opt(ns, cfg, "tol")
-    rmax = _opt(ns, cfg, "rmax")
-    out = _opt(ns, cfg, "out", str)
-    os.makedirs(out, exist_ok=True)
-
-    p = derive_params(n, m, rho1, beta)
-    require_farfield_admissible(p)
-    if not eta > 0.0:
-        raise DomainError(f"eta={eta} violates eta > 0")
-
-    profile = solve_farfield_profile(p, eta, rmax, tol=tol)
-    report = build_report(profile)
-    write_profile_csv(os.path.join(out, "profile_g.csv"), "r,g,g_r",
-                      profile.r, profile.v, profile.vr)
-    rf, fv, fd = fside_nodes(profile)
-    write_profile_csv(os.path.join(out, "profile_f.csv"), "r,f,f_r", rf, fv, fd)
-    write_json(os.path.join(out, "report.json"), report.to_dict())
-    if ns.plots:
-        _write_plots(out, "farfield", rf, fv, fd)
+        _write_plots(out, ns.kind.value, *fside)
     return _solve_exit(report, tol)
 
 
@@ -215,21 +194,14 @@ def cmd_beta_find(ns, cfg) -> int:
     hi = _opt(ns, cfg, "beta-hi")
     tol_beta = _opt(ns, cfg, "tol-beta")
     tol = _opt(ns, cfg, "tol")
-    probe_rmax = _opt(ns, cfg, "probe-rmax")
     out = _opt(ns, cfg, "out", str)
     os.makedirs(out, exist_ok=True)
 
     result = analysis.find_anomalous_beta(n, m, rho1, eta0, (lo, hi),
-                                          tol_beta=tol_beta, tol=tol,
-                                          r_max=probe_rmax)
-    payload = {
-        "beta_star": result.beta_star,
-        "bracket": list(result.bracket),
-        "probes": result.probes,
-        "history": [[b, s, side] for b, s, side in result.history],
-        "params": {"n": n, "m": m, "rho1": rho1, "eta0": eta0,
-                   "tol_beta": tol_beta, "probe_rmax": probe_rmax},
-    }
+                                          tol_beta=tol_beta, tol=tol)
+    payload = dataclasses.asdict(result)
+    payload["params"] = {"n": n, "m": m, "rho1": rho1, "eta0": eta0,
+                         "tol_beta": tol_beta}
     write_json(os.path.join(out, "beta.json"), payload)
     print(f"beta_star = {result.beta_star!r} after {result.probes} probes")
     return 0
@@ -298,10 +270,9 @@ def cmd_verify(ns, cfg) -> int:
     with np.errstate(all="ignore"):
         P = chart.flux(r, v, vr)
         dP = chart.dflux(r, v, vr)
-    profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
-                      flux=P, dflux=dP, eps=float(r[0]), n_local=0,
-                      terminal=terminal, tol=tol)
-    with np.errstate(all="ignore"):
+        profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v,
+                          vr=vr, flux=P, dflux=dP, eps=float(r[0]), n_local=0,
+                          terminal=terminal, tol=tol)
         residual = float(analysis.ode_residual(profile))
         verdicts = analysis.verify_inequalities(profile)
     ok = math.isfinite(residual) and residual <= _residual_threshold(tol)
@@ -329,9 +300,9 @@ def _parse_axis(text: str, what: str):
 
 
 def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
-    row = {"n": n, "m": m, "rho1": rho1, "beta": beta, "eta0": eta0,
-           "terminal_event": "", "residual": "", "L1": "", "L2": "", "L3": "",
-           "decay_class": "", "shape": "", "error": ""}
+    row = {"n": str(n), "m": _fmt(m), "rho1": _fmt(rho1), "beta": _fmt(beta),
+           "eta0": _fmt(eta0), "terminal_event": "", "residual": "", "L1": "",
+           "L2": "", "L3": "", "decay_class": "", "shape": "", "error": ""}
     try:
         p = derive_params(n, m, rho1, beta)
         require_origin_admissible(p)
@@ -346,7 +317,7 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
         row["decay_class"] = report.decay.label.value
         row["shape"] = report.shape.label
         write_json(os.path.join(out, f"report_{idx:04d}.json"), report.to_dict())
-    except (DomainError, LocalStageFailed, InsufficientRange, MemoryError) as e:
+    except (DomainError, LocalStageFailed, InsufficientRange) as e:
         row["error"] = f"{type(e).__name__}: {e}"
     except ContinuationFailed as e:
         row["terminal_event"] = e.terminal.value
@@ -363,7 +334,11 @@ def cmd_sweep(ns, cfg) -> int:
     tol = _opt(ns, cfg, "tol")
     rmax = _opt(ns, cfg, "rmax")
     out = _opt(ns, cfg, "out", str)
-    workers = ns.workers or min(8, os.cpu_count() or 1)
+    workers = min(8, os.cpu_count() or 1) if ns.workers is None else ns.workers
+    # settings shared by every tuple are refused once, not once per row
+    _require_run_settings(rmax, tol, eta0=eta0, rho1=rho1)
+    if workers < 1:
+        raise DomainError(f"workers={workers} violates workers >= 1")
     os.makedirs(out, exist_ok=True)
 
     try:
@@ -388,16 +363,7 @@ def cmd_sweep(ns, cfg) -> int:
               newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for col in columns:
-                val = row[col]
-                if col == "n":
-                    cells.append(str(val))
-                elif col in ("m", "rho1", "beta", "eta0"):
-                    cells.append(_fmt(val))
-                else:
-                    cells.append(str(val).replace(",", ";"))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(row[col].replace(",", ";") for col in columns) + "\n")
     print(f"{len(rows)} tuples -> {os.path.join(out, 'summary.csv')}")
     return 0
 
@@ -417,40 +383,36 @@ def build_parser() -> _Parser:
     common.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override it")
 
+    # the commands for one (n, m, rho1)
+    point = _Parser(add_help=False, parents=[common])
+    point.add_argument("--n", type=int)
+    point.add_argument("--m", type=float)
+    point.add_argument("--rho1", type=float)
+
     parser = _Parser(prog="fdprof", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    so = sub.add_parser("solve-origin", parents=[common],
+    so = sub.add_parser("solve-origin", parents=[point],
                         help="solve the origin profile f with f(0)=eta0")
-    so.add_argument("--n", type=int)
-    so.add_argument("--m", type=float)
-    so.add_argument("--rho1", type=float)
     so.add_argument("--beta", type=float)
     so.add_argument("--eta0", type=float)
     so.add_argument("--plots", action="store_true")
-    so.set_defaults(func=cmd_solve_origin)
+    so.set_defaults(func=cmd_solve, kind=ProfileKind.ORIGIN)
 
-    sf = sub.add_parser("solve-farfield", parents=[common],
+    sf = sub.add_parser("solve-farfield", parents=[point],
                         help="solve the far-field profile via g with g(0)=eta")
-    sf.add_argument("--n", type=int)
-    sf.add_argument("--m", type=float)
-    sf.add_argument("--rho1", type=float)
     sf.add_argument("--beta", type=float)
     sf.add_argument("--eta", type=float)
     sf.add_argument("--plots", action="store_true")
-    sf.set_defaults(func=cmd_solve_farfield)
+    sf.set_defaults(func=cmd_solve, kind=ProfileKind.FARFIELD)
 
-    bf = sub.add_parser("beta-find", parents=[common],
-                        help="bisect for the fast/slow decay transition exponent")
-    bf.add_argument("--n", type=int)
-    bf.add_argument("--m", type=float)
-    bf.add_argument("--rho1", type=float)
+    bf = sub.add_parser("beta-find", parents=[point],
+                        help="find beta*, where the origin profile joins the "
+                             "fast-decay saddle")
     bf.add_argument("--eta0", type=float)
     bf.add_argument("--beta-lo", type=float)
     bf.add_argument("--beta-hi", type=float)
     bf.add_argument("--tol-beta", type=float)
-    bf.add_argument("--probe-rmax", type=float,
-                    help="radius for decay probes (default 800)")
     bf.set_defaults(func=cmd_beta_find)
 
     ve = sub.add_parser("verify", parents=[common],
@@ -494,7 +456,7 @@ def main(argv=None) -> int:
     except InsufficientRange as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 2
-    except (LocalStageFailed, ContinuationFailed, MemoryError) as e:
+    except (LocalStageFailed, ContinuationFailed) as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
     except OSError as e:

@@ -26,6 +26,7 @@ _TAG_TO_EVENT = {
     kernels.TAG_VALUE_FLOOR: TerminalEvent.VALUE_FLOOR,
     kernels.TAG_DERIV_BLOWUP: TerminalEvent.DERIV_BLOWUP,
     kernels.TAG_STEP_UNDERFLOW: TerminalEvent.STEP_UNDERFLOW,
+    kernels.TAG_OVERFLOW: TerminalEvent.NODE_OVERFLOW,
 }
 
 
@@ -135,16 +136,14 @@ def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
 
     # the merged node set must be strictly increasing or the dense
     # representation (and every downstream stencil) is corrupt
-    if np.any(np.diff(r) <= 0.0):
-        raise ContinuationFailed(traj.terminal, prof)
-
-    if traj.terminal is not TerminalEvent.REACHED_RMAX:
+    if (np.any(np.diff(r) <= 0.0)
+            or traj.terminal is not TerminalEvent.REACHED_RMAX):
         raise ContinuationFailed(traj.terminal, prof)
     return prof
 
 
-def _require_run_settings(r_max: float, tol: float) -> None:
-    for name, x in (("r_max", r_max), ("tol", tol)):
+def _require_run_settings(r_max: float, tol: float, **more: float) -> None:
+    for name, x in (("r_max", r_max), ("tol", tol), *more.items()):
         if not (math.isfinite(x) and x > 0.0):
             raise DomainError(f"{name}={x} violates 0 < {name} < inf")
 

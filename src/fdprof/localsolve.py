@@ -87,6 +87,9 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, name: str) -> LocalSol
     log_eps = min((math.log(theta_seam) - one_m * math.log(b)) / e, 0.0,
                   -one_m / 2.0 * math.log(b))
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
+    if not depth > 0.0:
+        raise LocalStageFailed(
+            f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
     count = math.ceil(-math.log(depth) / (e * math.log(SPACING)))
     grid = math.exp(log_eps) * SPACING ** -np.arange(count, -1, -1.0)
     # a far-field node's Kelvin image carries s^{k+1}

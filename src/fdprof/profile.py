@@ -26,6 +26,7 @@ class TerminalEvent(enum.Enum):
     VALUE_FLOOR = "ValueFloor"
     DERIV_BLOWUP = "DerivBlowup"
     STEP_UNDERFLOW = "StepUnderflow"
+    NODE_OVERFLOW = "NodeOverflow"      # MAX_NODES accepted steps before r_max
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,19 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import RMAX, TOL, f_exact, fr_exact
 from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     InsufficientRange, ProfileKind, ProfileParams, RangeError,
-                    TerminalEvent, asymptotic_limits, build_report,
-                    certify_bracket, classify_decay, classify_shape,
-                    derive_params, find_anomalous_beta, ode_residual,
-                    pde_residual_V, selfsimilar_eval, solve_farfield_profile,
+                    TerminalEvent, Verdict, asymptotic_limits, build_report,
+                    classify_decay, classify_shape, derive_params,
+                    find_anomalous_beta, ode_residual, pde_residual_V,
+                    selfsimilar_eval, solve_farfield_profile,
                     solve_origin_profile, verify_inequalities)
-from fdprof.analysis import flux_slope, l3_reference
+from fdprof import analysis
+from fdprof.analysis import flux_slope, l3_reference, saddle_gap
+from fdprof.localsolve import manifold_series
 from fdprof.profile import Profile
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
@@ -232,14 +235,86 @@ def found():
     return find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
 
 
+# Sobolev-critical m = (n-2)/(n+2): at beta = 0 the profile equation is
+# Lane-Emden for f^m, whose bubble decays at the fast rate, so beta* = 0
+CRITICAL = [(3, 0.2), (4, 1 / 3), (5, 3 / 7), (6, 0.5)]
+
+
+def oracle_section_Y(p, kind):
+    """Y where the manifold of the chart first crosses X = -2/(1-m).
+
+    scipy DOP853 on the reduced system in t = ln r, seeded from the
+    manifold series at theta = 1e-6: forward in t on the origin manifold,
+    backward on the stable manifold of the fast-decay point.
+    """
+    u, y = manifold_series(p, kind)
+    origin = kind is ProfileKind.ORIGIN
+    theta = 1e-6
+    X0 = (0.0 if origin else -p.k) + np.polynomial.polynomial.polyval(theta, u)
+    Y0 = np.polynomial.polynomial.polyval(theta, y)
+
+    def rhs(t, z):
+        X, Y = z
+        return [-X * (p.n - 2 + p.m * X) - Y * (p.alpha + p.beta * X),
+                Y * (2.0 + (1.0 - p.m) * X)]
+
+    def section(t, z):
+        return z[0] + 2.0 / (1.0 - p.m)
+    section.terminal = True
+    sol = solve_ivp(rhs, (0.0, 200.0 if origin else -200.0), [X0, Y0],
+                    method="DOP853", rtol=1e-13, atol=1e-15, events=section)
+    return sol.y_events[0][0][1]
+
+
+@pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (5, 0.45, 0.2),
+                                        (4, 1 / 3, 0.1), (3, 0.2, -0.2)])
+def test_gap_matches_reduced_system_oracle(n, m, beta):
+    p = derive_params(n, m, 1.0, beta)
+    ref = (oracle_section_Y(p, ProfileKind.ORIGIN)
+           - oracle_section_Y(p, ProfileKind.FARFIELD))
+    assert saddle_gap(p, 1.0) == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, m", CRITICAL)
+def test_critical_exponent_is_zero(n, m):
+    found = {eta0: find_anomalous_beta(n, m, 1.0, eta0, (-0.4, 0.4),
+                                       tol_beta=1e-9)
+             for eta0 in (0.5, 1.0, 2.0)}
+    for r in found.values():
+        lo, hi = r.bracket
+        assert lo <= r.beta_star <= hi and hi - lo <= 1e-9
+        assert abs(r.beta_star) <= 1e-8
+    stars = [r.beta_star for r in found.values()]
+    assert max(stars) - min(stars) <= 1e-8
+    assert find_anomalous_beta(n, m, 1.0, 1.0, (-0.4, 0.4)).probes <= 12
+
+
+def test_off_critical_exponent():
+    # scipy's root of the reduced-system gap is 0.1189038
+    stars = []
+    for eta0 in (0.5, 1.0, 2.0):
+        r = find_anomalous_beta(5, 0.45, 1.0, eta0, (-0.4, 0.4), tol_beta=1e-9)
+        assert r.beta_star == pytest.approx(0.1189038, abs=1e-6)
+        assert r.probes <= 12   # 17 without both Illinois and bisection
+        stars.append(r.beta_star)
+    assert max(stars) - min(stars) <= 1e-8
+    assert find_anomalous_beta(5, 0.45, 1.0, 1.0, (-0.4, 0.4)).probes <= 12
+
+
+def test_verdict_fails_at_a_nan_node():
+    v = Verdict.check(np.array([1.0, np.nan, 2.0]), np.array([1.0, 2.0, 3.0]))
+    assert v.status == "fails-at"
+    assert v.at_r == 2.0
+
+
 class TestBetaSearch:
     def test_exponent_near_zero(self, found):
-        assert found.beta_star == -0.000390625
-        assert abs(found.beta_star) <= 1e-3
-        assert found.probes == 12
+        assert abs(found.beta_star) <= 1e-8
+        assert found.probes <= 12
         assert len(found.history) == found.probes
         assert float(found) == found.beta_star
         lo, hi = found.bracket
+        assert lo <= found.beta_star <= hi
         assert hi - lo <= 1e-3
 
     def test_history_sides_are_ordered(self, found):
@@ -248,7 +323,11 @@ class TestBetaSearch:
         assert max(vanishing) < min(surviving)
 
     def test_bracket_certifies(self, found):
-        assert certify_bracket(4, 1 / 3, 1.0, 1.0, found)
+        # the signs of the gap at the final ends certify the bracket
+        gap = {b: (d, side) for b, d, side in found.history}
+        lo, hi = found.bracket
+        assert gap[lo][0] > 0.0 and gap[lo][1] == -1
+        assert gap[hi][0] <= 0.0 and gap[hi][1] == 1
 
     def test_reversed_bracket_is_identical(self, found):
         rev = find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (0.4, -0.4))
@@ -264,11 +343,36 @@ class TestBetaSearch:
         with pytest.raises(BadBracket, match="same side"):
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (0.1, 0.4))
 
+    def test_flat_root_still_brackets_quickly(self, monkeypatch):
+        # at a triple root false position crawls; the bisection after a step
+        # that did not halve the bracket keeps the count at 11 (22 without)
+        monkeypatch.setattr(analysis, "saddle_gap",
+                            lambda p, eta0, tol: (0.1234 - p.beta) ** 3)
+        r = find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
+        lo, hi = r.bracket
+        assert lo <= 0.1234 <= hi and hi - lo <= 1e-3
+        assert r.probes <= 12
+
+    def test_rising_gap_rejected(self, monkeypatch):
+        # the gap falls through beta*; a bracket where it rises is refused
+        monkeypatch.setattr(analysis, "saddle_gap", lambda p, eta0, tol: p.beta)
+        with pytest.raises(BadBracket, match="swapped sides"):
+            find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
+
+    def test_missed_section_rejected(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_section_Y", lambda profile: None)
+        with pytest.raises(BadBracket, match="beta=-0.4 never reaches the section"):
+            find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DomainError, match="zero width"):
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (0.2, 0.2))
         with pytest.raises(DomainError, match="tol_beta"):
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4), tol_beta=0.0)
+        # below a few ulps of beta no trial point fits inside the bracket,
+        # and the search would never end
+        with pytest.raises(DomainError, match="tol_beta=1e-20"):
+            find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4), tol_beta=1e-20)
         with pytest.raises(DomainError, match="origin-problem window"):
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.6, 0.4))
 
@@ -278,9 +382,10 @@ class TestBetaSearch:
             r = find_anomalous_beta(3, 0.2, 1.0, eta0, (-0.3, 0.3),
                                     tol_beta=2e-3)
             vals[eta0] = r.beta_star
-        assert vals[1.0] == pytest.approx(-0.0146484375, abs=1e-12)
-        assert abs(vals[0.5] - vals[1.0]) <= 4e-3
-        assert abs(vals[2.0] - vals[1.0]) <= 4e-3
+        # (3, 0.2) is Sobolev-critical: beta* = 0 for every eta0
+        assert all(abs(v) <= 1e-8 for v in vals.values())
+        assert abs(vals[0.5] - vals[1.0]) <= 1e-8
+        assert abs(vals[2.0] - vals[1.0]) <= 1e-8
 
 
 class TestSelfSimilarEval:

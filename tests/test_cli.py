@@ -253,26 +253,40 @@ def test_beta_find_defaults(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
                            "--out", str(tmp_path))
     assert code == 0
-    assert out == "beta_star = -0.000390625 after 12 probes\n"
     payload = json.load(open(tmp_path / "beta.json"))
-    assert payload["beta_star"] == -0.000390625
-    assert payload["bracket"] == [-0.00078125, 0.0]
-    assert payload["probes"] == 12
-    assert len(payload["history"]) == 12
+    star, probes = payload["beta_star"], payload["probes"]
+    assert out == f"beta_star = {star!r} after {probes} probes\n"
+    # (4, 1/3) is Sobolev-critical, so beta* = 0
+    assert abs(star) <= 1e-8
+    lo, hi = payload["bracket"]
+    assert lo <= star <= hi and hi - lo <= 1e-3
+    assert probes == len(payload["history"]) <= 12
     assert all(len(row) == 3 and row[2] in (-1, 1)
                for row in payload["history"])
-    assert payload["params"]["probe_rmax"] == 800.0
+    below = [b for b, _, side in payload["history"] if side == -1]
+    above = [b for b, _, side in payload["history"] if side == 1]
+    assert max(below) < min(above)
+    assert payload["params"] == {"n": 4, "m": 1 / 3, "rho1": 1.0, "eta0": 1.0,
+                                 "tol_beta": 1e-3}
 
 
 def test_beta_find_bracket_order_is_immaterial(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
-                           "--beta-lo", "0.4", "--beta-hi", "-0.4",
-                           "--out", str(tmp_path))
-    assert code == 0
-    assert out == "beta_star = -0.000390625 after 12 probes\n"
-    payload = json.load(open(tmp_path / "beta.json"))
-    assert payload["beta_star"] == -0.000390625
-    assert payload["bracket"] == [-0.00078125, 0.0]
+    runs = []
+    for lo, hi in (("-0.4", "0.4"), ("0.4", "-0.4")):
+        out = tmp_path / lo
+        code, text, _ = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
+                                "--beta-lo", lo, "--beta-hi", hi,
+                                "--out", str(out))
+        assert code == 0
+        runs.append((text, (out / "beta.json").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_beta_find_probe_radius_option_is_gone(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
+                           "--probe-rmax", "800", "--out", str(tmp_path))
+    assert code == 1
+    assert "unrecognized arguments: --probe-rmax" in err
 
 
 def test_beta_find_same_side_bracket(tmp_path, capsys):
@@ -332,8 +346,26 @@ def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 4
-    assert all(row[12] == "MemoryError: trajectory exceeded node capacity"
-               for row in rows)
+    assert all(row[5] == "NodeOverflow" for row in rows)
+    assert all(row[12] == "ContinuationFailed: integration terminated by "
+                          "NodeOverflow" for row in rows)
+
+
+@pytest.mark.parametrize("flag, value, fragment", [
+    ("--workers", "-1", "workers=-1 violates workers >= 1"),
+    ("--workers", "0", "workers=0 violates workers >= 1"),
+    ("--tol", "-1", "tol=-1.0 violates 0 < tol < inf"),
+    ("--rmax", "nan", "r_max=nan violates 0 < r_max < inf"),
+    ("--eta0", "-1", "eta0=-1.0 violates 0 < eta0 < inf"),
+    ("--rho1", "0", "rho1=0.0 violates 0 < rho1 < inf"),
+])
+def test_sweep_settings_fail_fast(flag, value, fragment, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.35:2",
+                           "--beta", "0.0:0.1:2", f"{flag}={value}",
+                           "--out", str(tmp_path))
+    assert code == 1
+    assert fragment in err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("flag, value, fragment", [
@@ -415,6 +447,15 @@ def test_no_command_prints_usage(capsys):
     assert "usage:" in err
     code, _, err = run_cli(capsys, "solve-origin", "--bogus", "1")
     assert code == 1
+
+
+def test_large_sigma_farfield_names_breakdown(tmp_path, capsys):
+    # sigma = 152: the node depth 4e-3**sigma underflows to 0, which used to
+    # end in a raw math domain error; beta-find's far-field solve reaches it
+    code, _, err = run_cli(capsys, "solve-farfield", "--n", "8", "--m", "0.0375",
+                           "--beta", "0.0", "--eta", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert "series node depth underflows (sigma=152)" in err
 
 
 @pytest.mark.parametrize("n, m, beta", [(4, 0.49, 0.2), (3, 0.33, 0.0),
