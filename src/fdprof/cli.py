@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -68,7 +69,7 @@ def load_config(path: str) -> dict:
                     raise DomainError(f"config line {lineno}: expected key=value")
                 key, val = line.split("=", 1)
                 cfg[key.strip()] = val.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DomainError(f"cannot read config file {path}: {e}")
     return cfg
 
@@ -292,11 +293,15 @@ def _parse_axis(text: str, what: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"{what} axis is not numeric: {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{what} axis bounds are not finite: {text!r}")
     if count < 1:
         raise DomainError(f"{what} axis is empty (count={count})")
     if count == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    # a convex combination: no overflow, and both ends exact
+    return [lo * (1.0 - t) + hi * t
+            for t in (i / (count - 1) for i in range(count))]
 
 
 def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
@@ -372,7 +377,9 @@ def cmd_sweep(ns, cfg) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it as is."""
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="ODE and local-solver tolerance (default 1e-9)")

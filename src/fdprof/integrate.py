@@ -152,7 +152,7 @@ def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
                          tol: float = 1e-9) -> Profile:
     """Full origin profile: series near r = 0, then adaptive continuation."""
     _require_run_settings(r_max, tol)
-    loc = picard_f_origin(params, eta0)
+    loc = picard_f_origin(params, eta0, tol, r_max)
     return continue_profile(params, loc, r_max, tol=tol)
 
 
@@ -160,5 +160,5 @@ def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
                            tol: float = 1e-9) -> Profile:
     """Full far-field profile in the inverted variable, from g(0) = eta."""
     _require_run_settings(r_max, tol)
-    loc = picard_g_origin(params, eta)
+    loc = picard_g_origin(params, eta, tol, r_max)
     return continue_profile(params, loc, r_max, tol=tol)

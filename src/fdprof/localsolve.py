@@ -20,13 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial
 
 from .params import DomainError, ProfileParams, classify_regime
 from .profile import Chart, ProfileKind
 
 ORDER = 60      # series terms; at the seam the tail is below 4^-ORDER
-SPACING = 1.01  # neighbour ratio of the local nodes in the chart radius
 
 
 class LocalStageFailed(RuntimeError):
@@ -36,7 +34,7 @@ class LocalStageFailed(RuntimeError):
 @dataclass(frozen=True)
 class LocalSolution:
     eps: float                # seam radius, the last grid node
-    grid: np.ndarray          # geometric radii in (0, eps], ratio SPACING
+    grid: np.ndarray          # radii in (0, eps], graded in theta by tol
     value: np.ndarray
     deriv: np.ndarray
     boundary_value: float
@@ -59,14 +57,59 @@ def manifold_series(p: ProfileParams, kind: ProfileKind):
     return u, y
 
 
-def _local(p: ProfileParams, kind: ProfileKind, b: float, name: str) -> LocalSolution:
-    """Series nodes from below the seam up to it, geometric in the radius.
+def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
+               log_depth: float) -> np.ndarray:
+    """ln z at the nodes, z = theta/theta_seam from 1 down to e^log_depth.
+
+    The log-radius gap at z is the least of three.  Cubic Hermite misses v
+    by gap^4 |K(z)|/384 with x^4 v_xxxx = K v: for D = x d/dx, D z = |lam| z
+    and D^k v = w_k v, w_1 = sign(lam) sum zu_j z^j, w_{k+1} = D w_k + w_k w_1,
+    K = w_4 - 6 w_3 + 11 w_2 - 6 w_1; d0 z^{-1/4} holds that to tol/20 for
+    K* = sup |K(z)|/z.  The residual's 7-node stencil misses the term c_j z^j
+    x^g of the flux P = x^gamma sum_j c_j z^j, g = gamma + |lam| j, by
+    gap^6 prod_{k<=6} |g - k|/140 of P'; the second gap holds the sum of
+    those to 10 tol, a tenth of the residual bar.  The third is ln 2, the
+    ladders' rung ratio.  Above the rungs the nodes split evenly the node
+    count, the integral of 1/(|lam| gap) over ln z, taken on 128 points.
+    """
+    e, tol = abs(lam), max(tol, 1e-15)   # below it, rounding sets the error
+    j = np.arange(ORDER + 1)
+    w = [math.copysign(1.0, lam) * zu]
+    for _ in range(3):
+        w.append(e * j * w[-1] + np.convolve(w[-1], w[0])[:ORDER + 1])
+    k_over_z = (w[3] - 6.0 * w[2] + 11.0 * w[1] - 6.0 * w[0])[1:]
+    # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m w_1 R; R
+    # keeps ORDER/2 terms, as the seam's quarter radius puts later ones below 4^-30
+    dl, r = p.m * w[0][1:] / e, np.ones(ORDER // 2)
+    for i in range(1, ORDER // 2):
+        r[i] = dl[:i] @ r[i - 1::-1] / i
+    g = p.n - 2.0 + e * (1.0 + j[:-1])
+    c = np.abs((g - 1.0) * (g - 2.0) * (g - 3.0) * (g - 4.0) * (g - 5.0) * (g - 6.0)
+               * np.convolve(r, zu[1:])[:ORDER] / zu[1])
+    t = -np.expm1(np.linspace(0.0, math.log1p(-log_depth), 128))   # dense near 0
+    z = np.exp(np.outer(t, j[:-1]))   # z^j at the sample points
+    d0 = (19.2 * tol / np.max(np.abs(z @ k_over_z))) ** 0.25
+    gap = np.minimum(np.minimum(d0 * np.exp(-t / 4.0), math.log(2.0)),
+                     (1400.0 * tol / (z @ c)) ** (1 / 6))
+    count = np.concatenate([[0.0], np.cumsum((t[:-1] - t[1:]) / (e * gap[:-1]))])
+    # the ladders' rungs x_0 2^k, k <= 3, are nodes: even gaps of ln(2)/q there
+    rungs = log_depth + 3.0 * e * math.log(2.0)
+    top = np.interp(rungs, t[::-1], count[::-1])
+    q = math.ceil(math.log(2.0) / np.interp(rungs, t[::-1], gap[::-1]))
+    return np.concatenate([
+        np.interp(np.linspace(0.0, top, math.ceil(top) + 1), count, t),
+        np.linspace(rungs, log_depth, 3 * q + 1)[1:]])
+
+
+def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
+           r_max: float, name: str) -> LocalSolution:
+    """Series nodes from below the seam up to it, graded in theta by tol.
 
     The seam sits at a quarter of the root-test radius in theta, and never
-    beyond min(1, b^{(m-1)/2}).  The nodes reach down to theta_seam * 1e-7 at
-    the origin; in the far field to theta_seam * 5e-5 (the Kelvin map loses
-    about 1/theta in k g + s g_r), and at least to s_seam * 4e-3 so the far
-    ladder has room.
+    beyond min(1, b^{(m-1)/2}) or r_max.  The nodes reach down to
+    theta_seam * 1e-7 at the origin; in the far field to theta_seam * 5e-5
+    (the Kelvin map loses about 1/theta in k g + s g_r), and at least to
+    s_seam * 4e-3 so the far ladder has room.
     """
     if not 0.0 < b < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {b}")
@@ -81,43 +124,51 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, name: str) -> LocalSol
             f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
     j = np.arange(ORDER // 2, ORDER + 1)
     tail = np.concatenate([np.abs(u[j]) ** (1.0 / j), np.abs(y[j]) ** (1.0 / j)])
-    theta_seam = 0.25 / tail.max() if tail.max() > 0.0 else math.inf
+    theta_max = 0.25 / tail.max() if tail.max() > 0.0 else math.inf
     lam = Chart.of(p, kind).lam
     e, one_m = abs(lam), 1.0 - p.m
-    log_eps = min((math.log(theta_seam) - one_m * math.log(b)) / e, 0.0,
-                  -one_m / 2.0 * math.log(b))
+    eps = min(math.exp(min((math.log(theta_max) - one_m * math.log(b)) / e,
+                           0.0, -one_m / 2.0 * math.log(b))), r_max)
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
     if not depth > 0.0:
         raise LocalStageFailed(
             f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
-    count = math.ceil(-math.log(depth) / (e * math.log(SPACING)))
-    grid = math.exp(log_eps) * SPACING ** -np.arange(count, -1, -1.0)
+    # the series in z = theta/theta_seam, whose terms fall off on (0, 1]
+    powers = (b ** one_m * eps ** e) ** np.arange(ORDER + 1)
+    zu, zy = u * powers, y[1:] * powers[:-1]
+    if not (np.all(np.isfinite(zu)) and np.all(np.isfinite(zy))):
+        raise LocalStageFailed(
+            f"{kind.value} series terms overflow at the seam (sigma={p.sigma:.3g})")
+    tau = _node_taus(zu, lam, p, tol, math.log(depth))
+    grid = eps * np.exp(tau[::-1] / e)
     # a far-field node's Kelvin image carries s^{k+1}
     image = grid[0] if kind is ProfileKind.ORIGIN else grid[0] ** (p.k + 1.0)
     if not image > 1e-300:
         raise LocalStageFailed(
             f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose "
             f"f-side image underflows (sigma={p.sigma:.3g})")
-    theta = b ** one_m * grid ** e
-    value = b * polynomial.polyval(theta, y[1:]) ** (1.0 / one_m)
-    deriv = math.copysign(1.0, lam) * polynomial.polyval(theta, u) * value / grid
+    z = np.exp(np.outer(tau[::-1], np.arange(ORDER + 1)))   # z^j at the nodes
+    value = b * (z[:, :-1] @ zy) ** (1.0 / one_m)
+    deriv = math.copysign(1.0, lam) * (z @ zu) * value / grid
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
                          iterations=ORDER)
 
 
-def picard_f_origin(p: ProfileParams, eta0: float) -> LocalSolution:
+def picard_f_origin(p: ProfileParams, eta0: float, tol: float = 1e-9,
+                    r_max: float = math.inf) -> LocalSolution:
     """Origin profile near r = 0 from f(0) = eta0, f_r(0) = 0.
 
     Both names date from the Picard stage the series replaced; perfbench
     traces them, so they are kept until its next change.
     """
-    return _local(p, ProfileKind.ORIGIN, eta0, "eta0")
+    return _local(p, ProfileKind.ORIGIN, eta0, tol, r_max, "eta0")
 
 
-def picard_g_origin(p: ProfileParams, eta: float) -> LocalSolution:
+def picard_g_origin(p: ProfileParams, eta: float, tol: float = 1e-9,
+                    r_max: float = math.inf) -> LocalSolution:
     """Far-field profile g(s) = s^{-k} f(1/s) near s = 0 from g(0) = eta."""
-    return _local(p, ProfileKind.FARFIELD, eta, "eta")
+    return _local(p, ProfileKind.FARFIELD, eta, tol, r_max, "eta")
 
 
 def singular_slope_limit(p: ProfileParams, eta: float) -> float:

@@ -1,10 +1,10 @@
 """Stitched profile representation shared by the solvers and the checks.
 
-A Profile concatenates the local nodes of the manifold series (1% radial
-spacing below the seam) with the accepted steps of the outward integration.
-Nodes carry value, derivative, flux P = r^{n-1} v^{m-1} v_r and the flux
-derivative, so dense evaluation is C1 cubic Hermite and never re-differences
-values.
+A Profile concatenates the local nodes of the manifold series (spaced by
+tol, widest deep below the seam) with the accepted steps of the outward
+integration.  Nodes carry value, derivative, flux P = r^{n-1} v^{m-1} v_r
+and the flux derivative, so dense evaluation is C1 cubic Hermite and never
+re-differences values.
 """
 from __future__ import annotations
 

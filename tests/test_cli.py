@@ -6,8 +6,12 @@ a subprocess.  The anchor point n=4, m=1/3, beta=0 keeps the closed form
 available for value checks on whatever the CLI writes to disk.
 """
 import json
+import math
 import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ from conftest import f_exact, fr_exact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fdprof
 from fdprof import DomainError, kernels
-from fdprof.cli import _read_profile_csv, main
+from fdprof.cli import _parse_axis, _read_profile_csv, load_config, main
 
 M13 = "0.3333333333333333"
 
@@ -369,7 +374,7 @@ def test_sweep_settings_fail_fast(flag, value, fragment, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, fragment", [
-    ("--rmax", "0.5", "below the start radius"),
+    ("--rmax", "0", "r_max=0.0 violates 0 < r_max < inf"),
     ("--rmax", "nan", "r_max=nan violates 0 < r_max < inf"),
     ("--tol", "0", "tol=0.0 violates 0 < tol < inf"),
     ("--tol", "-1", "tol=-1.0 violates 0 < tol < inf"),
@@ -386,8 +391,146 @@ def test_bad_radius_or_tolerance_fails_fast(flag, value, fragment, tmp_path,
     assert fragment in err
 
 
+def test_rmax_below_seam_solves_on_the_series(tmp_path, capsys):
+    """At the anchor the series seam sits at its cap, radius 1; a smaller
+    r_max cuts the seam there in either chart, and the solve is the series."""
+    for command, boundary, name in (("solve-origin", "--eta0", "profile.csv"),
+                                    ("solve-farfield", "--eta", "profile_g.csv")):
+        out = tmp_path / command
+        code, _, err = run_cli(capsys, command, "--n", "4", "--m", M13,
+                               "--beta", "0.0", boundary, "1", "--rmax", "0.5",
+                               "--out", str(out))
+        assert code == 0, err
+        _, arr = read_csv(str(out / name))
+        assert arr[-1, 0] == 0.5
+        assert np.all(np.diff(arr[:, 0]) > 0.0)
+        report = json.loads((out / "report.json").read_text())
+        assert report["terminal_event"] == "ReachedRmax"
+        assert report["residual"] <= 1e-6
+    _, arr = read_csv(str(tmp_path / "solve-origin" / "profile.csv"))
+    assert np.max(np.abs(arr[:, 1] / f_exact(arr[:, 0]) - 1.0)) <= 1e-13
+
+
+def test_repeated_calls_write_what_fresh_interpreters_write(tmp_path, capsys):
+    """main builds its parser once per process; no call may leak a flag or a
+    config value into the next."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-8\nrmax = 20\n")
+    anchor = ["--n", "4", "--m", M13, "--beta", "0.0"]
+    runs = [["solve-origin", *anchor, "--rmax", "20", "--plots"],
+            ["solve-origin", *anchor, "--rmax", "20"],
+            ["solve-farfield", *anchor, "--eta", "4096", "--config", str(cfg)],
+            ["solve-farfield", *anchor, "--eta", "4096", "--rmax", "30"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdprof.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        assert main(argv + ["--out", str(here)]) == 0
+        subprocess.run([sys.executable, "-m", "fdprof.cli", *argv,
+                        "--out", str(fresh)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        assert sorted(os.listdir(here)) == sorted(os.listdir(fresh))
+        for name in os.listdir(here):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    capsys.readouterr()
+
+
+_BOUND = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=_BOUND, hi=_BOUND, count=st.integers(1, 40))
+def test_parse_axis_spaces_evenly(lo, hi, count):
+    values = _parse_axis(f"{lo!r}:{hi!r}:{count}", "m")
+    assert len(values) == count and values[0] == lo
+    if count > 1:
+        assert values[-1] == hi
+    # a few roundings of lo (1 - t) + hi t, t = i/(count-1)
+    bound = Fraction(4.0 * sys.float_info.epsilon * max(abs(lo), abs(hi))
+                     + 4.0 * math.ulp(0.0))
+    for i, v in enumerate(values):
+        t = Fraction(i, max(count - 1, 1))
+        assert abs(Fraction(v) - (Fraction(lo) * (1 - t) + Fraction(hi) * t)) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=40))
+def test_parse_axis_returns_floats_or_domain_error(text):
+    parts = text.split(":")
+    try:
+        if len(parts) == 3 and int(parts[2]) > 10 ** 6:
+            return   # a valid axis, but too long to build here
+    except ValueError:
+        pass
+    try:
+        values = _parse_axis(text, "beta")
+    except DomainError as e:
+        assert "beta axis" in str(e)
+        return
+    lo, hi, count = parts
+    assert len(values) == int(count) >= 1
+    assert all(math.isfinite(v) for v in values)
+    assert values[0] == float(lo)
+
+
+# text a UTF-8 file can hold, without line ends, '=' or comment marks
+_LINE_CHARS = st.characters(blacklist_categories=("Cs",),
+                            blacklist_characters="\r\n")
+_CFG_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="=#;\r\n"), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.dictionaries(_CFG_TEXT.map(str.strip).filter(bool),
+                             _CFG_TEXT.map(str.strip), max_size=6),
+       comments=st.lists(st.tuples(st.sampled_from("#;"),
+                                   st.text(_LINE_CHARS, max_size=10)),
+                         min_size=8, max_size=8),
+       blanks=st.lists(st.sampled_from(["", "  ", "# note", "; note"]), max_size=3))
+def test_load_config_round_trips_pairs(tmp_path_factory, pairs, comments,
+                                       blanks):
+    lines = list(blanks)
+    for (key, val), (mark, note) in zip(pairs.items(), comments):
+        lines.append(f"  {key} = {val} {mark}{note}")
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_config(str(path)) == pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.text(st.characters(blacklist_categories=("Cs",)),
+                              max_size=16), max_size=6),
+       tail=st.one_of(st.just(b""), st.binary(min_size=1, max_size=4)))
+def test_load_config_parses_or_names_the_line(tmp_path_factory, lines, tail):
+    """Raw trailing bytes, often not UTF-8, stand for a corrupted file."""
+    raw = "\n".join(lines).encode("utf-8") + tail
+    path = tmp_path_factory.getbasetemp() / "arbitrary.cfg"
+    path.write_bytes(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        # a bad line read before the undecodable bytes may be named first
+        with pytest.raises(DomainError, match="cannot read config file|"
+                                              r"config line \d+: expected"):
+            load_config(str(path))
+        return
+    # text mode reads \r\n, \r and \n as line ends
+    bodies = [line.split("#", 1)[0].split(";", 1)[0].strip() for line in
+              text.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    bad = [i for i, body in enumerate(bodies, 1) if body and "=" not in body]
+    if bad:
+        with pytest.raises(DomainError,
+                           match=f"config line {bad[0]}: expected key=value"):
+            load_config(str(path))
+        return
+    pairs = [body.split("=", 1) for body in bodies if body]
+    assert load_config(str(path)) == {k.strip(): v.strip() for k, v in pairs}
+
+
 @pytest.mark.parametrize("axis, fragment", [
     ("0.3:0.4:0", "m axis is empty (count=0)"),
+    ("nan:0.4:3", "m axis bounds are not finite"),
     ("0.3:0.4", "m axis must be lo:hi:count"),
     ("a:b:3", "m axis is not numeric"),
 ])

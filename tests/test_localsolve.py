@@ -5,10 +5,12 @@ import pytest
 
 from conftest import f_exact, fr_exact, g_exact, gr_exact
 from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
-                    classify_regime, derive_params, picard_f_origin,
-                    picard_g_origin, singular_slope_limit)
+                    classify_regime, derive_params, ode_residual,
+                    picard_f_origin, picard_g_origin, singular_slope_limit,
+                    solve_farfield_profile, solve_origin_profile)
 from fdprof import localsolve
 from fdprof.localsolve import manifold_series
+from fdprof.profile import hermite_many
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -50,9 +52,73 @@ def test_f_diagnostics():
     sol = picard_f_origin(CF, 1.0)
     assert sol.iterations == localsolve.ORDER
     assert sol.eps == sol.grid[-1] <= 1.0
-    assert np.allclose(sol.grid[1:] / sol.grid[:-1], localsolve.SPACING,
-                       rtol=1e-13, atol=0.0)
+    gaps = np.diff(np.log(sol.grid))
+    assert np.all(gaps > 0.0) and np.all(gaps <= np.log(2.0) * (1.0 + 1e-12))
+    # the ladders' rungs r0 2^k, k <= 3, are nodes; above them the log-radius
+    # gaps shrink toward the seam
+    r0 = sol.grid[0]
+    for k in (1, 2, 3):
+        assert np.min(np.abs(sol.grid / (r0 * 2.0 ** k) - 1.0)) <= 1e-13
+    above = gaps[sol.grid[:-1] >= 8.0 * r0 * (1.0 - 1e-13)]
+    assert np.all(np.diff(above) <= 1e-12)
+    assert above[0] > 10.0 * above[-1]
     assert np.all(sol.deriv < 0.0)
+
+
+def _series_at(p, kind, b, x):
+    """The manifold series evaluated directly (Horner in theta) at radii x."""
+    u, y = manifold_series(p, kind)
+    e = 2.0 if kind is ProfileKind.ORIGIN else p.sigma
+    theta = b ** (1.0 - p.m) * x ** e
+    return b * np.polynomial.polynomial.polyval(theta, y[1:]) ** (1.0 / (1.0 - p.m))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("n, m, beta, eta0, eta", [
+    (4, 1 / 3, 0.0, 1.0, 4096.0),   # closed form
+    (3, 0.28, 0.3, 3.0, 3.0),       # singular g-origin
+    (3, 0.323, 0.0, 1.0, 1.0),      # small sigma, thousands of far-field nodes
+])
+def test_hermite_between_nodes_honours_tol(n, m, beta, eta0, eta, tol):
+    """Cubic Hermite through the stored nodes, as the dense output reads
+    them, stays within tol/10 of the series at every midpoint."""
+    p = derive_params(n, m, 1.0, beta)
+    for solve, kind, b in ((picard_f_origin, ProfileKind.ORIGIN, eta0),
+                           (picard_g_origin, ProfileKind.FARFIELD, eta)):
+        sol = solve(p, b, tol)
+        x = 0.5 * (sol.grid[1:] + sol.grid[:-1])
+        dense = hermite_many(sol.grid, sol.value, sol.deriv, x)
+        assert np.max(np.abs(dense / _series_at(p, kind, b, x) - 1.0)) <= tol / 10
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+@pytest.mark.parametrize("n, m, beta, b", [
+    (4, 1 / 3, 0.0, 1.0), (3, 0.28, 0.3, 3.0), (3, 0.323, 0.0, 1.0),
+    (5, 0.45, 0.27, 0.5), (8, 0.05, 0.0, 1.0)])
+def test_node_depth_is_independent_of_tol(n, m, beta, b, tol):
+    """The deepest node sits at theta_seam * 1e-7 at the origin and at
+    theta_seam * min(5e-5, 4e-3^sigma) in the far field, whatever the tol,
+    so the origin-slope and far ladders keep their range."""
+    p = derive_params(n, m, 1.0, beta)
+    f = picard_f_origin(p, b, tol)
+    assert f.grid[0] == pytest.approx(f.eps * 1e-7 ** 0.5, rel=1e-12)
+    g = picard_g_origin(p, b, tol)
+    depth = min(5e-5, 4e-3 ** p.sigma) ** (1.0 / p.sigma)
+    assert g.grid[0] == pytest.approx(g.eps * depth, rel=1e-12)
+    assert g.grid[0] <= g.eps * 4e-3 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+@pytest.mark.parametrize("solve, n, m, beta", [
+    (solve_origin_profile, 6, 0.2, 0.05),      # flux ~ r^6 (1 + c r^2 + ...)
+    (solve_farfield_profile, 3, 0.28, 0.3),    # flux ~ s^{1.57}, not polynomial
+])
+def test_series_nodes_pass_the_residual_check(solve, n, m, beta, tol):
+    """A solve cut at r_max = 0.25, below the seam, is the series alone;
+    the residual's 7-node stencil on its nodes stays inside the 100 tol bar."""
+    prof = solve(derive_params(n, m, 1.0, beta), 1.0, 0.25, tol=tol)
+    assert prof.r[-1] == prof.eps == 0.25 and prof.n_local == len(prof.r) - 1
+    assert ode_residual(prof) <= 10.0 * tol
 
 
 def test_f_order_refinement_consistency(monkeypatch):
