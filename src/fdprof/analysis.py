@@ -106,10 +106,13 @@ class Estimate:
 
 
 def _aitken(a0: float, a1: float, a2: float) -> float:
-    den = (a2 - a1) - (a1 - a0)
+    # a2 - d2 d2/(d2 - d1), with no difference squared: on far ladders of
+    # r^k f with k near 120 the square of a jump overflows
+    d1, d2 = a1 - a0, a2 - a1
+    den = d2 - d1
     if abs(den) < 1e-300 or not math.isfinite(den):
         return a2
-    e = a2 - (a2 - a1) ** 2 / den
+    e = a2 - d2 * (d2 / den)
     return e if math.isfinite(e) else a2
 
 
@@ -435,12 +438,14 @@ def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     D depends on beta alone; it vanishes where the manifolds join, at the
     anomalous exponent, and is positive below it, where the origin profile
     vanishes at finite radius.  Such a solve crosses the section before it
-    floors, so its partial profile serves.
+    floors, so its partial profile serves.  Each solve first reaches eight
+    times past the cap b^{(m-1)/2} of its seam, where the series alone would
+    end it.
     """
     ys = []
-    for solve, boundary, reach in (
-            (solve_origin_profile, eta0, 8.0 * eta0 ** ((p.m - 1.0) / 2.0)),
-            (solve_farfield_profile, 1.0, 1.0)):
+    for solve, boundary in ((solve_origin_profile, eta0),
+                            (solve_farfield_profile, 1.0)):
+        reach = 8.0 * boundary ** ((p.m - 1.0) / 2.0)
         for _ in range(REACH_TRIES):
             try:
                 profile = solve(p, boundary, reach, tol=tol)

@@ -1,13 +1,11 @@
-"""Adaptive outward continuation of the flux system.
+"""Adaptive outward continuation in the reduced chart of the series.
 
-Both profile equations reduce to one first-order flux system; profile.Chart
-holds its coefficients (w, A, B) in each chart.  A solve starts from the
-seam state of the manifold series (localsolve) and keeps the series nodes
-below the seam.  The stepper is an embedded 5(4) pair with FSAL, PI step
-control and a relative error measure: the value error is weighed against
-tol times the step's value magnitude, the flux error against tol times the
-seam flux scale plus the running |P|.  Accepted steps are recorded and
-dense output is cubic Hermite between them.
+A solve starts from the seam state of the manifold series (localsolve) and
+keeps the series nodes below the seam.  Outward of it, kernels advances the
+series' own state (u, Z = ln Y) in tau = ln x with an embedded 5(4) pair
+(FSAL, PI step control, steps capped at kernels.HMAX in tau), and each
+accepted step maps back to (v, v_x) through profile.Chart.native.  Dense
+output is cubic Hermite of ln v in ln x (profile.Profile.value_at).
 """
 from __future__ import annotations
 
@@ -32,7 +30,7 @@ _TAG_TO_EVENT = {
 
 @dataclass(frozen=True)
 class OdeState:
-    """State of the flux system at one radius."""
+    """Value and flux P = r^{n-1} v^{m-1} v_r at one radius."""
     r: float
     v: float
     flux: float
@@ -74,10 +72,18 @@ def _advance(chart: Chart, state: OdeState, r_max: float,
             f"r_max={r_max} is below the start radius {state.r} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
-    rs, vs, vrs, Ps, dPs, errs, tag = kernels.integrate_flux_system(
-        1.0 - p.m, p.n - 1, chart.w, chart.A, chart.B,
-        state.r, state.v, state.flux, r_max, tol)
-    return Trajectory(rs, vs, vrs, Ps, dPs, errs, _TAG_TO_EVENT[int(tag)])
+    x0, v0 = state.r, state.v
+    vr0 = state.flux * v0 ** (1.0 - p.m) / x0 ** (p.n - 1)
+    x, u, Z, errs, tag = kernels.integrate_flux_system(
+        chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
+        *chart.reduced(x0, v0, vr0), r_max, tol)
+    v, vr = chart.native(x, u, Z)
+    # the first node is the start state as given, not its image through (u, Z)
+    v[0], vr[0] = v0, vr0
+    P = chart.flux(x, v, vr)
+    P[0] = state.flux
+    return Trajectory(x, v, vr, P, chart.dflux(x, v, vr), errs,
+                      _TAG_TO_EVENT[int(tag)])
 
 
 def advance_f(params: ProfileParams, state: OdeState, r_max: float,

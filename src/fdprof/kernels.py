@@ -1,16 +1,21 @@
-"""Dormand-Prince 5(4) core used by both profile ODE systems.
+"""Dormand-Prince 5(4) core for the reduced system of both charts.
 
 The whole trajectory loop lives in one function so numba can compile it as a
 unit; set FDPROF_NO_NUMBA=1 to force the plain interpreter path (same code,
-undecorated).  Both ODE systems share the form
+undecorated).  The state is the one the manifold series solves for (see
+localsolve): u = X - X* and Z = ln Y, with X = r f_r / f, Y = r^2 f^{1-m},
+advanced in tau = ln x for the chart radius x (r, or s = 1/r):
 
-    v'(r) = v^{1-m} P / r^{n-1}
-    P'(r) = -r^w (A v + B r v')
+    u_tau = sgn (mu u - m u^2 - A Y - beta u Y),   Z_tau = |lam| + sgn (1-m) u
 
-and profile.Chart supplies (w, A, B) for each chart.
+with sgn = sign(lam) and (lam, mu, A) from profile.Chart.  A zero of the
+profile is a pole of X: near it u_tau ~ -sgn m u^2, so 1/X ~ m (t - t_v) and
+v ~ (t_v - t)^{1/m}; past |X| = POLE_X (or the value floor) the touchdown is
+extrapolated along that law instead of stepped into.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -36,199 +41,113 @@ TAG_OVERFLOW = 4
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
 VALUE_FLOOR = 1e-30
 DERIV_CAP = 1e30
-STEP_FLOOR_REL = 1e-14
-HMAX_REL = 0.05          # keeps cubic Hermite dense output at full quality
+POLE_X = 1e9             # |X| past which a touchdown is extrapolated
+STEP_FLOOR = 1e-14       # least step in tau, relative to 1 + |tau|
+HMAX = 0.025             # step cap in tau, for the dense output and the residual stencil
 _SAFETY = 0.9
-_EVENT_TOL_R = 1e-12
+_LN_FLOOR = math.log(VALUE_FLOOR)
+_LN_CAP = math.log(DERIV_CAP)
 
 
-def _hermite(r0, h, y0, d0, y1, d1, x):
-    t = (x - r0) / h
-    u = 1.0 - t
-    return (u * u * (1.0 + 2.0 * t) * y0 + t * u * u * h * d0
-            + t * t * (3.0 - 2.0 * t) * y1 + t * t * (t - 1.0) * h * d1)
+def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol,
+                    taus, us, Zs, errs):
+    """Advance (u, Z) from tau0 to tau_max recording every accepted step.
 
-
-def _vr_of(v, P, r, one_m, n1):
-    return v ** one_m * P / r ** n1
-
-
-def _rhs_P(r, v, vr, w, A, B):
-    return -(r ** w) * (A * v + B * r * vr)
-
-
-def _refine_crossing(r0, h, v0, d0, v1, d1, P0, dP0, P1, dP1,
-                     one_m, n1, target, deriv_mode):
-    """Bisect the event radius inside an accepted step to 1e-12 absolute in r."""
-    a, b = r0, r0 + h
-    for _ in range(200):
-        if b - a <= _EVENT_TOL_R:
-            break
-        mid = 0.5 * (a + b)
-        v = _hermite(r0, h, v0, d0, v1, d1, mid)
-        if deriv_mode:
-            P = _hermite(r0, h, P0, dP0, P1, dP1, mid)
-            crossed = v <= 0.0 or abs(_vr_of(max(v, 1e-300), P, mid, one_m, n1)) >= target
-        else:
-            crossed = v <= target
-        if crossed:
-            b = mid
-        else:
-            a = mid
-    return b
-
-
-def _integrate_core(one_m, n1, w, A, B, r0, v0, P0, r_max, tol,
-                    rs, vs, vrs, Ps, dPs, errs):
-    """Advance (v, P) from r0 to r_max recording every accepted step.
-
-    Returns (node_count, tag).  rs[0] is the start state; on an event the last
-    node is the refined crossing.  errs holds the scaled local error estimate
-    of the step that produced each node.
-
-    The error scale is relative: tol*|v| for the value (v stays positive up
-    to the floor event, and tail amplitudes many orders below the boundary
-    value still have to be resolved, or decay-rate reads are noise), and
-    tol*(|P_seam| + |P|) for the flux, whose magnitude is set by the seam
-    state and which may pass through zero on non-monotone profiles.
+    Returns (node_count, tag).  taus[0] is the start state; on a floor or
+    pole event the last node is the extrapolated point where v = VALUE_FLOOR.
+    A store with no room left for two more nodes ends the run.
+    errs holds the scaled local error estimate of the step that produced
+    each node: the error of Z against tol (1-m), which is tol relative in v,
+    and that of u against tol (1 + |u|).  The stages are written out, as
+    u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u: a call per stage
+    costs the interpreter a fifth more time per step.
     """
-    cap = rs.shape[0]
-    r = r0
-    v = v0
-    P = P0
-    pc = abs(P0)
-    if pc == 0.0:
-        pc = 1.0
-    vr = _vr_of(v, P, r, one_m, n1)
-    dP = _rhs_P(r, v, vr, w, A, B)
-    rs[0] = r; vs[0] = v; vrs[0] = vr; Ps[0] = P; dPs[0] = dP; errs[0] = 0.0
+    one_m = 1.0 - m
+    a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
+    cap = taus.shape[0]
+    tau = tau0
+    u = u0
+    Z = Z0
+    taus[0] = tau; us[0] = u; Zs[0] = Z; errs[0] = 0.0
     count = 1
-    if r_max <= r0:
+    if tau_max <= tau0:
         return count, TAG_RMAX
-    k1v = vr
-    k1p = dP
-    h = min(1e-3 * r, r_max - r)
+    k1u = u * (a + b * u) + math.exp(Z) * (c + d * u)
+    k1z = e + g * u
+    h = min(1e-3, tau_max - tau)
     err_prev = 1.0
     while True:
-        if h < STEP_FLOOR_REL * r:
+        if h < STEP_FLOOR * (1.0 + abs(tau)):
             return count, TAG_STEP_UNDERFLOW
-        bad = False
-        err = 2.0
-        # stage 2
-        v2 = v + h * _A21 * k1v
-        P2 = P + h * _A21 * k1p
-        if v2 <= 0.0:
-            bad = True
-        else:
-            r2 = r + _C2 * h
-            k2v = _vr_of(v2, P2, r2, one_m, n1)
-            k2p = _rhs_P(r2, v2, k2v, w, A, B)
-        if not bad:
-            v3 = v + h * (_A31 * k1v + _A32 * k2v)
-            P3 = P + h * (_A31 * k1p + _A32 * k2p)
-            if v3 <= 0.0:
-                bad = True
-            else:
-                r3 = r + _C3 * h
-                k3v = _vr_of(v3, P3, r3, one_m, n1)
-                k3p = _rhs_P(r3, v3, k3v, w, A, B)
-        if not bad:
-            v4 = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-            P4 = P + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-            if v4 <= 0.0:
-                bad = True
-            else:
-                r4 = r + _C4 * h
-                k4v = _vr_of(v4, P4, r4, one_m, n1)
-                k4p = _rhs_P(r4, v4, k4v, w, A, B)
-        if not bad:
-            v5 = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-            P5 = P + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-            if v5 <= 0.0:
-                bad = True
-            else:
-                r5 = r + _C5 * h
-                k5v = _vr_of(v5, P5, r5, one_m, n1)
-                k5p = _rhs_P(r5, v5, k5v, w, A, B)
-        if not bad:
-            v6 = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-            P6 = P + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p)
-            if v6 <= 0.0:
-                bad = True
-            else:
-                r6 = r + h
-                k6v = _vr_of(v6, P6, r6, one_m, n1)
-                k6p = _rhs_P(r6, v6, k6v, w, A, B)
-        if not bad:
-            vn = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            Pn = P + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-            if vn <= 0.0:
-                bad = True
-        if not bad:
-            rn = r + h
-            k7v = _vr_of(vn, Pn, rn, one_m, n1)
-            k7p = _rhs_P(rn, vn, k7v, w, A, B)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-            ep = h * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-            vref = v if v > vn else vn
-            err = abs(ev) / (tol * vref)
-            errp = abs(ep) / (tol * (pc + abs(Pn)))
-            if errp > err:
-                err = errp
-            if not np.isfinite(err):
-                bad = True
-        if bad or err > 1.0:
-            if bad:
-                h *= 0.2
-            else:
-                fac = _SAFETY * err ** (-0.2)
-                if fac < 0.2:
-                    fac = 0.2
-                h *= fac
+        last = tau + h >= tau_max
+        if last:
+            h = tau_max - tau
+        s = u + h * _A21 * k1u
+        k2u = s * (a + b * s) + math.exp(Z + h * _A21 * k1z) * (c + d * s)
+        k2z = e + g * s
+        s = u + h * (_A31 * k1u + _A32 * k2u)
+        k3u = s * (a + b * s) + math.exp(Z + h * (_A31 * k1z + _A32 * k2z)) * (c + d * s)
+        k3z = e + g * s
+        s = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+        k4u = s * (a + b * s) + math.exp(
+            Z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)) * (c + d * s)
+        k4z = e + g * s
+        s = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+        k5u = s * (a + b * s) + math.exp(
+            Z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)) * (c + d * s)
+        k5z = e + g * s
+        s = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+        k6u = s * (a + b * s) + math.exp(
+            Z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z
+                     + _A65 * k5z)) * (c + d * s)
+        k6z = e + g * s
+        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+        Zn = Z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+        k7u = un * (a + b * un) + math.exp(Zn) * (c + d * un)
+        k7z = e + g * un
+        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+        err = max(abs(eu) / (tol * (1.0 + max(abs(u), abs(un)))), abs(ez) / (tol * one_m))
+        if not err <= 1.0:       # also catches a NaN or infinite stage
+            h *= max(_SAFETY * err ** (-0.2), 0.2) if err < math.inf else 0.2
             continue
         # accepted
-        floor_hit = vn <= VALUE_FLOOR
-        blow_hit = abs(k7v) >= DERIV_CAP
-        if floor_hit or blow_hit:
-            target = DERIV_CAP if blow_hit and not floor_hit else VALUE_FLOOR
-            r_ev = _refine_crossing(r, h, v, k1v, vn, k7v, P, k1p, Pn, k7p,
-                                    one_m, n1, target, blow_hit and not floor_hit)
-            v_ev = _hermite(r, h, v, k1v, vn, k7v, r_ev)
-            P_ev = _hermite(r, h, P, k1p, Pn, k7p, r_ev)
-            if v_ev <= 0.0:
-                v_ev = VALUE_FLOOR
-            vr_ev = _vr_of(v_ev, P_ev, r_ev, one_m, n1)
-            rs[count] = r_ev; vs[count] = v_ev; vrs[count] = vr_ev
-            Ps[count] = P_ev; dPs[count] = _rhs_P(r_ev, v_ev, vr_ev, w, A, B)
-            errs[count] = err
-            count += 1
-            return count, (TAG_VALUE_FLOOR if floor_hit else TAG_DERIV_BLOWUP)
-        if count >= cap:
+        if count + 2 > cap:      # room for this node and an extrapolated one
             return count, TAG_OVERFLOW
-        r = rn; v = vn; P = Pn
-        k1v = k7v; k1p = k7p
-        rs[count] = r; vs[count] = v; vrs[count] = k7v; Ps[count] = P; dPs[count] = k7p
-        errs[count] = err
-        count += 1
-        if r >= r_max:
+        tn = tau_max if last else tau + h
+        lnv = (Zn - e * tn) / one_m
+        floor_hit = lnv <= _LN_FLOOR
+        w = sgn * un             # x v_x / v
+        tf, rest = tau, 0.0      # no extrapolated node
+        if w < 0.0 and (floor_hit or w <= -POLE_X):
+            # a touchdown: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w);
+            # the last node goes where that law meets the floor, and replaces
+            # this one when the floor lies inside the step
+            rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
+            tf = tn - 1.0 / (m * w) - rest
+        if not (floor_hit and tf > tau):
+            taus[count] = tn; us[count] = un; Zs[count] = Zn; errs[count] = err
+            count += 1
+        if tf > tau:
+            taus[count] = tf; us[count] = -sgn / (m * rest)
+            Zs[count] = e * tf + one_m * _LN_FLOOR; errs[count] = err
+            return count + 1, TAG_VALUE_FLOOR
+        if floor_hit:
+            return count, TAG_VALUE_FLOOR
+        if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
+            return count, TAG_DERIV_BLOWUP
+        if last:
             return count, TAG_RMAX
+        tau = tn; u = un; Z = Zn
+        k1u = k7u; k1z = k7z
         if err == 0.0:
             # an exact step (e.g. a constant solution) gives the PI
             # controller nothing to work from: grow at the cap
             fac = 5.0
         else:
-            fac = _SAFETY * err ** (-0.14) * err_prev ** 0.08
-            if fac < 0.2:
-                fac = 0.2
-            elif fac > 5.0:
-                fac = 5.0
+            fac = min(max(_SAFETY * err ** (-0.14) * err_prev ** 0.08, 0.2), 5.0)
             err_prev = err
-        h *= fac
-        hcap = HMAX_REL * r
-        if h > hcap:
-            h = hcap
-        if r + h > r_max:
-            h = r_max - r
+        h = min(h * fac, HMAX)
 
 
 NUMBA_ENABLED = False
@@ -236,26 +155,31 @@ if os.environ.get("FDPROF_NO_NUMBA", "") != "1":
     try:
         from numba import njit as _njit
 
-        _hermite = _njit(cache=True, nogil=True)(_hermite)
-        _vr_of = _njit(cache=True, nogil=True)(_vr_of)
-        _rhs_P = _njit(cache=True, nogil=True)(_rhs_P)
-        _refine_crossing = _njit(cache=True, nogil=True)(_refine_crossing)
         _integrate_core = _njit(cache=True, nogil=True)(_integrate_core)
         NUMBA_ENABLED = True
     except ImportError:
         pass
 
 
-def integrate_flux_system(one_m, n1, w, A, B, r0, v0, P0, r_max, tol):
-    """Driver: allocates node storage and runs the compiled (or plain) core."""
-    # six arrays: one (6, MAX_NODES) block raised peak RSS by about 9 MiB
-    rs = np.empty(MAX_NODES)
-    vs = np.empty(MAX_NODES)
-    vrs = np.empty(MAX_NODES)
-    Ps = np.empty(MAX_NODES)
-    dPs = np.empty(MAX_NODES)
+def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol):
+    """Driver: allocates node storage and runs the compiled (or plain) core.
+
+    Returns the node radii x, the states (u, Z), the scaled step errors and
+    the terminal tag.  x[0] is x0 and, when the run reaches it, x[-1] is
+    x_max, both exactly.  The name dates from the flux-form stepper that
+    this one replaced; perfbench traces it.
+    """
+    taus = np.empty(MAX_NODES)
+    us = np.empty(MAX_NODES)
+    Zs = np.empty(MAX_NODES)
     errs = np.empty(MAX_NODES)
-    cnt, tag = _integrate_core(one_m, n1, w, A, B, r0, v0, P0, r_max, float(tol),
-                               rs, vs, vrs, Ps, dPs, errs)
-    return (rs[:cnt].copy(), vs[:cnt].copy(), vrs[:cnt].copy(),
-            Ps[:cnt].copy(), dPs[:cnt].copy(), errs[:cnt].copy(), tag)
+    # plain floats: numpy scalars would make the interpreted loop several times slower
+    cnt, tag = _integrate_core(abs(lam), math.copysign(1.0, lam), float(mu), float(A),
+                               float(m), float(beta), math.log(x0), float(u0),
+                               float(Z0), math.log(x_max), float(tol),
+                               taus, us, Zs, errs)
+    x = np.exp(taus[:cnt])
+    x[0] = x0
+    if tag == TAG_RMAX and cnt > 1:
+        x[-1] = x_max
+    return x, us[:cnt].copy(), Zs[:cnt].copy(), errs[:cnt].copy(), tag

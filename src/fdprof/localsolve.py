@@ -13,6 +13,9 @@ J. 52, 2003)
 
 In the chart radius x (r, or s = 1/r) and for the datum b: theta =
 b^{1-m} x^|lam|, v = b (Y/theta)^{1/(1-m)} and x v_x / v = sign(lam) u.
+The series gives the nodes below the seam, placed for the dense output's
+cubic Hermite of ln v in ln x; kernels continues the same (u, ln Y) state
+outward from the seam.
 """
 from __future__ import annotations
 
@@ -61,11 +64,11 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
                log_depth: float) -> np.ndarray:
     """ln z at the nodes, z = theta/theta_seam from 1 down to e^log_depth.
 
-    The log-radius gap at z is the least of three.  Cubic Hermite misses v
-    by gap^4 |K(z)|/384 with x^4 v_xxxx = K v: for D = x d/dx, D z = |lam| z
-    and D^k v = w_k v, w_1 = sign(lam) sum zu_j z^j, w_{k+1} = D w_k + w_k w_1,
-    K = w_4 - 6 w_3 + 11 w_2 - 6 w_1; d0 z^{-1/4} holds that to tol/20 for
-    K* = sup |K(z)|/z.  The residual's 7-node stencil misses the term c_j z^j
+    The log-radius gap at z is the least of three.  Cubic Hermite of ln v in
+    ln x misses v by gap^4 |K(z)|/384 relative, with K = D^4 ln v: for
+    D = x d/dx, D z = |lam| z and D ln v = sign(lam) sum zu_j z^j, so
+    K = sign(lam) sum (|lam| j)^3 zu_j z^j; d0 z^{-1/4} holds that to tol/20
+    for K* = sup |K(z)|/z.  The residual's 7-node stencil misses the term c_j z^j
     x^g of the flux P = x^gamma sum_j c_j z^j, g = gamma + |lam| j, by
     gap^6 prod_{k<=6} |g - k|/140 of P'; the second gap holds the sum of
     those to 10 tol, a tenth of the residual bar.  The third is ln 2, the
@@ -74,13 +77,10 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
     """
     e, tol = abs(lam), max(tol, 1e-15)   # below it, rounding sets the error
     j = np.arange(ORDER + 1)
-    w = [math.copysign(1.0, lam) * zu]
-    for _ in range(3):
-        w.append(e * j * w[-1] + np.convolve(w[-1], w[0])[:ORDER + 1])
-    k_over_z = (w[3] - 6.0 * w[2] + 11.0 * w[1] - 6.0 * w[0])[1:]
-    # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m w_1 R; R
+    k_over_z = ((e * j) ** 3 * zu)[1:]
+    # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m R D ln v; R
     # keeps ORDER/2 terms, as the seam's quarter radius puts later ones below 4^-30
-    dl, r = p.m * w[0][1:] / e, np.ones(ORDER // 2)
+    dl, r = math.copysign(p.m, lam) * zu[1:] / e, np.ones(ORDER // 2)
     for i in range(1, ORDER // 2):
         r[i] = dl[:i] @ r[i - 1::-1] / i
     g = p.n - 2.0 + e * (1.0 + j[:-1])

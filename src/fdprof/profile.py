@@ -3,12 +3,14 @@
 A Profile concatenates the local nodes of the manifold series (spaced by
 tol, widest deep below the seam) with the accepted steps of the outward
 integration.  Nodes carry value, derivative, flux P = r^{n-1} v^{m-1} v_r
-and the flux derivative, so dense evaluation is C1 cubic Hermite and never
-re-differences values.
+and the flux derivative.  Dense evaluation is C1 cubic Hermite of ln v in
+ln x with the nodal log-slopes x v_x / v, the chart's own variables, and
+never re-differences values.
 """
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +35,12 @@ class TerminalEvent(enum.Enum):
 class Chart:
     """Everything that differs between the origin and the far-field chart.
 
-    Both profile equations reduce to the flux system
-
-        v_r = v^{1-m} P / r^{n-1},    P' = -r^w (A v + B r v_r)
-
-    in the native variable of their chart.  The chart's datum is an invariant
-    manifold of a fixed point of the reduced system (see localsolve): lam is
-    the fixed point's eigenvalue along the manifold, mu the other one.
+    In the native variable x of its chart each profile equation has the flux
+    form P' = -x^w (A v + B x v_x), P = x^{n-1} v^{m-1} v_x, which the
+    residual checks.  The chart's datum is an invariant manifold of a fixed
+    point X* of the reduced system in u = X - X*, Z = ln Y (see localsolve
+    and kernels): lam is the fixed point's eigenvalue along the manifold, mu
+    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.
     """
     params: ProfileParams
     w: float
@@ -64,17 +65,37 @@ class Chart:
         """P' = -r^w (A v + B r v_r)."""
         return -r ** self.w * (self.A * v + self.B * r * vr)
 
+    def reduced(self, x, v, vr):
+        """(u, Z) at chart radius x from the value and the slope."""
+        return (np.sign(self.lam) * x * vr / v,
+                abs(self.lam) * np.log(x) + (1.0 - self.params.m) * np.log(v))
 
-def hermite_many(rs, ys, dys, x):
-    """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys."""
+    def native(self, x, u, Z):
+        """(v, v_x) at chart radius x from the reduced state (u, Z)."""
+        v = np.exp((Z - abs(self.lam) * np.log(x)) / (1.0 - self.params.m))
+        return v, np.sign(self.lam) * u * v / x
+
+
+def _hermite(rs, ys, dys, x):
+    """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys, and
+    its slope."""
     x = np.asarray(x, dtype=np.float64)
     idx = np.clip(np.searchsorted(rs, x) - 1, 0, len(rs) - 2)
     r0, r1 = rs[idx], rs[idx + 1]
     h = r1 - r0
     t = np.clip((x - r0) / h, 0.0, 1.0)
     u = 1.0 - t
-    return (u * u * (1.0 + 2.0 * t) * ys[idx] + t * u * u * h * dys[idx]
-            + t * t * (3.0 - 2.0 * t) * ys[idx + 1] + t * t * (t - 1.0) * h * dys[idx + 1])
+    y0, y1, d0, d1 = ys[idx], ys[idx + 1], dys[idx], dys[idx + 1]
+    value = (u * u * (1.0 + 2.0 * t) * y0 + t * u * u * h * d0
+             + t * t * (3.0 - 2.0 * t) * y1 + t * t * (t - 1.0) * h * d1)
+    slope = (6.0 * t * u * (y1 - y0) / h + u * (1.0 - 3.0 * t) * d0
+             + t * (3.0 * t - 2.0) * d1)
+    return value, slope
+
+
+def hermite_many(rs, ys, dys, x):
+    """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys."""
+    return _hermite(rs, ys, dys, x)[0]
 
 
 @dataclass(frozen=True)
@@ -108,13 +129,19 @@ class Profile:
             return float(self.r[0]), self.r_end
         return 1.0 / self.r_end, 1.0 / float(self.r[0])
 
+    @functools.cached_property
+    def _log_nodes(self):
+        """(ln x, ln v, x v_x / v) at the nodes: the dense output's knots."""
+        return np.log(self.r), np.log(self.v), self.r * self.vr / self.v
+
+    def _dense(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        lnv, w = _hermite(*self._log_nodes, np.log(x))
+        v = np.exp(lnv)
+        return v, v * w / x
+
     def value_at(self, x):
-        return hermite_many(self.r, self.v, self.vr, x)
+        return self._dense(x)[0]
 
     def deriv_at(self, x):
-        # v_r recovered through the flux relation keeps derivative evaluation
-        # consistent with the stored state
-        P = hermite_many(self.r, self.flux, self.dflux, x)
-        v = self.value_at(x)
-        n1 = self.params.n - 1
-        return v ** (1.0 - self.params.m) * P / np.asarray(x, dtype=float) ** n1
+        return self._dense(x)[1]

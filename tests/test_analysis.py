@@ -275,6 +275,22 @@ def test_gap_matches_reduced_system_oracle(n, m, beta):
     assert saddle_gap(p, 1.0) == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, 0.1),
+                                        (4, 1 / 3, -0.2), (3, 0.2, 0.3)])
+def test_one_farfield_solve_per_regular_gap(monkeypatch, n, m, beta):
+    """The far-field reach starts past the seam, so a regular gap
+    evaluation reaches the section with its first far-field solve."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve_farfield_profile(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_farfield_profile", counted)
+    saddle_gap(derive_params(n, m, 1.0, beta), 1.0)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n, m", CRITICAL)
 def test_critical_exponent_is_zero(n, m):
     found = {eta0: find_anomalous_beta(n, m, 1.0, eta0, (-0.4, 0.4),

@@ -616,3 +616,13 @@ def test_small_sigma_farfield_succeeds_or_names_breakdown(n, m, beta,
     if code == 3:
         assert err.startswith("solver error: ")
         assert "underflows" in err or "terminated by" in err
+
+
+def test_steep_far_ladder_has_no_overflow(tmp_path, capsys):
+    # k = 120: the far ladder's r^k f spans 1e130 to 1e236, and the square
+    # of a jump in Aitken's step used to end in a raw OverflowError
+    code, _, err = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.05",
+                           "--beta", "0", "--out", str(tmp_path))
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert (tmp_path / "report.json").exists()

@@ -1,8 +1,9 @@
 """Outward continuation: stepper accuracy, events, stitching, extinction."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from conftest import _flux, _gflux, f_exact, g_exact, rk4_oracle
+from conftest import _flux, _gflux, f_exact, farfield_eta, g_exact, rk4_oracle
 from fdprof import (ContinuationFailed, OdeState, Profile, TerminalEvent,
                     advance_f, advance_g, derive_params, kernels,
                     solve_farfield_profile, solve_origin_profile)
@@ -50,13 +51,16 @@ def test_backward_target_rejected():
 
 
 def test_zero_error_step_grows_at_cap():
-    # A = B = 0 and P0 = 0 keep v = 1 exactly, so every step's error
-    # estimate is exactly zero and the controller must not divide by it
-    rs, vs, _, Ps, _, errs, tag = kernels.integrate_flux_system(
-        2 / 3, 3, 3.0, 0.0, 0.0, 0.5, 1.0, 0.0, 2.0, 1e-9)
+    # A = beta = 0 and u0 = 0 keep u = 0 and Z_tau = |lam| exactly, so every
+    # step's error estimate is exactly zero and the controller must not
+    # divide by it
+    x, u, Z, errs, tag = kernels.integrate_flux_system(
+        2.0, -1.0, 0.0, 1 / 3, 0.0, 0.5, 0.0, 0.0, 2.0, 1e-9)
     assert tag == kernels.TAG_RMAX
-    assert rs[-1] == 2.0
-    assert np.all(vs == 1.0) and np.all(Ps == 0.0) and np.all(errs == 0.0)
+    assert x[-1] == 2.0
+    assert np.all(u == 0.0) and np.all(errs == 0.0)
+    np.testing.assert_allclose(Z, 2.0 * np.log(x / 0.5), rtol=0.0, atol=1e-14)
+    assert np.max(np.diff(np.log(x))) == pytest.approx(kernels.HMAX, rel=1e-12)
 
 
 def test_against_fixed_step_rk4_f_side():
@@ -147,8 +151,10 @@ def test_flux_integral_form():
     closing the loop between P' and its integrated representation."""
     p = derive_params(4, 1 / 3, 1.0, 0.25)
     prof = solve_origin_profile(p, 1.0, 50.0, tol=1e-9)
-    dense = _hermite_refine(prof.r)
-    v = hermite_many(prof.r, prof.v, prof.vr, dense)
+    # steps of 0.025 in ln r leave the trapezoid rule at 16 points per step
+    # near 1e-7 on its own, so the quadrature takes 64
+    dense = _hermite_refine(prof.r, K=64)
+    v = prof.value_at(dense)
     P = hermite_many(prof.r, prof.flux, prof.dflux, dense)
     vr = v ** (1.0 - p.m) * P / dense ** 3
     integ = dense ** 3 * (p.alpha * v + p.beta * dense * vr)
@@ -220,3 +226,33 @@ class TestExtinction:
                 solve_farfield_profile(p, eta, 50.0, tol=1e-9)
             pred = s0 * eta ** (-(1.0 - p.m) / p.sigma)
             assert exc.value.partial.r[-1] == pytest.approx(pred, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("solve, n, m, beta", [
+    (solve_origin_profile, 4, 1 / 3, 0.1),
+    (solve_origin_profile, 5, 0.45, 0.27),
+    (solve_farfield_profile, 3, 0.28, 1.3),
+    (solve_farfield_profile, 5, 0.52, 1.12),
+])
+def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
+    """The values at the stepper's nodes stay within 10 tol, relative, of a
+    DOP853 solution of the flux form from the same seam state.
+
+    Not the closed-form far-field profile: it is the orbit that ends at the
+    regular origin, a saddle that repels it in s, so any error grows like
+    s^2 there (about 700 tol at s = 100, from either stepper)."""
+    p = derive_params(n, m, 1.0, beta)
+    boundary = 1.0 if solve is solve_origin_profile else farfield_eta(p, tol)
+    prof = solve(p, boundary, 100.0, tol=tol)
+    chart, i = prof.chart, prof.n_local
+    x = prof.r[i:]
+
+    def rhs(r, y):
+        vr = y[0] ** (1.0 - p.m) * y[1] / r ** (p.n - 1)
+        return [vr, -r ** chart.w * (chart.A * y[0] + chart.B * r * vr)]
+
+    ref = solve_ivp(rhs, (x[0], x[-1]), [prof.v[i], prof.flux[i]],
+                    method="DOP853", rtol=1e-13, atol=1e-300, t_eval=x).y[0]
+    assert x.size > 100
+    assert np.max(np.abs(prof.v[i:] / ref - 1.0)) <= 10.0 * tol

@@ -1,6 +1,8 @@
 """Kelvin-type transform: algebra, involution, and sample transport."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import f_exact, fr_exact, g_exact, gr_exact
 from fdprof import (DomainError, ProfileKind, derive_params, fside_nodes,
@@ -40,6 +42,32 @@ def test_roundtrip_single_node():
     assert r[0] == pytest.approx(2.0, rel=1e-12)
     assert v[0] == pytest.approx(5.0, rel=1e-12)
     assert d[0] == pytest.approx(-0.7, rel=1e-12)
+
+
+_SAMPLE = st.tuples(st.floats(-1.0, 1.0), st.floats(-300.0, 300.0),
+                    st.floats(-3.0, 3.0), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 8), frac=st.floats(0.02, 0.98),
+       samples=st.lists(_SAMPLE, min_size=1, max_size=20,
+                        unique_by=lambda x: x[0]))
+def test_roundtrip_is_an_involution(n, frac, samples):
+    """For every admissible (n, m) and any sample set of distinct positive
+    radii whose images are finite doubles, the transform applied twice returns radii and values
+    to 1e-12 and the derivative to 1e-12 of its conditioning scale
+    |d| + k v / r, the size of the terms the derivative map subtracts.
+
+    ln r spans +-min(5, 300/k), so r^{+-k} and v stay inside e^{+-600}."""
+    p = derive_params(n, frac * (n - 2) / n, 1.0, 0.0)
+    lr, lv, ld, sign = (np.array(c) for c in zip(*sorted(samples)))
+    r, v = np.exp(lr * min(5.0, 300.0 / p.k)), np.exp(lv)
+    assume(np.all(np.diff(r) > 0.0))   # the output is sorted by radius
+    d = sign * p.k * v / r * np.exp(ld)
+    r2, v2, d2 = roundtrip(r, v, d, p)
+    assert np.all(np.abs(r2 / r - 1.0) <= 1e-12)
+    assert np.all(np.abs(v2 / v - 1.0) <= 1e-12)
+    assert np.all(np.abs(d2 - d) <= 1e-12 * (np.abs(d) + p.k * v / r))
 
 
 def test_roundtrip_returns_input_over_random_samples():
