@@ -20,8 +20,7 @@ import os
 
 import numpy as np
 
-# Butcher tableau, Dormand-Prince 5(4), FSAL
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+# Butcher tableau, Dormand-Prince 5(4), FSAL (no abscissae: the system is autonomous)
 _A21 = 1.0 / 5.0
 _A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
 _A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0

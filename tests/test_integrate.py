@@ -240,8 +240,9 @@ def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
     DOP853 solution of the flux form from the same seam state.
 
     Not the closed-form far-field profile: it is the orbit that ends at the
-    regular origin, a saddle that repels it in s, so any error grows like
-    s^2 there (about 700 tol at s = 100, from either stepper)."""
+    regular origin, a saddle of the reduced system whose unstable direction
+    in s grows any error like s^{n-2} (about 700 tol at s = 100, from either
+    stepper)."""
     p = derive_params(n, m, 1.0, beta)
     boundary = 1.0 if solve is solve_origin_profile else farfield_eta(p, tol)
     prof = solve(p, boundary, 100.0, tol=tol)
