@@ -1,6 +1,6 @@
 """Verification and classification of solved profiles.
 
-Residual checks differentiate the stored flux once (first derivative on
+Residual checks differentiate the nodal flux once (first derivative on
 scattered nodes, closed-form 7-point Lagrange weights); values are never
 second-differenced.  Asymptotic limits come from Richardson extrapolation
 over geometric ladders with an empirical error bar.  Decay classification
@@ -352,21 +352,26 @@ class Shape:
     r_max: float | None = None
 
 
+def _shape_of_signs(sign, place) -> Shape:
+    """Shape from the sign of f_r in ascending f-radius order; place(i) is
+    the radius of a single maximum between entries i and i + 1."""
+    flips = np.nonzero(np.diff(sign) != 0.0)[0]
+    if len(flips) == 0:
+        return Shape("monotone-decreasing") if sign[0] < 0 else Shape("irregular")
+    if len(flips) == 1 and sign[0] > 0 and sign[-1] < 0:
+        return Shape("interior-maximum", r_max=float(place(flips[0])))
+    return Shape("irregular")
+
+
 def classify_shape(profile: Profile) -> Shape:
     """Monotone decrease versus a single interior maximum, on the f-side."""
     if profile.kind is ProfileKind.ORIGIN:
         r, fr = profile.r, profile.vr
         sign = np.sign(fr)
         sign[sign == 0.0] = -1.0
-        flips = np.nonzero(np.diff(sign) != 0.0)[0]
-        if len(flips) == 0:
-            return Shape("monotone-decreasing") if sign[0] < 0 else Shape("irregular")
-        if len(flips) == 1 and sign[0] > 0 and sign[-1] < 0:
-            i = flips[0]
-            # linear zero crossing of f_r between the bracketing nodes
-            r0 = r[i] + (r[i + 1] - r[i]) * fr[i] / (fr[i] - fr[i + 1])
-            return Shape("interior-maximum", r_max=float(r0))
-        return Shape("irregular")
+        # linear zero crossing of f_r between the bracketing nodes
+        return _shape_of_signs(
+            sign, lambda i: r[i] + (r[i + 1] - r[i]) * fr[i] / (fr[i] - fr[i + 1]))
 
     # far-field chart: the mapped derivative sign at radius 1/s is
     # -sign(k*g + s*g_r).  Where that combination is a small difference of
@@ -379,17 +384,12 @@ def classify_shape(profile: Profile) -> Shape:
     keep = np.abs(h) > band * mag
     if not keep.any():
         return Shape("irregular")
-    s = profile.r[keep]
-    hk = h[keep]
-    sign = -np.sign(hk[::-1])            # ascending f-radius order
-    flips = np.nonzero(np.diff(sign) != 0.0)[0]
-    if len(flips) == 0:
-        return Shape("monotone-decreasing") if sign[0] < 0 else Shape("irregular")
-    if len(flips) == 1 and sign[0] > 0 and sign[-1] < 0:
-        j = len(sign) - 1 - flips[0]     # back to descending-index native order
-        s0 = s[j - 1] + (s[j] - s[j - 1]) * hk[j - 1] / (hk[j - 1] - hk[j])
-        return Shape("interior-maximum", r_max=float(1.0 / s0))
-    return Shape("irregular")
+    s = profile.r[keep][::-1]            # ascending f-radius order
+    hk = h[keep][::-1]
+    # linear zero crossing of k g + s g_r, in s, between the bracketing nodes
+    return _shape_of_signs(
+        -np.sign(hk),
+        lambda i: 1.0 / (s[i + 1] + (s[i] - s[i + 1]) * hk[i + 1] / (hk[i + 1] - hk[i])))
 
 
 # ---------------------------------------------------------------------------

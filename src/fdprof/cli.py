@@ -25,7 +25,7 @@ from .inversion import fside_nodes, invert_pointwise
 from .localsolve import LocalStageFailed
 from .params import DomainError, derive_params, require_farfield_admissible, \
     require_origin_admissible
-from .profile import Chart, Profile, ProfileKind, TerminalEvent
+from .profile import Profile, ProfileKind, TerminalEvent
 
 DEFAULTS = {
     "tol": 1e-9,
@@ -268,13 +268,9 @@ def cmd_verify(ns, cfg) -> int:
         r, v, vr = invert_pointwise(r, v, vr, p)
         kind = ProfileKind.FARFIELD
 
-    chart = Chart.of(p, kind)
+    profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
+                      n_local=0, terminal=terminal, tol=tol)
     with np.errstate(all="ignore"):
-        P = chart.flux(r, v, vr)
-        dP = chart.dflux(r, v, vr)
-        profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v,
-                          vr=vr, flux=P, dflux=dP, eps=float(r[0]), n_local=0,
-                          terminal=terminal, tol=tol)
         residual = float(analysis.ode_residual(profile))
         verdicts = analysis.verify_inequalities(profile)
     ok = math.isfinite(residual) and residual <= _residual_threshold(tol)

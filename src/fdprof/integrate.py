@@ -42,14 +42,8 @@ class Trajectory:
     r: np.ndarray
     v: np.ndarray
     vr: np.ndarray
-    flux: np.ndarray
-    dflux: np.ndarray
     step_errors: np.ndarray
     terminal: TerminalEvent
-
-    @property
-    def end(self) -> OdeState:
-        return OdeState(float(self.r[-1]), float(self.v[-1]), float(self.flux[-1]))
 
 
 class ContinuationFailed(RuntimeError):
@@ -65,37 +59,39 @@ class ContinuationFailed(RuntimeError):
         self.partial = partial
 
 
-def _advance(chart: Chart, state: OdeState, r_max: float,
+def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
              tol: float) -> Trajectory:
-    if r_max < state.r:
+    if r_max < x0:
         raise DomainError(
-            f"r_max={r_max} is below the start radius {state.r} "
+            f"r_max={r_max} is below the start radius {x0} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
-    x0, v0 = state.r, state.v
-    vr0 = state.flux * v0 ** (1.0 - p.m) / x0 ** (p.n - 1)
     x, u, Z, errs, tag = kernels.integrate_flux_system(
         chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
         *chart.reduced(x0, v0, vr0), r_max, tol)
     v, vr = chart.native(x, u, Z)
     # the first node is the start state as given, not its image through (u, Z)
     v[0], vr[0] = v0, vr0
-    P = chart.flux(x, v, vr)
-    P[0] = state.flux
-    return Trajectory(x, v, vr, P, chart.dflux(x, v, vr), errs,
-                      _TAG_TO_EVENT[int(tag)])
+    return Trajectory(x, v, vr, errs, _TAG_TO_EVENT[int(tag)])
+
+
+def _advance_state(kind: ProfileKind, p: ProfileParams, state: OdeState,
+                   r_max: float, tol: float) -> Trajectory:
+    """_advance from a flux-form state, for advance_f and advance_g."""
+    vr = state.flux * state.v ** (1.0 - p.m) / state.r ** (p.n - 1)
+    return _advance(Chart.of(p, kind), state.r, state.v, vr, r_max, tol)
 
 
 def advance_f(params: ProfileParams, state: OdeState, r_max: float,
               tol: float = 1e-9) -> Trajectory:
     """Continue the origin profile outward to r_max or a terminal event."""
-    return _advance(Chart.of(params, ProfileKind.ORIGIN), state, r_max, tol)
+    return _advance_state(ProfileKind.ORIGIN, params, state, r_max, tol)
 
 
 def advance_g(params: ProfileParams, state: OdeState, r_max: float,
               tol: float = 1e-9) -> Trajectory:
     """Continue the far-field profile outward to r_max or a terminal event."""
-    return _advance(Chart.of(params, ProfileKind.FARFIELD), state, r_max, tol)
+    return _advance_state(ProfileKind.FARFIELD, params, state, r_max, tol)
 
 
 def thin_local_nodes(grid: np.ndarray) -> np.ndarray:
@@ -115,30 +111,14 @@ def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
     construction.  Raises ContinuationFailed, carrying the partial profile,
     if an event fires before r_max.
     """
-    kind = loc.kind
-    chart = Chart.of(params, kind)
-    eps = loc.eps
-    v_eps = float(loc.value[-1])
-    vr_eps = float(loc.deriv[-1])
-    traj = _advance(chart, OdeState(eps, v_eps, chart.flux(eps, v_eps, vr_eps)),
-                    r_max, tol)
-
+    traj = _advance(Chart.of(params, loc.kind), loc.eps, float(loc.value[-1]),
+                    float(loc.deriv[-1]), r_max, tol)
     keep = thin_local_nodes(loc.grid)
-    rl = loc.grid[keep]
-    vl = loc.value[keep]
-    vrl = loc.deriv[keep]
-
-    r = np.concatenate([rl, traj.r])
-    v = np.concatenate([vl, traj.v])
-    vr = np.concatenate([vrl, traj.vr])
-    P = np.concatenate([chart.flux(rl, vl, vrl), traj.flux])
-    dP = np.concatenate([chart.dflux(rl, vl, vrl), traj.dflux])
-    errs = np.concatenate([np.zeros(len(rl)), traj.step_errors])
-
-    prof = Profile(kind=kind, params=params, boundary=loc.boundary_value,
-                   r=r, v=v, vr=vr, flux=P, dflux=dP, eps=eps,
-                   n_local=len(rl), terminal=traj.terminal, tol=tol,
-                   step_errors=errs)
+    r = np.concatenate([loc.grid[keep], traj.r])
+    prof = Profile(kind=loc.kind, params=params, boundary=loc.boundary_value,
+                   r=r, v=np.concatenate([loc.value[keep], traj.v]),
+                   vr=np.concatenate([loc.deriv[keep], traj.vr]),
+                   n_local=len(keep), terminal=traj.terminal, tol=tol)
 
     # the merged node set must be strictly increasing or the dense
     # representation (and every downstream stencil) is corrupt

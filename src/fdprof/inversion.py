@@ -12,6 +12,12 @@ from .params import DomainError, ProfileParams
 from .profile import Profile, ProfileKind
 
 
+def _kelvin(r, s, g, gs, k):
+    """(f, f_r) at r from (g, g_s) at s = 1/r: f = r^{-k} g and
+    f_r = -r^{-k-1} (k g + s g_s)."""
+    return r ** (-k) * g, -r ** (-k - 1.0) * (k * g + s * gs)
+
+
 def invert_pointwise(radii, values, derivs, p: ProfileParams):
     """Map g-samples on (0, R] to f-samples on [1/R, inf), ascending in r.
 
@@ -25,10 +31,8 @@ def invert_pointwise(radii, values, derivs, p: ProfileParams):
         raise DomainError("empty sample set")
     if np.any(radii <= 0.0):
         raise DomainError("sample radii must satisfy r > 0")
-    k = p.k
     r_out = 1.0 / radii
-    v_out = r_out ** (-k) * values
-    d_out = -r_out ** (-k - 1.0) * (k * values + radii * derivs)
+    v_out, d_out = _kelvin(r_out, radii, values, derivs, p.k)
     order = np.argsort(r_out)
     return r_out[order], v_out[order], d_out[order]
 
@@ -50,13 +54,8 @@ def fside_samples(profile: Profile, r):
         raise DomainError("sample radii must satisfy r > 0")
     if profile.kind is ProfileKind.ORIGIN:
         return profile.value_at(r), profile.deriv_at(r)
-    k = profile.params.k
     s = 1.0 / r
-    g = profile.value_at(s)
-    gr = profile.deriv_at(s)
-    f = r ** (-k) * g
-    fr = -r ** (-k - 1.0) * (k * g + s * gr)
-    return f, fr
+    return _kelvin(r, s, profile.value_at(s), profile.deriv_at(s), profile.params.k)
 
 
 def fside_nodes(profile: Profile):

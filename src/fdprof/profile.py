@@ -2,16 +2,16 @@
 
 A Profile concatenates the local nodes of the manifold series (spaced by
 tol, widest deep below the seam) with the accepted steps of the outward
-integration.  Nodes carry value, derivative, flux P = r^{n-1} v^{m-1} v_r
-and the flux derivative.  Dense evaluation is C1 cubic Hermite of ln v in
-ln x with the nodal log-slopes x v_x / v, the chart's own variables, and
-never re-differences values.
+integration.  A node is (r, v, v_r); the flux P = r^{n-1} v^{m-1} v_r and
+its slope come from Chart when a check needs them.  Dense evaluation is C1
+cubic Hermite of ln v in ln x with the nodal log-slopes x v_x / v, the
+chart's own variables, and never re-differences values.
 """
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,14 @@ class Profile:
     r: np.ndarray                 # strictly increasing, > 0
     v: np.ndarray
     vr: np.ndarray
-    flux: np.ndarray
-    dflux: np.ndarray
-    eps: float                    # series/stepper seam radius
     n_local: int                  # nodes taken from the series
     terminal: TerminalEvent
     tol: float
-    step_errors: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def eps(self) -> float:
+        """Series/stepper seam radius, the first node of the stepper."""
+        return float(self.r[self.n_local])
 
     @property
     def r_end(self) -> float:

@@ -187,12 +187,9 @@ def test_criterion_10_spacetime_residual_convergence():
     p = closed_form_params()
     r = np.geomspace(0.6, 2.6, 6000)
     v, vr = f_exact(r), fr_exact(r)
-    flux = r ** (p.n - 1) * v ** (p.m - 1.0) * vr
-    dflux = -r ** (p.n - 1) * (p.alpha * v + p.beta * r * vr)
     prof = Profile(kind=ProfileKind.ORIGIN, params=p, boundary=1.0, r=r, v=v,
-                   vr=vr, flux=flux, dflux=dflux, eps=float(r[0]), n_local=0,
-                   terminal=TerminalEvent.REACHED_RMAX, tol=1e-9,
-                   step_errors=np.zeros(r.size))
+                   vr=vr, n_local=0, terminal=TerminalEvent.REACHED_RMAX,
+                   tol=1e-9)
     xs = np.array([0.8, 1.2, 1.6, 2.0])
     ts = np.array([0.5, 1.0, 1.5])
     coarse = pde_residual_V(prof, 2.0, xs, ts, 1e-3)

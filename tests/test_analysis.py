@@ -28,12 +28,9 @@ def synthetic_origin(params, r, value, deriv):
     r = np.asarray(r, float)
     v = np.asarray(value(r), float)
     vr = np.asarray(deriv(r), float)
-    P = r ** (params.n - 1) * v ** (params.m - 1.0) * vr
-    dP = -r ** (params.n - 1.0) * (params.alpha * v + params.beta * r * vr)
     return Profile(kind=ProfileKind.ORIGIN, params=params, boundary=float(v[0]),
-                   r=r, v=v, vr=vr, flux=P, dflux=dP, eps=float(r[0]),
-                   n_local=0, terminal=TerminalEvent.REACHED_RMAX, tol=1e-9,
-                   step_errors=np.zeros(r.size))
+                   r=r, v=v, vr=vr, n_local=0,
+                   terminal=TerminalEvent.REACHED_RMAX, tol=1e-9)
 
 
 def test_stencil_differentiates_polynomials_exactly():
@@ -100,10 +97,8 @@ def test_ode_residual_flags_tampered_values():
     prof = synthetic_origin(CF, np.geomspace(0.05, 50.0, 2000),
                             f_exact, fr_exact)
     bad = Profile(kind=prof.kind, params=prof.params, boundary=prof.boundary,
-                  r=prof.r, v=prof.v * 1.01, vr=prof.vr, flux=prof.flux,
-                  dflux=prof.dflux, eps=prof.eps, n_local=0,
-                  terminal=prof.terminal, tol=prof.tol,
-                  step_errors=prof.step_errors)
+                  r=prof.r, v=prof.v * 1.01, vr=prof.vr, n_local=0,
+                  terminal=prof.terminal, tol=prof.tol)
     assert ode_residual(bad) > 1e-3
 
 

@@ -3,13 +3,16 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import _flux, _gflux, f_exact, farfield_eta, g_exact, rk4_oracle
-from fdprof import (ContinuationFailed, OdeState, Profile, TerminalEvent,
-                    advance_f, advance_g, derive_params, kernels,
+from conftest import (RMAX, SWEEP_TUPLES, TOL, _flux, _gflux, f_exact,
+                      farfield_eta, fr_exact, g_exact, rk4_oracle)
+from fdprof import (ContinuationFailed, OdeState, Profile, ProfileKind,
+                    TerminalEvent, advance_f, advance_g, continue_profile,
+                    derive_params, kernels, picard_f_origin, picard_g_origin,
                     solve_farfield_profile, solve_origin_profile)
-from fdprof.profile import hermite_many
+from fdprof.profile import Chart, hermite_many
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
+CF_CHART = Chart.of(CF, ProfileKind.ORIGIN)
 
 
 def _hermite_refine(r, K=16):
@@ -39,9 +42,10 @@ def test_zero_length_advance_is_identity():
     st = OdeState(0.5, float(f_exact(0.5)), _flux(CF, 0.5))
     tr = advance_f(CF, st, 0.5, tol=1e-9)
     assert tr.r.size == 1
-    assert tr.v[0] == st.v and tr.flux[0] == st.flux
+    assert tr.v[0] == st.v
+    assert tr.vr[0] == pytest.approx(float(fr_exact(0.5)), rel=1e-14)
     assert tr.terminal is TerminalEvent.REACHED_RMAX
-    assert tr.end.r == st.r and tr.end.v == st.v
+    assert tr.r[-1] == st.r
 
 
 def test_backward_target_rejected():
@@ -69,7 +73,7 @@ def test_against_fixed_step_rk4_f_side():
     vs, Ps = rk4_oracle(CF, 3.0, CF.alpha, CF.beta, 0.5, st.v, st.flux,
                         tr.r[1:])
     assert np.max(np.abs(tr.v[1:] - vs)) <= 1e-8
-    assert np.max(np.abs(tr.flux[1:] - Ps)) <= 1e-7
+    assert np.max(np.abs(CF_CHART.flux(tr.r, tr.v, tr.vr)[1:] - Ps)) <= 1e-7
 
 
 def test_against_fixed_step_rk4_g_side():
@@ -80,7 +84,8 @@ def test_against_fixed_step_rk4_g_side():
     vs, Ps = rk4_oracle(p, w, p.alpha_tilde, p.beta_tilde, 0.5, 1.0, -0.05,
                         tr.r[1:])
     assert np.max(np.abs(tr.v[1:] - vs)) <= 1e-8
-    assert np.max(np.abs(tr.flux[1:] - Ps)) <= 1e-7
+    P = Chart.of(p, ProfileKind.FARFIELD).flux(tr.r, tr.v, tr.vr)
+    assert np.max(np.abs(P[1:] - Ps)) <= 1e-7
 
 
 def test_convergence_order_at_least_four():
@@ -95,32 +100,6 @@ def test_convergence_order_at_least_four():
     assert slope >= 4.0
 
 
-def test_nodal_flux_relation():
-    st = OdeState(0.5, float(f_exact(0.5)), _flux(CF, 0.5))
-    tr = advance_f(CF, st, 5.0, tol=1e-9)
-    lhs = tr.flux
-    rhs = tr.r ** 3 * tr.v ** (CF.m - 1.0) * tr.vr
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
-
-
-@pytest.mark.parametrize("solve, p, boundary", [
-    (solve_origin_profile, CF, 1.0),
-    (solve_farfield_profile, CF, 4096.0),
-    (solve_farfield_profile, derive_params(3, 0.3, 1.0, 0.0), 1.0),
-    (solve_farfield_profile, derive_params(3, 0.2, 1.0, 0.05), 0.7),
-], ids=["origin", "farfield-regular", "farfield-singular", "farfield-drift"])
-def test_chart_matches_stored_nodes(solve, p, boundary):
-    """The chart's flux relations reproduce the stored flux data on every
-    node, the Picard nodes and the stepper's accepted steps alike."""
-    prof = solve(p, boundary, 50.0, tol=1e-9)
-    assert 0 < prof.n_local < prof.r.size
-    chart = prof.chart
-    np.testing.assert_allclose(chart.flux(prof.r, prof.v, prof.vr), prof.flux,
-                               rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(chart.dflux(prof.r, prof.v, prof.vr), prof.dflux,
-                               rtol=1e-12, atol=0.0)
-
-
 def test_stitched_profile_shape():
     prof = solve_origin_profile(CF, 1.0, 50.0, tol=1e-9)
     assert prof.terminal is TerminalEvent.REACHED_RMAX
@@ -130,6 +109,24 @@ def test_stitched_profile_shape():
     assert prof.r[prof.n_local - 1] < prof.eps <= prof.r[prof.n_local]
     # floor event never fired, so every node sits above the floor
     assert np.min(prof.v) > 1e-30
+
+
+@pytest.mark.parametrize("local", [picard_f_origin, picard_g_origin],
+                         ids=["origin", "farfield"])
+@pytest.mark.parametrize("n, m, beta", SWEEP_TUPLES)
+def test_seam_node_is_the_series_state(local, n, m, beta):
+    """The stepper starts from the series' last node as it is: the node at
+    n_local is that node bit for bit, ended run or not."""
+    p = derive_params(n, m, 1.0, beta)
+    loc = local(p, 1.0, TOL, RMAX)
+    try:
+        prof = continue_profile(p, loc, RMAX, tol=TOL)
+    except ContinuationFailed as e:
+        prof = e.partial
+    i = prof.n_local
+    assert prof.r[i] == loc.eps
+    assert prof.v[i] == loc.value[-1]
+    assert prof.vr[i] == loc.deriv[-1]
 
 
 def test_seam_is_continuous():
@@ -155,7 +152,9 @@ def test_flux_integral_form():
     # near 1e-7 on its own, so the quadrature takes 64
     dense = _hermite_refine(prof.r, K=64)
     v = prof.value_at(dense)
-    P = hermite_many(prof.r, prof.flux, prof.dflux, dense)
+    chart = prof.chart
+    P = hermite_many(prof.r, chart.flux(prof.r, prof.v, prof.vr),
+                     chart.dflux(prof.r, prof.v, prof.vr), dense)
     vr = v ** (1.0 - p.m) * P / dense ** 3
     integ = dense ** 3 * (p.alpha * v + p.beta * dense * vr)
     T = np.concatenate([[0.0],
@@ -206,7 +205,8 @@ class TestExtinction:
         I = np.trapezoid(dense ** q * g, dense)
         I += part.v[0] * dense[0] ** (q + 1.0) / (q + 1.0)
         c = p.beta_tilde * (p.n + p.sigma - 2.0) - p.alpha_tilde
-        assert abs(part.flux[-1] - c * I) <= 1e-6 * abs(c * I)
+        P = part.chart.flux(part.r[-1], part.v[-1], part.vr[-1])
+        assert abs(P - c * I) <= 1e-6 * abs(c * I)
 
     def test_contact_exponent(self, touched):
         p, part = touched
@@ -253,7 +253,8 @@ def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
         vr = y[0] ** (1.0 - p.m) * y[1] / r ** (p.n - 1)
         return [vr, -r ** chart.w * (chart.A * y[0] + chart.B * r * vr)]
 
-    ref = solve_ivp(rhs, (x[0], x[-1]), [prof.v[i], prof.flux[i]],
+    P = chart.flux(prof.r[i], prof.v[i], prof.vr[i])
+    ref = solve_ivp(rhs, (x[0], x[-1]), [prof.v[i], P],
                     method="DOP853", rtol=1e-13, atol=1e-300, t_eval=x).y[0]
     assert x.size > 100
     assert np.max(np.abs(prof.v[i:] / ref - 1.0)) <= 10.0 * tol
