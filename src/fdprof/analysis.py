@@ -8,7 +8,8 @@ works off the log-slope X = r f_r / f, whose two candidate limits are
 separated by a computable gap for every admissible (n, m).  The anomalous
 exponent is the beta at which the origin profile joins the fast-decay
 saddle: the root of the difference of Y = r^2 f^{1-m} between the origin
-and the far-field solve where each first crosses X = -2/(1-m).
+and the far-field manifold where each first crosses X = -2/(1-m), each
+integrated from its series seam to that crossing and no farther.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import (ContinuationFailed, solve_farfield_profile,
-                        solve_origin_profile)
+# perfbench traces solve_origin_profile here (integrate.probe), though no
+# check calls it
+from .integrate import section_Y, solve_origin_profile
 from .inversion import fside_samples
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
@@ -407,57 +409,25 @@ class BetaSearchResult:
         return self.beta_star
 
 
-REACH_TRIES = 4   # solves per manifold to reach the section, each 8x farther
-
-
-def _section_Y(profile: Profile):
-    """Y = r^2 f^{1-m} where the nodes first cross X = r f_r / f = -2/(1-m).
-
-    In the chart radius x, X = X* + sign(lam) x v_x / v and Y = x^|lam| v^{1-m}
-    (see localsolve).  Y' = Y (2 + (1-m) X) vanishes on the section, so a
-    crossing placed by linear interpolation of X moves Y only to second
-    order.  None if no pair of nodes brackets the section.
-    """
-    p, lam, r = profile.params, profile.chart.lam, profile.r
-    x_star = 0.0 if profile.kind is ProfileKind.ORIGIN else -p.k
-    d = x_star + 2.0 / (1.0 - p.m) + np.sign(lam) * r * profile.vr / profile.v
-    hit = np.flatnonzero(d[1:] * d[0] <= 0.0)
-    if not hit.size:
-        return None
-    i = int(hit[0])
-    x = r[i] + (r[i + 1] - r[i]) * d[i] / (d[i] - d[i + 1])
-    return float(x ** abs(lam) * profile.value_at(x) ** (1.0 - p.m))
-
-
 def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     """D = Y_origin - Y_fast on the section X = -2/(1-m).
 
-    Y_origin is read on the origin manifold (the solve from eta0), Y_fast on
-    the stable manifold of the fast-decay point (-k, 0) (the far-field solve
-    from eta = 1).  The scaling symmetry moves a solve along its manifold, so
-    D depends on beta alone; it vanishes where the manifolds join, at the
-    anomalous exponent, and is positive below it, where the origin profile
-    vanishes at finite radius.  Such a solve crosses the section before it
-    floors, so its partial profile serves.  Each solve first reaches eight
-    times past the cap b^{(m-1)/2} of its seam, where the series alone would
-    end it.
+    Y_origin is read on the origin manifold (from eta0), Y_fast on the
+    stable manifold of the fast-decay point (-k, 0) (the far-field chart
+    from eta = 1), each by integrate.section_Y: one integration from the
+    series seam, stopped on its first step across the section.  The
+    scaling symmetry moves a datum along its manifold, so D depends on beta
+    alone; it vanishes where the manifolds join, at the anomalous exponent,
+    and is positive below it, where the origin profile vanishes at finite
+    radius, after it crosses the section.
     """
     ys = []
-    for solve, boundary in ((solve_origin_profile, eta0),
-                            (solve_farfield_profile, 1.0)):
-        reach = 8.0 * boundary ** ((p.m - 1.0) / 2.0)
-        for _ in range(REACH_TRIES):
-            try:
-                profile = solve(p, boundary, reach, tol=tol)
-            except ContinuationFailed as e:
-                profile = e.partial
-            y = _section_Y(profile)
-            if y is not None or profile.terminal is not TerminalEvent.REACHED_RMAX:
-                break
-            reach *= 8.0
+    for kind, boundary in ((ProfileKind.ORIGIN, eta0), (ProfileKind.FARFIELD, 1.0)):
+        y, end = section_Y(p, kind, boundary, tol)
         if y is None:
-            raise BadBracket(f"the {profile.kind.value} solve at beta={p.beta:g} "
-                             f"never reaches the section X = -2/(1-m)")
+            raise BadBracket(f"the {kind.value} solve at beta={p.beta:g} never "
+                             f"reaches the section X = -2/(1-m) (it ends on "
+                             f"{end.value})")
         ys.append(y)
     return ys[0] - ys[1]
 

@@ -36,6 +36,7 @@ TAG_VALUE_FLOOR = 1
 TAG_DERIV_BLOWUP = 2
 TAG_STEP_UNDERFLOW = 3
 TAG_OVERFLOW = 4
+TAG_SECTION = 5
 
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
 VALUE_FLOOR = 1e-30
@@ -48,12 +49,14 @@ _LN_FLOOR = math.log(VALUE_FLOOR)
 _LN_CAP = math.log(DERIV_CAP)
 
 
-def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol,
+def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
                     taus, us, Zs, errs):
     """Advance (u, Z) from tau0 to tau_max recording every accepted step.
 
     Returns (node_count, tag).  taus[0] is the start state; on a floor or
     pole event the last node is the extrapolated point where v = VALUE_FLOOR.
+    The first accepted step that reaches or crosses u = u_sec ends the run
+    on TAG_SECTION, its node the last; an infinite u_sec is never crossed.
     A store with no room left for two more nodes ends the run.
     errs holds the scaled local error estimate of the step that produced
     each node: the error of Z against tol (1-m), which is tol relative in v,
@@ -114,6 +117,9 @@ def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol,
         if count + 2 > cap:      # room for this node and an extrapolated one
             return count, TAG_OVERFLOW
         tn = tau_max if last else tau + h
+        if (un - u_sec) * (u - u_sec) <= 0.0:
+            taus[count] = tn; us[count] = un; Zs[count] = Zn; errs[count] = err
+            return count + 1, TAG_SECTION
         lnv = (Zn - e * tn) / one_m
         floor_hit = lnv <= _LN_FLOOR
         w = sgn * un             # x v_x / v
@@ -160,13 +166,16 @@ if os.environ.get("FDPROF_NO_NUMBA", "") != "1":
         pass
 
 
-def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol):
+def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
+                          u_sec=math.inf):
     """Driver: allocates node storage and runs the compiled (or plain) core.
 
     Returns the node radii x, the states (u, Z), the scaled step errors and
     the terminal tag.  x[0] is x0 and, when the run reaches it, x[-1] is
-    x_max, both exactly.  The name dates from the flux-form stepper that
-    this one replaced; perfbench traces it.
+    x_max, both exactly.  A finite u_sec ends the run on TAG_SECTION at the
+    first node on or past u = u_sec; solves keep the default, never crossed.
+    The name dates from the flux-form stepper that this one replaced;
+    perfbench traces it.
     """
     taus = np.empty(MAX_NODES)
     us = np.empty(MAX_NODES)
@@ -176,7 +185,7 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol):
     cnt, tag = _integrate_core(abs(lam), math.copysign(1.0, lam), float(mu), float(A),
                                float(m), float(beta), math.log(x0), float(u0),
                                float(Z0), math.log(x_max), float(tol),
-                               taus, us, Zs, errs)
+                               float(u_sec), taus, us, Zs, errs)
     x = np.exp(taus[:cnt])
     x[0] = x0
     if tag == TAG_RMAX and cnt > 1:

@@ -13,9 +13,10 @@ J. 52, 2003)
 
 In the chart radius x (r, or s = 1/r) and for the datum b: theta =
 b^{1-m} x^|lam|, v = b (Y/theta)^{1/(1-m)} and x v_x / v = sign(lam) u.
-The series gives the nodes below the seam, placed for the dense output's
-cubic Hermite of ln v in ln x; kernels continues the same (u, ln Y) state
-outward from the seam.
+series_seam places the seam and sums the series there; on top of it _local
+places the nodes below the seam for the dense output's cubic Hermite of
+ln v in ln x.  kernels continues the same (u, ln Y) state outward from the
+seam, for a solve or for a beta* gap, which needs no nodes.
 """
 from __future__ import annotations
 
@@ -101,15 +102,22 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
         np.linspace(rungs, log_depth, 3 * q + 1)[1:]])
 
 
-def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
-           r_max: float, name: str) -> LocalSolution:
-    """Series nodes from below the seam up to it, graded in theta by tol.
+@dataclass(frozen=True)
+class Seam:
+    """The manifold series at its seam, in z = theta/theta_seam."""
+    eps: float                # seam radius
+    u: float                  # reduced state (u, Z = ln Y) at the seam
+    Z: float
+    zu: np.ndarray            # u = sum zu_j z^j
+    zy: np.ndarray            # Y = theta sum zy_j z^j
+
+
+def series_seam(p: ProfileParams, kind: ProfileKind, b: float, r_max: float,
+                name: str) -> Seam:
+    """The seam of the chart's manifold series for the datum b.
 
     The seam sits at a quarter of the root-test radius in theta, and never
-    beyond min(1, b^{(m-1)/2}) or r_max.  The nodes reach down to
-    theta_seam * 1e-7 at the origin; in the far field to theta_seam * 5e-5
-    (the Kelvin map loses about 1/theta in k g + s g_r), and at least to
-    s_seam * 4e-3 so the far ladder has room.
+    beyond min(1, b^{(m-1)/2}) or r_max.
     """
     if not 0.0 < b < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {b}")
@@ -125,22 +133,35 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
     j = np.arange(ORDER // 2, ORDER + 1)
     tail = np.concatenate([np.abs(u[j]) ** (1.0 / j), np.abs(y[j]) ** (1.0 / j)])
     theta_max = 0.25 / tail.max() if tail.max() > 0.0 else math.inf
-    lam = Chart.of(p, kind).lam
-    e, one_m = abs(lam), 1.0 - p.m
+    e, one_m = abs(Chart.of(p, kind).lam), 1.0 - p.m
     eps = min(math.exp(min((math.log(theta_max) - one_m * math.log(b)) / e,
                            0.0, -one_m / 2.0 * math.log(b))), r_max)
-    depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
-    if not depth > 0.0:
-        raise LocalStageFailed(
-            f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
-    # the series in z = theta/theta_seam, whose terms fall off on (0, 1]
     powers = (b ** one_m * eps ** e) ** np.arange(ORDER + 1)
     zu, zy = u * powers, y[1:] * powers[:-1]
     if not (np.all(np.isfinite(zu)) and np.all(np.isfinite(zy))):
         raise LocalStageFailed(
             f"{kind.value} series terms overflow at the seam (sigma={p.sigma:.3g})")
-    tau = _node_taus(zu, lam, p, tol, math.log(depth))
-    grid = eps * np.exp(tau[::-1] / e)
+    return Seam(eps, float(zu.sum()),
+                one_m * math.log(b) + e * math.log(eps) + math.log(zy.sum()), zu, zy)
+
+
+def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
+           r_max: float, name: str) -> LocalSolution:
+    """Series nodes from below the seam up to it, graded in theta by tol.
+
+    The nodes reach down to theta_seam * 1e-7 at the origin; in the far
+    field to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in
+    k g + s g_r), and at least to s_seam * 4e-3 so the far ladder has room.
+    """
+    seam = series_seam(p, kind, b, r_max, name)
+    lam = Chart.of(p, kind).lam
+    e, one_m = abs(lam), 1.0 - p.m
+    depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
+    if not depth > 0.0:
+        raise LocalStageFailed(
+            f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
+    tau = _node_taus(seam.zu, lam, p, tol, math.log(depth))
+    grid = seam.eps * np.exp(tau[::-1] / e)
     # a far-field node's Kelvin image carries s^{k+1}
     image = grid[0] if kind is ProfileKind.ORIGIN else grid[0] ** (p.k + 1.0)
     if not image > 1e-300:
@@ -148,8 +169,8 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
             f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose "
             f"f-side image underflows (sigma={p.sigma:.3g})")
     z = np.exp(np.outer(tau[::-1], np.arange(ORDER + 1)))   # z^j at the nodes
-    value = b * (z[:, :-1] @ zy) ** (1.0 / one_m)
-    deriv = math.copysign(1.0, lam) * (z @ zu) * value / grid
+    value = b * (z[:, :-1] @ seam.zy) ** (1.0 / one_m)
+    deriv = math.copysign(1.0, lam) * (z @ seam.zu) * value / grid
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
                          iterations=ORDER)

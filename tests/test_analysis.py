@@ -15,8 +15,9 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     find_anomalous_beta, ode_residual, pde_residual_V,
                     selfsimilar_eval, solve_farfield_profile,
                     solve_origin_profile, verify_inequalities)
-from fdprof import analysis
+from fdprof import analysis, kernels
 from fdprof.analysis import flux_slope, l3_reference, saddle_gap
+from fdprof.kernels import integrate_flux_system
 from fdprof.localsolve import manifold_series
 from fdprof.profile import Profile
 
@@ -262,7 +263,8 @@ def oracle_section_Y(p, kind):
 
 
 @pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (5, 0.45, 0.2),
-                                        (4, 1 / 3, 0.1), (3, 0.2, -0.2)])
+                                        (4, 1 / 3, 0.1), (3, 0.2, -0.2),
+                                        (8, 0.0375, 0.0)])
 def test_gap_matches_reduced_system_oracle(n, m, beta):
     p = derive_params(n, m, 1.0, beta)
     ref = (oracle_section_Y(p, ProfileKind.ORIGIN)
@@ -273,17 +275,37 @@ def test_gap_matches_reduced_system_oracle(n, m, beta):
 @pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, 0.1),
                                         (4, 1 / 3, -0.2), (3, 0.2, 0.3)])
 def test_one_farfield_solve_per_regular_gap(monkeypatch, n, m, beta):
-    """The far-field reach starts past the seam, so a regular gap
-    evaluation reaches the section with its first far-field solve."""
+    """A gap evaluation integrates the far-field manifold once, far enough
+    out that a regular gap reaches the section."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
-        return solve_farfield_profile(*args, **kwargs)
+        calls.append(args[0])
+        return integrate_flux_system(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "solve_farfield_profile", counted)
+    monkeypatch.setattr(kernels, "integrate_flux_system", counted)
     saddle_gap(derive_params(n, m, 1.0, beta), 1.0)
-    assert len(calls) == 1
+    assert len([lam for lam in calls if lam < 0.0]) == 1
+
+
+@pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, -0.2),
+                                        (3, 0.2, 0.3)])
+def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
+    """Each integration of a gap ends on the first node past the section."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        out = integrate_flux_system(*args, **kwargs)
+        runs.append((args[10], out))
+        return out
+
+    monkeypatch.setattr(kernels, "integrate_flux_system", recorded)
+    saddle_gap(derive_params(n, m, 1.0, beta), 1.0)
+    assert len(runs) == 2
+    for u_sec, (x, u, Z, errs, tag) in runs:
+        assert tag == kernels.TAG_SECTION
+        side = np.sign(u - u_sec)
+        assert len(x) > 2 and np.all(side[:-1] == side[0]) and side[-1] != side[0]
 
 
 @pytest.mark.parametrize("n, m", CRITICAL)
@@ -371,7 +393,9 @@ class TestBetaSearch:
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
 
     def test_missed_section_rejected(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_section_Y", lambda profile: None)
+        monkeypatch.setattr(analysis, "section_Y",
+                            lambda p, kind, boundary, tol:
+                            (None, TerminalEvent.REACHED_RMAX))
         with pytest.raises(BadBracket, match="beta=-0.4 never reaches the section"):
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
 

@@ -69,3 +69,20 @@ def test_traced_solve_counts_every_layer(tmp_path):
     for key in ("localsolve.grid_nodes", "profile.kept", "kernels.accepted_steps",
                 "analysis.residual_nodes"):
         assert counts[key] > 0, key
+
+
+def test_traced_beta_find_steps_in_the_kernel(tmp_path):
+    """A beta* search reaches the stepper through the traced kernel boundary."""
+    from fdprof import analysis, cli, integrate, kernels
+    tracer = spans.Tracer()
+    tracer.install({"cli": cli, "integrate": integrate, "kernels": kernels,
+                    "analysis": analysis})
+    try:
+        with tracer.operation("beta"):
+            rc = cli.main(["beta-find", "--n", "4", "--m", repr(1 / 3),
+                           "--beta-lo=-0.45", "--beta-hi", "0.45",
+                           "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.counts["beta"]["kernels.accepted_steps"] > 0

@@ -594,11 +594,21 @@ def test_no_command_prints_usage(capsys):
 
 def test_large_sigma_farfield_names_breakdown(tmp_path, capsys):
     # sigma = 152: the node depth 4e-3**sigma underflows to 0, which used to
-    # end in a raw math domain error; beta-find's far-field solve reaches it
+    # end in a raw math domain error
     code, _, err = run_cli(capsys, "solve-farfield", "--n", "8", "--m", "0.0375",
                            "--beta", "0.0", "--eta", "1", "--out", str(tmp_path))
     assert code == 3
     assert "series node depth underflows (sigma=152)" in err
+
+
+def test_large_sigma_beta_find_needs_no_node_depth(tmp_path, capsys):
+    # the gap integrates from the series seam without nodes, so sigma = 152
+    # reaches the bracket check: the gap is negative over the whole window
+    code, _, err = run_cli(capsys, "beta-find", "--n", "8", "--m", "0.0375",
+                           "--beta-hi", "0.006", "--out", str(tmp_path))
+    assert code == 2
+    assert "same side" in err
+    assert "node depth" not in err
 
 
 @pytest.mark.parametrize("n, m, beta", [(4, 0.49, 0.2), (3, 0.33, 0.0),
