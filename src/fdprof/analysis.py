@@ -415,11 +415,11 @@ def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     Y_origin is read on the origin manifold (from eta0), Y_fast on the
     stable manifold of the fast-decay point (-k, 0) (the far-field chart
     from eta = 1), each by integrate.section_Y: one integration from the
-    series seam, stopped on its first step across the section.  The
-    scaling symmetry moves a datum along its manifold, so D depends on beta
-    alone; it vanishes where the manifolds join, at the anomalous exponent,
-    and is positive below it, where the origin profile vanishes at finite
-    radius, after it crosses the section.
+    series seam, stopped on its first step across the section, the
+    nullcline of Y.  The scaling symmetry moves a datum along its manifold,
+    so D depends on beta alone; it vanishes where the manifolds join, at
+    the anomalous exponent, and is positive below it, where the origin
+    profile vanishes at finite radius, after it crosses the section.
     """
     ys = []
     for kind, boundary in ((ProfileKind.ORIGIN, eta0), (ProfileKind.FARFIELD, 1.0)):

@@ -8,8 +8,9 @@ accepted step maps back to (v, v_x) through profile.Chart.native.  Dense
 output is cubic Hermite of ln v in ln x (profile.Profile.value_at).
 
 section_Y, for the beta* gap, runs the same integration from the series'
-seam state until its first step across the section X = -2/(1-m), and
-reads Y there by cubic Hermite in tau; it builds no nodes and no Profile.
+seam state until its first step across the section X = -2/(1-m), the
+nullcline of Y, and reads Y there as the peak of the cubic Hermite of
+ln Y in tau; it builds no nodes and no Profile.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ class Trajectory:
     r: np.ndarray
     v: np.ndarray
     vr: np.ndarray
-    step_errors: np.ndarray
     terminal: TerminalEvent
 
 
@@ -71,13 +71,13 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
             f"r_max={r_max} is below the start radius {x0} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
-    x, u, Z, errs, tag = kernels.integrate_flux_system(
+    x, u, Z, tag = kernels.integrate_flux_system(
         chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
         *chart.reduced(x0, v0, vr0), r_max, tol)
     v, vr = chart.native(x, u, Z)
     # the first node is the start state as given, not its image through (u, Z)
     v[0], vr[0] = v0, vr0
-    return Trajectory(x, v, vr, errs, _TAG_TO_EVENT[int(tag)])
+    return Trajectory(x, v, vr, _TAG_TO_EVENT[int(tag)])
 
 
 def _advance_state(kind: ProfileKind, p: ProfileParams, state: OdeState,
@@ -158,61 +158,38 @@ def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
 SECTION_REACH = 8.0 ** 4   # how far past the seam cap b^{(m-1)/2} a gap looks
 
 
-def _hermite_root(y0, y1, d0, d1, target):
-    """s in [0, 1] where the cubic Hermite from (y0, d0) to (y1, d1), slopes
-    per unit s, equals target, which y0 and y1 straddle: safeguarded Newton."""
-    c0, c2, c3 = y0 - target, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1
-    lo, hi = 0.0, 1.0
-    s = c0 / (y0 - y1) if y1 != y0 else 0.5
-    for _ in range(60):
-        f = c0 + s * (d0 + s * (c2 + s * c3))
-        if f == 0.0:
-            return s
-        if (f > 0.0) == (c0 > 0.0):
-            lo = s
-        else:
-            hi = s
-        df = d0 + s * (2.0 * c2 + 3.0 * s * c3)
-        nxt = s - f / df if df != 0.0 else lo
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - s) <= 1e-15:
-            return nxt
-        s = nxt
-    return s
+def _hermite_peak(z0, z1, d0, d1):
+    """Extremum of the cubic Hermite from (z0, d0) to (z1, d1), slopes per
+    unit s in [0, 1] of opposite signs.  Its slope d0 (1-s)^2 + 2c s(1-s) +
+    d1 s^2, c = 3 (z1 - z0) - d0 - d1, vanishes once in [0, 1]; that root is
+    a ratio of sums of nonnegative terms, so it needs no clamp."""
+    c = 3.0 * (z1 - z0) - d0 - d1
+    q = math.sqrt(c * c - d0 * d1) + abs(c)
+    s = abs(d0) / (q + abs(d0)) if c * d1 > 0.0 else q / (q + abs(d1))
+    t = 1.0 - s
+    return z0 + s * s * (3.0 - 2.0 * s) * (z1 - z0) + s * t * (t * d0 - s * d1)
 
 
-def section_Y(params: ProfileParams, kind: ProfileKind, boundary: float,
-              tol: float):
+def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     """Y = r^2 f^{1-m} where the chart's manifold first crosses X = -2/(1-m).
 
-    Integrates from the series seam out to SECTION_REACH times the seam cap
-    b^{(m-1)/2} and stops on the first step across the section.  The
-    crossing is placed by cubic Hermite of u in tau, and Z = ln Y is read
-    there the same way; Z_tau = 0 on the section, so Y is second-order
-    exact.  Returns (Y, None), or (None, the event the run ended on).
+    In either chart that section is u = u_sec = -lam/(1-m), where
+    Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  Integrates
+    from the series seam out to SECTION_REACH times the seam cap b^{(m-1)/2},
+    stops on the first step across the section and reads Y as the peak of
+    the cubic Hermite of Z = ln Y in tau over that step, with end slopes
+    h Z_tau = h (1-m) sign(lam) (u - u_sec).  Returns (Y, None), or (None,
+    the event the run ended on).
     """
-    p = params
-    seam = series_seam(p, kind, boundary, math.inf,
-                       "eta0" if kind is ProfileKind.ORIGIN else "eta")
+    seam = series_seam(p, kind, boundary, math.inf)
     reach = SECTION_REACH * boundary ** ((p.m - 1.0) / 2.0)
     _require_run_settings(reach, tol)
     c = Chart.of(p, kind)
-    u_sec = -2.0 / (1.0 - p.m) + (0.0 if kind is ProfileKind.ORIGIN else p.k)
-    x, u, Z, _, tag = kernels.integrate_flux_system(
+    u_sec = -c.lam / (1.0 - p.m)
+    x, u, Z, tag = kernels.integrate_flux_system(
         c.lam, c.mu, c.A, p.m, p.beta, seam.eps, seam.u, seam.Z, reach, tol, u_sec)
     if tag != kernels.TAG_SECTION:
         return None, _TAG_TO_EVENT[int(tag)]
-    sgn, e, h = math.copysign(1.0, c.lam), abs(c.lam), math.log(x[-1] / x[-2])
-
-    def slopes(w, z):   # (u_tau, Z_tau), the kernel's right-hand side
-        return (sgn * (c.mu * w - p.m * w * w - math.exp(z) * (c.A + p.beta * w)),
-                e + sgn * (1.0 - p.m) * w)
-
-    (u0, u1), (z0, z1) = u[-2:].tolist(), Z[-2:].tolist()
-    (du0, dz0), (du1, dz1) = slopes(u0, z0), slopes(u1, z1)
-    s = _hermite_root(u0, u1, h * du0, h * du1, u_sec)
-    t = 1.0 - s
-    z = (t * t * (1.0 + 2.0 * s) * z0 + s * t * t * h * dz0
-         + s * s * (3.0 - 2.0 * s) * z1 - s * s * t * h * dz1)
-    return math.exp(z), None
+    g = math.copysign((1.0 - p.m) * math.log(x[-1] / x[-2]), c.lam)
+    d0, d1 = (g * (u[-2:] - u_sec)).tolist()
+    return math.exp(_hermite_peak(float(Z[-2]), float(Z[-1]), d0, d1)), None

@@ -32,7 +32,10 @@ def invert_pointwise(radii, values, derivs, p: ProfileParams):
     if np.any(radii <= 0.0):
         raise DomainError("sample radii must satisfy r > 0")
     r_out = 1.0 / radii
-    v_out, d_out = _kelvin(r_out, radii, values, derivs, p.k)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+        v_out, d_out = _kelvin(r_out, radii, values, derivs, p.k)
+    if not np.all(np.isfinite([r_out, v_out, d_out])):
+        raise DomainError(f"the Kelvin image is not finite (k={p.k:.6g})")
     order = np.argsort(r_out)
     return r_out[order], v_out[order], d_out[order]
 

@@ -50,19 +50,18 @@ _LN_CAP = math.log(DERIV_CAP)
 
 
 def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
-                    taus, us, Zs, errs):
+                    taus, us, Zs):
     """Advance (u, Z) from tau0 to tau_max recording every accepted step.
 
     Returns (node_count, tag).  taus[0] is the start state; on a floor or
     pole event the last node is the extrapolated point where v = VALUE_FLOOR.
     The first accepted step that reaches or crosses u = u_sec ends the run
     on TAG_SECTION, its node the last; an infinite u_sec is never crossed.
-    A store with no room left for two more nodes ends the run.
-    errs holds the scaled local error estimate of the step that produced
-    each node: the error of Z against tol (1-m), which is tol relative in v,
-    and that of u against tol (1 + |u|).  The stages are written out, as
-    u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u: a call per stage
-    costs the interpreter a fifth more time per step.
+    A store with no room left for two more nodes ends the run.  A step is
+    accepted when its error estimate for Z is within tol (1-m), which is tol
+    relative in v, and that for u within tol (1 + |u|).  The stages are
+    written out, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u: a
+    call per stage costs the interpreter a fifth more time per step.
     """
     one_m = 1.0 - m
     a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
@@ -70,7 +69,7 @@ def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
     tau = tau0
     u = u0
     Z = Z0
-    taus[0] = tau; us[0] = u; Zs[0] = Z; errs[0] = 0.0
+    taus[0] = tau; us[0] = u; Zs[0] = Z
     count = 1
     if tau_max <= tau0:
         return count, TAG_RMAX
@@ -118,7 +117,7 @@ def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
             return count, TAG_OVERFLOW
         tn = tau_max if last else tau + h
         if (un - u_sec) * (u - u_sec) <= 0.0:
-            taus[count] = tn; us[count] = un; Zs[count] = Zn; errs[count] = err
+            taus[count] = tn; us[count] = un; Zs[count] = Zn
             return count + 1, TAG_SECTION
         lnv = (Zn - e * tn) / one_m
         floor_hit = lnv <= _LN_FLOOR
@@ -131,11 +130,11 @@ def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
             rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
             tf = tn - 1.0 / (m * w) - rest
         if not (floor_hit and tf > tau):
-            taus[count] = tn; us[count] = un; Zs[count] = Zn; errs[count] = err
+            taus[count] = tn; us[count] = un; Zs[count] = Zn
             count += 1
         if tf > tau:
             taus[count] = tf; us[count] = -sgn / (m * rest)
-            Zs[count] = e * tf + one_m * _LN_FLOOR; errs[count] = err
+            Zs[count] = e * tf + one_m * _LN_FLOOR
             return count + 1, TAG_VALUE_FLOOR
         if floor_hit:
             return count, TAG_VALUE_FLOOR
@@ -170,24 +169,22 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                           u_sec=math.inf):
     """Driver: allocates node storage and runs the compiled (or plain) core.
 
-    Returns the node radii x, the states (u, Z), the scaled step errors and
-    the terminal tag.  x[0] is x0 and, when the run reaches it, x[-1] is
-    x_max, both exactly.  A finite u_sec ends the run on TAG_SECTION at the
-    first node on or past u = u_sec; solves keep the default, never crossed.
-    The name dates from the flux-form stepper that this one replaced;
-    perfbench traces it.
+    Returns (x, u, Z, tag): node radii, states and terminal tag.  x[0] is
+    x0 and, when the run reaches it, x[-1] is x_max, both exactly.  A finite
+    u_sec ends the run on TAG_SECTION at the first node on or past u_sec;
+    solves keep the default, never crossed.  The name dates from the
+    flux-form stepper this one replaced; perfbench counts steps by len(x).
     """
     taus = np.empty(MAX_NODES)
     us = np.empty(MAX_NODES)
     Zs = np.empty(MAX_NODES)
-    errs = np.empty(MAX_NODES)
     # plain floats: numpy scalars would make the interpreted loop several times slower
     cnt, tag = _integrate_core(abs(lam), math.copysign(1.0, lam), float(mu), float(A),
                                float(m), float(beta), math.log(x0), float(u0),
                                float(Z0), math.log(x_max), float(tol),
-                               float(u_sec), taus, us, Zs, errs)
+                               float(u_sec), taus, us, Zs)
     x = np.exp(taus[:cnt])
     x[0] = x0
     if tag == TAG_RMAX and cnt > 1:
         x[-1] = x_max
-    return x, us[:cnt].copy(), Zs[:cnt].copy(), errs[:cnt].copy(), tag
+    return x, us[:cnt].copy(), Zs[:cnt].copy(), tag

@@ -112,14 +112,15 @@ class Seam:
     zy: np.ndarray            # Y = theta sum zy_j z^j
 
 
-def series_seam(p: ProfileParams, kind: ProfileKind, b: float, r_max: float,
-                name: str) -> Seam:
-    """The seam of the chart's manifold series for the datum b.
+def series_seam(p: ProfileParams, kind: ProfileKind, b: float,
+                r_max: float) -> Seam:
+    """The seam of the chart's manifold series for the datum b (eta0 or eta).
 
     The seam sits at a quarter of the root-test radius in theta, and never
     beyond min(1, b^{(m-1)/2}) or r_max.
     """
     if not 0.0 < b < math.inf:
+        name = "eta0" if kind is ProfileKind.ORIGIN else "eta"
         raise DomainError(f"{name} must be positive and finite, got {b}")
     # the same condition twice over: alpha_tilde > 0 iff beta < beta_threshold
     if not (classify_regime(p).farfield_admissible and p.alpha_tilde > 0.0):
@@ -146,14 +147,14 @@ def series_seam(p: ProfileParams, kind: ProfileKind, b: float, r_max: float,
 
 
 def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
-           r_max: float, name: str) -> LocalSolution:
+           r_max: float) -> LocalSolution:
     """Series nodes from below the seam up to it, graded in theta by tol.
 
     The nodes reach down to theta_seam * 1e-7 at the origin; in the far
     field to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in
     k g + s g_r), and at least to s_seam * 4e-3 so the far ladder has room.
     """
-    seam = series_seam(p, kind, b, r_max, name)
+    seam = series_seam(p, kind, b, r_max)
     lam = Chart.of(p, kind).lam
     e, one_m = abs(lam), 1.0 - p.m
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
@@ -183,13 +184,13 @@ def picard_f_origin(p: ProfileParams, eta0: float, tol: float = 1e-9,
     Both names date from the Picard stage the series replaced; perfbench
     traces them, so they are kept until its next change.
     """
-    return _local(p, ProfileKind.ORIGIN, eta0, tol, r_max, "eta0")
+    return _local(p, ProfileKind.ORIGIN, eta0, tol, r_max)
 
 
 def picard_g_origin(p: ProfileParams, eta: float, tol: float = 1e-9,
                     r_max: float = math.inf) -> LocalSolution:
     """Far-field profile g(s) = s^{-k} f(1/s) near s = 0 from g(0) = eta."""
-    return _local(p, ProfileKind.FARFIELD, eta, tol, r_max, "eta")
+    return _local(p, ProfileKind.FARFIELD, eta, tol, r_max)
 
 
 def singular_slope_limit(p: ProfileParams, eta: float) -> float:

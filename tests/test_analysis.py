@@ -17,6 +17,7 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     solve_origin_profile, verify_inequalities)
 from fdprof import analysis, kernels
 from fdprof.analysis import flux_slope, l3_reference, saddle_gap
+from fdprof.integrate import section_Y
 from fdprof.kernels import integrate_flux_system
 from fdprof.localsolve import manifold_series
 from fdprof.profile import Profile
@@ -291,21 +292,29 @@ def test_one_farfield_solve_per_regular_gap(monkeypatch, n, m, beta):
 @pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, -0.2),
                                         (3, 0.2, 0.3)])
 def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
-    """Each integration of a gap ends on the first node past the section."""
-    runs = []
+    """Each integration of a gap ends on the first node past the section,
+    and the Y read there is the run's peak: at least Y at every node."""
+    runs, ys = [], []
 
     def recorded(*args, **kwargs):
         out = integrate_flux_system(*args, **kwargs)
         runs.append((args[10], out))
         return out
 
+    def read(*args):
+        out = section_Y(*args)
+        ys.append(out[0])
+        return out
+
     monkeypatch.setattr(kernels, "integrate_flux_system", recorded)
+    monkeypatch.setattr(analysis, "section_Y", read)
     saddle_gap(derive_params(n, m, 1.0, beta), 1.0)
-    assert len(runs) == 2
-    for u_sec, (x, u, Z, errs, tag) in runs:
+    assert len(runs) == 2 == len(ys)
+    for (u_sec, (x, u, Z, tag)), y in zip(runs, ys):
         assert tag == kernels.TAG_SECTION
         side = np.sign(u - u_sec)
         assert len(x) > 2 and np.all(side[:-1] == side[0]) and side[-1] != side[0]
+        assert y >= np.exp(Z.max())
 
 
 @pytest.mark.parametrize("n, m", CRITICAL)

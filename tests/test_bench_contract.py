@@ -69,6 +69,12 @@ def test_traced_solve_counts_every_layer(tmp_path):
     for key in ("localsolve.grid_nodes", "profile.kept", "kernels.accepted_steps",
                 "analysis.residual_nodes"):
         assert counts[key] > 0, key
+    # every stored node is a kept series node or a stepper node, the seam
+    # state being the stepper's first: a change to the kernel's return
+    # tuple that perfbench miscounts shows here
+    with open(tmp_path / "profile.csv", encoding="utf-8") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == counts["profile.kept"] + counts["kernels.accepted_steps"] + 1
 
 
 def test_traced_beta_find_steps_in_the_kernel(tmp_path):

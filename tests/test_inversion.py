@@ -96,6 +96,13 @@ def test_invert_rejects_bad_samples():
         invert_pointwise([1.0, -2.0], [1.0, 1.0], [0.0, 0.0], CF)
 
 
+def test_invert_rejects_an_overflowing_image():
+    # k = 186: r^{-k} at r = e^{-4} is e^{744}, past the largest double
+    p = derive_params(4, 0.0107421875, 1.0, 0.0)
+    with pytest.raises(DomainError, match="not finite"):
+        invert_pointwise([np.exp(4.0)], [1.0], [-1.0], p)
+
+
 def test_transported_samples_satisfy_the_direct_equation():
     """Mapping exact far-field samples must land on the direct equation's
     solution manifold: flux built from the mapped pair differentiates to
