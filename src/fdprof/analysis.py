@@ -423,11 +423,10 @@ def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     """
     ys = []
     for kind, boundary in ((ProfileKind.ORIGIN, eta0), (ProfileKind.FARFIELD, 1.0)):
-        y, end = section_Y(p, kind, boundary, tol)
+        y, why = section_Y(p, kind, boundary, tol)
         if y is None:
             raise BadBracket(f"the {kind.value} solve at beta={p.beta:g} never "
-                             f"reaches the section X = -2/(1-m) (it ends on "
-                             f"{end.value})")
+                             f"reaches the section X = -2/(1-m) ({why})")
         ys.append(y)
     return ys[0] - ys[1]
 
@@ -439,9 +438,12 @@ def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
 
     Illinois false position (Dowell & Jarratt, BIT 11, 1971): an end that
     stays put for a second step running has its gap halved.  A step that
-    did not halve the bracket is followed by a bisection, and every trial
-    point stays tol_beta/2 inside the bracket, so a trial next to the root
-    lands across it.  The sign of the gap at each point is its side: -1
+    did not halve the bracket, to within tol_beta/2, is followed by a
+    bisection, and every trial point stays tol_beta/2 inside the bracket, so
+    a trial next to the root lands across it.  The slack keeps a trial that
+    lands next to both the root and the midpoint, as the first one does
+    where the gap is odd in beta, from costing a bisection on the side the
+    gap's noise reads it.  The sign of the gap at each point is its side: -1
     (D > 0, the origin profile vanishes) below the root, +1 above.
     """
     lo, hi = (float(min(bracket)), float(max(bracket)))
@@ -478,7 +480,7 @@ def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
         else:
             d_lo *= 0.5 if moved == "hi" else 1.0
             hi, d_hi, moved = b, d, "hi"
-        bisect = not bisect and hi - lo > 0.5 * width
+        bisect = not bisect and hi - lo > 0.5 * (width + tol_beta)
     # the secant root of the true end gaps lies in the bracket, and on a
     # nearly linear gap far closer to beta* than the midpoint
     d_of = {b: d for b, d, _ in history}

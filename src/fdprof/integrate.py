@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .localsolve import (LocalSolution, picard_f_origin, picard_g_origin,
-                         series_seam)
+from .localsolve import (GAP_SEAM, LocalSolution, check_datum, gap_order,
+                         picard_f_origin, picard_g_origin, series_seam)
 from .params import DomainError, ProfileParams
 from .profile import Chart, Profile, ProfileKind, TerminalEvent
 
@@ -155,7 +155,7 @@ def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
     return continue_profile(params, loc, r_max, tol=tol)
 
 
-SECTION_REACH = 8.0 ** 4   # how far past the seam cap b^{(m-1)/2} a gap looks
+SECTION_REACH = 8.0 ** 4   # a gap's reach, in units of a solve's seam cap b^{(m-1)/2}
 
 
 def _hermite_peak(z0, z1, d0, d1):
@@ -174,22 +174,27 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     """Y = r^2 f^{1-m} where the chart's manifold first crosses X = -2/(1-m).
 
     In either chart that section is u = u_sec = -lam/(1-m), where
-    Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  Integrates
-    from the series seam out to SECTION_REACH times the seam cap b^{(m-1)/2},
-    stops on the first step across the section and reads Y as the peak of
-    the cubic Hermite of Z = ln Y in tau over that step, with end slopes
-    h Z_tau = h (1-m) sign(lam) (u - u_sec).  Returns (Y, None), or (None,
-    the event the run ended on).
+    Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  The
+    series (localsolve.gap_order(tol) terms) has its seam at GAP_SEAM of its
+    root-test radius, capped only by the reach, SECTION_REACH times b^{(m-1)/2};
+    the stepper runs from there to the reach, stops on the first step across
+    the section and reads Y as the peak of the cubic Hermite of Z = ln Y in
+    tau over that step, with end slopes h Z_tau = h (1-m) sign(lam) (u - u_sec).
+    Returns (Y, None), or (None, why no step crosses the section): the seam
+    already lies on or past it, or the run ends on an event.
     """
-    seam = series_seam(p, kind, boundary, math.inf)
+    check_datum(p, kind, boundary)
     reach = SECTION_REACH * boundary ** ((p.m - 1.0) / 2.0)
     _require_run_settings(reach, tol)
+    seam = series_seam(p, kind, boundary, reach, gap_order(tol), GAP_SEAM)
     c = Chart.of(p, kind)
     u_sec = -c.lam / (1.0 - p.m)
+    if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0
+        return None, f"its series seam at x={seam.eps:.6g} already lies on or past it"
     x, u, Z, tag = kernels.integrate_flux_system(
         c.lam, c.mu, c.A, p.m, p.beta, seam.eps, seam.u, seam.Z, reach, tol, u_sec)
     if tag != kernels.TAG_SECTION:
-        return None, _TAG_TO_EVENT[int(tag)]
+        return None, f"it ends on {_TAG_TO_EVENT[int(tag)].value}"
     g = math.copysign((1.0 - p.m) * math.log(x[-1] / x[-2]), c.lam)
     d0, d1 = (g * (u[-2:] - u_sec)).tolist()
     return math.exp(_hermite_peak(float(Z[-2]), float(Z[-1]), d0, d1)), None

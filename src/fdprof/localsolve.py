@@ -13,10 +13,15 @@ J. 52, 2003)
 
 In the chart radius x (r, or s = 1/r) and for the datum b: theta =
 b^{1-m} x^|lam|, v = b (Y/theta)^{1/(1-m)} and x v_x / v = sign(lam) u.
-series_seam places the seam and sums the series there; on top of it _local
-places the nodes below the seam for the dense output's cubic Hermite of
-ln v in ln x.  kernels continues the same (u, ln Y) state outward from the
-seam, for a solve or for a beta* gap, which needs no nodes.
+series_seam places the seam at a fraction of the root-test radius and sums
+the series there; on top of it _local places the nodes below the seam for
+the dense output's cubic Hermite of ln v in ln x.  kernels continues the
+same (u, ln Y) state outward from the seam, for a solve or for a beta* gap,
+which needs no nodes.  A solve sums ORDER terms at a quarter of the radius,
+capped at min(1, b^{(m-1)/2}, r_max) in x; a gap, which keeps no series
+node, sums gap_order(tol) terms at GAP_SEAM of the radius with no such cap,
+so its stepper starts farther out (order set by tol and step by the root
+test, as for Taylor methods; Jorba & Zou, Exp. Math. 14, 2005).
 """
 from __future__ import annotations
 
@@ -28,7 +33,8 @@ import numpy as np
 from .params import DomainError, ProfileParams, classify_regime
 from .profile import Chart, ProfileKind
 
-ORDER = 60      # series terms; at the seam the tail is below 4^-ORDER
+ORDER = 60      # a solve's series terms; at its seam the tail is below 4^-ORDER
+GAP_SEAM = 0.4  # a gap's seam, as a fraction of the root-test radius
 
 
 class LocalStageFailed(RuntimeError):
@@ -46,19 +52,32 @@ class LocalSolution:
     iterations: int           # series order
 
 
-def manifold_series(p: ProfileParams, kind: ProfileKind):
-    """Coefficients (u_j, y_j), j = 0..ORDER, of the chart's manifold."""
+def manifold_series(p: ProfileParams, kind: ProfileKind, order: int | None = None):
+    """Coefficients (u_j, y_j), j = 0..order (default ORDER), of the chart's
+    manifold."""
+    order = ORDER if order is None else order
     c = Chart.of(p, kind)
-    u = np.zeros(ORDER + 1)
-    y = np.zeros(ORDER + 1)
+    u = np.zeros(order + 1)
+    y = np.zeros(order + 1)
     y[1] = 1.0
-    for j in range(1, ORDER + 1):
+    for j in range(1, order + 1):
         uy = u[1:j] @ y[j - 1:0:-1]
         if j > 1:
             y[j] = (1.0 - p.m) * uy / (c.lam * (j - 1))
         u[j] = -(p.m * (u[1:j] @ u[j - 1:0:-1]) + c.A * y[j] + p.beta * uy) / (
             c.lam * j - c.mu)
     return u, y
+
+
+def gap_order(tol: float) -> int:
+    """Series order of a gap: the least N in [4, ORDER] whose root-test tail
+    at the seam, sum_{j>N} GAP_SEAM^j, is below tol/100.
+
+    The target is tol/10 with a tenfold margin: at low order the root test
+    can overrate the radius, where |c_j|^{1/j} still grows past j = N (the
+    far-field series at small sigma)."""
+    n = math.log(0.01 * tol * (1.0 - GAP_SEAM)) / math.log(GAP_SEAM)
+    return min(ORDER, max(4, math.ceil(n) - 1))
 
 
 def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
@@ -77,16 +96,17 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
     count, the integral of 1/(|lam| gap) over ln z, taken on 128 points.
     """
     e, tol = abs(lam), max(tol, 1e-15)   # below it, rounding sets the error
-    j = np.arange(ORDER + 1)
+    order = len(zu) - 1
+    j = np.arange(order + 1)
     k_over_z = ((e * j) ** 3 * zu)[1:]
-    # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m R D ln v; R
-    # keeps ORDER/2 terms, as the seam's quarter radius puts later ones below 4^-30
-    dl, r = math.copysign(p.m, lam) * zu[1:] / e, np.ones(ORDER // 2)
-    for i in range(1, ORDER // 2):
+    # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m R D ln v; R keeps
+    # order/2 terms, as the seam's quarter radius puts later ones below 4^{-order/2}
+    dl, r = math.copysign(p.m, lam) * zu[1:] / e, np.ones(order // 2)
+    for i in range(1, order // 2):
         r[i] = dl[:i] @ r[i - 1::-1] / i
     g = p.n - 2.0 + e * (1.0 + j[:-1])
     c = np.abs((g - 1.0) * (g - 2.0) * (g - 3.0) * (g - 4.0) * (g - 5.0) * (g - 6.0)
-               * np.convolve(r, zu[1:])[:ORDER] / zu[1])
+               * np.convolve(r, zu[1:])[:order] / zu[1])
     t = -np.expm1(np.linspace(0.0, math.log1p(-log_depth), 128))   # dense near 0
     z = np.exp(np.outer(t, j[:-1]))   # z^j at the sample points
     d0 = (19.2 * tol / np.max(np.abs(z @ k_over_z))) ** 0.25
@@ -112,13 +132,8 @@ class Seam:
     zy: np.ndarray            # Y = theta sum zy_j z^j
 
 
-def series_seam(p: ProfileParams, kind: ProfileKind, b: float,
-                r_max: float) -> Seam:
-    """The seam of the chart's manifold series for the datum b (eta0 or eta).
-
-    The seam sits at a quarter of the root-test radius in theta, and never
-    beyond min(1, b^{(m-1)/2}) or r_max.
-    """
+def check_datum(p: ProfileParams, kind: ProfileKind, b: float) -> None:
+    """Refuse a datum b (eta0 or eta) or a beta the manifold series cannot take."""
     if not 0.0 < b < math.inf:
         name = "eta0" if kind is ProfileKind.ORIGIN else "eta"
         raise DomainError(f"{name} must be positive and finite, got {b}")
@@ -127,17 +142,27 @@ def series_seam(p: ProfileParams, kind: ProfileKind, b: float,
         raise DomainError(
             f"beta={p.beta:.17g} must lie below beta_threshold={p.beta_threshold:.17g}"
             f" (alpha_tilde = {p.alpha_tilde:.17g} must be positive)")
-    u, y = manifold_series(p, kind)
+
+
+def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,
+                order: int, fraction: float) -> Seam:
+    """The seam of the chart's order-term manifold series for a datum b that
+    check_datum admits.
+
+    The seam sits at fraction of the root-test radius in theta, the least
+    |c_j|^{-1/j} over the upper half of the coefficients, and never beyond
+    x_cap in the chart radius x.
+    """
+    u, y = manifold_series(p, kind, order)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise LocalStageFailed(
             f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
-    j = np.arange(ORDER // 2, ORDER + 1)
+    j = np.arange(order // 2, order + 1)
     tail = np.concatenate([np.abs(u[j]) ** (1.0 / j), np.abs(y[j]) ** (1.0 / j)])
-    theta_max = 0.25 / tail.max() if tail.max() > 0.0 else math.inf
+    theta = fraction / tail.max() if tail.max() > 0.0 else math.inf
     e, one_m = abs(Chart.of(p, kind).lam), 1.0 - p.m
-    eps = min(math.exp(min((math.log(theta_max) - one_m * math.log(b)) / e,
-                           0.0, -one_m / 2.0 * math.log(b))), r_max)
-    powers = (b ** one_m * eps ** e) ** np.arange(ORDER + 1)
+    eps = min(math.exp((math.log(theta) - one_m * math.log(b)) / e), x_cap)
+    powers = (b ** one_m * eps ** e) ** np.arange(order + 1)
     zu, zy = u * powers, y[1:] * powers[:-1]
     if not (np.all(np.isfinite(zu)) and np.all(np.isfinite(zy))):
         raise LocalStageFailed(
@@ -154,7 +179,10 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
     field to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in
     k g + s g_r), and at least to s_seam * 4e-3 so the far ladder has room.
     """
-    seam = series_seam(p, kind, b, r_max)
+    check_datum(p, kind, b)
+    # min(1, b^{(m-1)/2}) in this form keeps the seam's last bit
+    cap = math.exp(min(0.0, (p.m - 1.0) / 2.0 * math.log(b)))
+    seam = series_seam(p, kind, b, min(cap, r_max), ORDER, 0.25)
     lam = Chart.of(p, kind).lam
     e, one_m = abs(lam), 1.0 - p.m
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
@@ -169,12 +197,12 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
         raise LocalStageFailed(
             f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose "
             f"f-side image underflows (sigma={p.sigma:.3g})")
-    z = np.exp(np.outer(tau[::-1], np.arange(ORDER + 1)))   # z^j at the nodes
+    z = np.exp(np.outer(tau[::-1], np.arange(len(seam.zu))))   # z^j at the nodes
     value = b * (z[:, :-1] @ seam.zy) ** (1.0 / one_m)
     deriv = math.copysign(1.0, lam) * (z @ seam.zu) * value / grid
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
-                         iterations=ORDER)
+                         iterations=len(seam.zu) - 1)
 
 
 def picard_f_origin(p: ProfileParams, eta0: float, tol: float = 1e-9,

@@ -1,5 +1,6 @@
 """Residuals, limits, inequality verdicts, classification, exponent search."""
 import dataclasses
+import functools
 import json
 
 import mpmath
@@ -15,7 +16,7 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     find_anomalous_beta, ode_residual, pde_residual_V,
                     selfsimilar_eval, solve_farfield_profile,
                     solve_origin_profile, verify_inequalities)
-from fdprof import analysis, kernels
+from fdprof import analysis, integrate, kernels
 from fdprof.analysis import flux_slope, l3_reference, saddle_gap
 from fdprof.integrate import section_Y
 from fdprof.kernels import integrate_flux_system
@@ -237,6 +238,7 @@ def found():
 CRITICAL = [(3, 0.2), (4, 1 / 3), (5, 3 / 7), (6, 0.5)]
 
 
+@functools.cache
 def oracle_section_Y(p, kind):
     """Y where the manifold of the chart first crosses X = -2/(1-m).
 
@@ -263,14 +265,52 @@ def oracle_section_Y(p, kind):
     return sol.y_events[0][0][1]
 
 
-@pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (5, 0.45, 0.2),
-                                        (4, 1 / 3, 0.1), (3, 0.2, -0.2),
-                                        (8, 0.0375, 0.0)])
-def test_gap_matches_reduced_system_oracle(n, m, beta):
+# the last two are where moving the gap's seam out moved the gap most
+ORACLE_GAPS = [(5, 0.45, 0.1), (5, 0.45, 0.2), (4, 1 / 3, 0.1), (3, 0.2, -0.2),
+               (8, 0.0375, 0.0), (4, 0.385, -0.4), (5, 0.354, -0.25556)]
+
+
+def oracle_gap(n, m, beta):
     p = derive_params(n, m, 1.0, beta)
-    ref = (oracle_section_Y(p, ProfileKind.ORIGIN)
-           - oracle_section_Y(p, ProfileKind.FARFIELD))
-    assert saddle_gap(p, 1.0) == pytest.approx(ref, rel=1e-6)
+    return p, (oracle_section_Y(p, ProfileKind.ORIGIN)
+               - oracle_section_Y(p, ProfileKind.FARFIELD))
+
+
+@pytest.mark.parametrize("n, m, beta", ORACLE_GAPS)
+def test_gap_matches_reduced_system_oracle(n, m, beta):
+    p, ref = oracle_gap(n, m, beta)
+    assert saddle_gap(p, 1.0, 1e-9) == pytest.approx(ref, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, m, beta", ORACLE_GAPS)
+def test_gap_at_fine_tol_matches_reduced_system_oracle(n, m, beta):
+    """The series order and the stepper both follow tol: at 1e-11 the gap
+    is a hundred times closer to the oracle than the 1e-9 bar."""
+    p, ref = oracle_gap(n, m, beta)
+    assert saddle_gap(p, 1.0, 1e-11) == pytest.approx(ref, rel=1e-8)
+
+
+def test_seam_past_the_section_is_refused(monkeypatch):
+    """At 0.7 of the root-test radius the origin seam at (4, 1/3, -0.4) lies
+    past X = -2/(1-m) (at 0.4 it is halfway there): no step can cross the
+    section, so the gap is refused by name, never read off the wrong side
+    (tests/test_cli.py checks that beta-find exits 2 on it)."""
+    monkeypatch.setattr(integrate, "GAP_SEAM", 0.7)
+    p = derive_params(4, 1 / 3, 1.0, -0.4)
+    y, why = section_Y(p, ProfileKind.ORIGIN, 1.0, 1e-9)
+    assert y is None and "already lies on or past it" in why
+    with pytest.raises(BadBracket, match="origin solve at beta=-0.4 never "
+                       r"reaches the section .*series seam at x=.* past it"):
+        saddle_gap(p, 1.0)
+
+
+def test_seam_at_the_reach_is_refused(monkeypatch):
+    """A gap's seam is capped only by the reach; a seam held there has no
+    room to step and the gap is refused with the event."""
+    monkeypatch.setattr(integrate, "SECTION_REACH", 1e-3)
+    with pytest.raises(BadBracket, match="never reaches the section .*"
+                       "it ends on ReachedRmax"):
+        saddle_gap(derive_params(4, 1 / 3, 1.0, 0.1), 1.0)
 
 
 @pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, 0.1),

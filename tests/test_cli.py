@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdprof
-from fdprof import DomainError, kernels
+from fdprof import DomainError, integrate, kernels
 from fdprof.cli import _parse_axis, _read_profile_csv, load_config, main
 
 M13 = "0.3333333333333333"
@@ -609,6 +609,16 @@ def test_large_sigma_beta_find_needs_no_node_depth(tmp_path, capsys):
     assert code == 2
     assert "same side" in err
     assert "node depth" not in err
+
+
+def test_beta_find_refuses_a_seam_past_the_section(monkeypatch, tmp_path, capsys):
+    # a gap's seam placed past X = -2/(1-m) is a bracket error, not a traceback
+    monkeypatch.setattr(integrate, "GAP_SEAM", 0.7)
+    code, _, err = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
+                           "--out", str(tmp_path))
+    assert code == 2
+    assert "beta=-0.4 never reaches the section" in err
+    assert "already lies on or past it" in err
 
 
 @pytest.mark.parametrize("n, m, beta", [(4, 0.49, 0.2), (3, 0.33, 0.0),

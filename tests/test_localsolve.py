@@ -8,9 +8,9 @@ from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
                     classify_regime, derive_params, ode_residual,
                     picard_f_origin, picard_g_origin, singular_slope_limit,
                     solve_farfield_profile, solve_origin_profile)
-from fdprof import localsolve
+from fdprof import integrate, localsolve
 from fdprof.localsolve import manifold_series
-from fdprof.profile import hermite_many
+from fdprof.profile import Chart, hermite_many
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -137,6 +137,48 @@ def test_f_order_refinement_consistency(monkeypatch):
     assert np.array_equal(a.grid, b.grid)
     assert np.max(np.abs(a.value - b.value)) <= 1e-15
     assert np.max(np.abs(a.deriv - b.deriv)) <= 1e-15
+
+
+# the admissible grid: m over (0.05..0.95)(n-2)/n, beta from -0.4 up to
+# 0.9 min(beta_threshold, 0.5)
+ADMISSIBLE = [(n, float(m), float(beta))
+              for n in range(3, 9)
+              for m in np.linspace(0.05, 0.95, 11) * (n - 2) / n
+              for beta in np.linspace(-0.4, 0.9 * min(
+                  derive_params(n, m, 1.0, 0.0).beta_threshold, 0.5), 10)]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+def test_gap_series_order_from_the_root_test(monkeypatch, tol):
+    """A gap sums localsolve.gap_order(tol) terms at the seam its own root
+    test places; the 60-term series' terms past that order sum below tol/10
+    there, in u and in Y relative, in both charts over the admissible grid."""
+    seams = []
+
+    def recorded(p, kind, b, *rest):
+        seam = localsolve.series_seam(p, kind, b, *rest)
+        seams.append((p, kind, b, seam))
+        return seam
+
+    monkeypatch.setattr(integrate, "series_seam", recorded)
+    for n, m, beta in ADMISSIBLE:
+        p = derive_params(n, m, 1.0, beta)
+        for kind in ProfileKind:
+            integrate.section_Y(p, kind, 1.0, tol)
+    assert len(seams) == 2 * len(ADMISSIBLE)
+    worst = 0.0
+    for p, kind, b, seam in seams:
+        order = len(seam.zu) - 1
+        assert order == localsolve.gap_order(tol) < 60
+        u, y = manifold_series(p, kind, 60)
+        e = abs(Chart.of(p, kind).lam)
+        ln_theta = (1.0 - p.m) * np.log(b) + e * np.log(seam.eps)
+        j = np.arange(order + 1, 61)
+        with np.errstate(divide="ignore"):   # a zero coefficient
+            tail_u = np.exp(np.log(np.abs(u[j])) + j * ln_theta).sum()
+            tail_y = np.exp(np.log(np.abs(y[j])) + (j - 1) * ln_theta).sum()
+        worst = max(worst, tail_u, tail_y / seam.zy.sum())
+    assert worst < tol / 10
 
 
 def test_g_closed_form():
