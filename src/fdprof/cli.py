@@ -427,7 +427,9 @@ def build_parser() -> _Parser:
     ve.set_defaults(func=cmd_verify)
 
     sw = sub.add_parser("sweep", parents=[common],
-                        help="solve a grid of parameter tuples concurrently")
+                        help="solve a grid of parameter tuples; the --workers "
+                             "threads share one interpreter lock, so solves "
+                             "do not run in parallel")
     sw.add_argument("--n", type=str, help="comma list of dimensions, e.g. 3,4")
     sw.add_argument("--m", type=str, help="m axis lo:hi:count (inclusive)")
     sw.add_argument("--beta", type=str, help="beta axis lo:hi:count (inclusive)")

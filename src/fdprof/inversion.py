@@ -56,9 +56,9 @@ def fside_samples(profile: Profile, r):
     if np.any(r <= 0.0):
         raise DomainError("sample radii must satisfy r > 0")
     if profile.kind is ProfileKind.ORIGIN:
-        return profile.value_at(r), profile.deriv_at(r)
+        return profile.dense(r)
     s = 1.0 / r
-    return _kelvin(r, s, profile.value_at(s), profile.deriv_at(s), profile.params.k)
+    return _kelvin(r, s, *profile.dense(s), profile.params.k)
 
 
 def fside_nodes(profile: Profile):

@@ -1,10 +1,8 @@
-"""Dormand-Prince 5(4) core for the reduced system of both charts.
+"""Dormand-Prince 5(4) stepper for the reduced system of both charts.
 
-The whole trajectory loop lives in one function so numba can compile it as a
-unit; set FDPROF_NO_NUMBA=1 to force the plain interpreter path (same code,
-undecorated).  The state is the one the manifold series solves for (see
-localsolve): u = X - X* and Z = ln Y, with X = r f_r / f, Y = r^2 f^{1-m},
-advanced in tau = ln x for the chart radius x (r, or s = 1/r):
+The state is the one the manifold series solves for (see localsolve):
+u = X - X* and Z = ln Y, with X = r f_r / f, Y = r^2 f^{1-m}, advanced in
+tau = ln x for the chart radius x (r, or s = 1/r):
 
     u_tau = sgn (mu u - m u^2 - A Y - beta u Y),   Z_tau = |lam| + sgn (1-m) u
 
@@ -16,7 +14,6 @@ extrapolated along that law instead of stepped into.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -48,143 +45,128 @@ _SAFETY = 0.9
 _LN_FLOOR = math.log(VALUE_FLOOR)
 _LN_CAP = math.log(DERIV_CAP)
 
-
-def _integrate_core(e, sgn, mu, A, m, beta, tau0, u0, Z0, tau_max, tol, u_sec,
-                    taus, us, Zs):
-    """Advance (u, Z) from tau0 to tau_max recording every accepted step.
-
-    Returns (node_count, tag).  taus[0] is the start state; on a floor or
-    pole event the last node is the extrapolated point where v = VALUE_FLOOR.
-    The first accepted step that reaches or crosses u = u_sec ends the run
-    on TAG_SECTION, its node the last; an infinite u_sec is never crossed.
-    A store with no room left for two more nodes ends the run.  A step is
-    accepted when its error estimate for Z is within tol (1-m), which is tol
-    relative in v, and that for u within tol (1 + |u|).  The stages are
-    written out, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u: a
-    call per stage costs the interpreter a fifth more time per step.
-    """
-    one_m = 1.0 - m
-    a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
-    cap = taus.shape[0]
-    tau = tau0
-    u = u0
-    Z = Z0
-    taus[0] = tau; us[0] = u; Zs[0] = Z
-    count = 1
-    if tau_max <= tau0:
-        return count, TAG_RMAX
-    k1u = u * (a + b * u) + math.exp(Z) * (c + d * u)
-    k1z = e + g * u
-    h = min(1e-3, tau_max - tau)
-    err_prev = 1.0
-    while True:
-        if h < STEP_FLOOR * (1.0 + abs(tau)):
-            return count, TAG_STEP_UNDERFLOW
-        last = tau + h >= tau_max
-        if last:
-            h = tau_max - tau
-        s = u + h * _A21 * k1u
-        k2u = s * (a + b * s) + math.exp(Z + h * _A21 * k1z) * (c + d * s)
-        k2z = e + g * s
-        s = u + h * (_A31 * k1u + _A32 * k2u)
-        k3u = s * (a + b * s) + math.exp(Z + h * (_A31 * k1z + _A32 * k2z)) * (c + d * s)
-        k3z = e + g * s
-        s = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        k4u = s * (a + b * s) + math.exp(
-            Z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)) * (c + d * s)
-        k4z = e + g * s
-        s = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        k5u = s * (a + b * s) + math.exp(
-            Z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)) * (c + d * s)
-        k5z = e + g * s
-        s = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        k6u = s * (a + b * s) + math.exp(
-            Z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z
-                     + _A65 * k5z)) * (c + d * s)
-        k6z = e + g * s
-        un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        Zn = Z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-        k7u = un * (a + b * un) + math.exp(Zn) * (c + d * un)
-        k7z = e + g * un
-        eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-        err = max(abs(eu) / (tol * (1.0 + max(abs(u), abs(un)))), abs(ez) / (tol * one_m))
-        if not err <= 1.0:       # also catches a NaN or infinite stage
-            h *= max(_SAFETY * err ** (-0.2), 0.2) if err < math.inf else 0.2
-            continue
-        # accepted
-        if count + 2 > cap:      # room for this node and an extrapolated one
-            return count, TAG_OVERFLOW
-        tn = tau_max if last else tau + h
-        if (un - u_sec) * (u - u_sec) <= 0.0:
-            taus[count] = tn; us[count] = un; Zs[count] = Zn
-            return count + 1, TAG_SECTION
-        lnv = (Zn - e * tn) / one_m
-        floor_hit = lnv <= _LN_FLOOR
-        w = sgn * un             # x v_x / v
-        tf, rest = tau, 0.0      # no extrapolated node
-        if w < 0.0 and (floor_hit or w <= -POLE_X):
-            # a touchdown: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w);
-            # the last node goes where that law meets the floor, and replaces
-            # this one when the floor lies inside the step
-            rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
-            tf = tn - 1.0 / (m * w) - rest
-        if not (floor_hit and tf > tau):
-            taus[count] = tn; us[count] = un; Zs[count] = Zn
-            count += 1
-        if tf > tau:
-            taus[count] = tf; us[count] = -sgn / (m * rest)
-            Zs[count] = e * tf + one_m * _LN_FLOOR
-            return count + 1, TAG_VALUE_FLOOR
-        if floor_hit:
-            return count, TAG_VALUE_FLOOR
-        if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
-            return count, TAG_DERIV_BLOWUP
-        if last:
-            return count, TAG_RMAX
-        tau = tn; u = un; Z = Zn
-        k1u = k7u; k1z = k7z
-        if err == 0.0:
-            # an exact step (e.g. a constant solution) gives the PI
-            # controller nothing to work from: grow at the cap
-            fac = 5.0
-        else:
-            fac = min(max(_SAFETY * err ** (-0.14) * err_prev ** 0.08, 0.2), 5.0)
-            err_prev = err
-        h = min(h * fac, HMAX)
-
-
+# fdprof has one backend, this interpreted one; perfbench is the only reader
 NUMBA_ENABLED = False
-if os.environ.get("FDPROF_NO_NUMBA", "") != "1":
-    try:
-        from numba import njit as _njit
 
-        _integrate_core = _njit(cache=True, nogil=True)(_integrate_core)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
+
 
 
 def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                           u_sec=math.inf):
-    """Driver: allocates node storage and runs the compiled (or plain) core.
+    """Advance (u, Z) from x0 to x_max recording every accepted step.
 
     Returns (x, u, Z, tag): node radii, states and terminal tag.  x[0] is
-    x0 and, when the run reaches it, x[-1] is x_max, both exactly.  A finite
-    u_sec ends the run on TAG_SECTION at the first node on or past u_sec;
-    solves keep the default, never crossed.  The name dates from the
-    flux-form stepper this one replaced; perfbench counts steps by len(x).
+    x0 and, when the run reaches it, x[-1] is x_max, both exactly; on a
+    floor or pole event the last node is the extrapolated point where
+    v = VALUE_FLOOR.  A finite u_sec ends the run on TAG_SECTION at the
+    first accepted step that reaches or crosses u = u_sec, its node the
+    last; solves keep the default, never crossed.  A run with no room left
+    under MAX_NODES for two more nodes ends on TAG_OVERFLOW.  A step is
+    accepted when its error estimate for Z is within tol (1-m), which is tol
+    relative in v, and that for u within tol (1 + |u|).  The stages are
+    written out, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u:
+    a call per stage costs the interpreter a fifth more time per step.  The
+    name dates from the flux-form stepper this one replaced; perfbench
+    counts steps by len(x).
     """
-    taus = np.empty(MAX_NODES)
-    us = np.empty(MAX_NODES)
-    Zs = np.empty(MAX_NODES)
-    # plain floats: numpy scalars would make the interpreted loop several times slower
-    cnt, tag = _integrate_core(abs(lam), math.copysign(1.0, lam), float(mu), float(A),
-                               float(m), float(beta), math.log(x0), float(u0),
-                               float(Z0), math.log(x_max), float(tol),
-                               float(u_sec), taus, us, Zs)
-    x = np.exp(taus[:cnt])
+    # plain floats: numpy scalars would make the loop several times slower
+    e, sgn = abs(lam), math.copysign(1.0, lam)
+    mu, A, m, beta = float(mu), float(A), float(m), float(beta)
+    tau, u, Z = math.log(x0), float(u0), float(Z0)
+    tau_max, tol, u_sec = math.log(x_max), float(tol), float(u_sec)
+    one_m = 1.0 - m
+    a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
+    cap = MAX_NODES
+    taus, us, Zs = [tau], [u], [Z]
+    tag = TAG_RMAX
+    if tau_max > tau:
+        k1u = u * (a + b * u) + math.exp(Z) * (c + d * u)
+        k1z = e + g * u
+        h = min(1e-3, tau_max - tau)
+        err_prev = 1.0
+        while True:
+            if h < STEP_FLOOR * (1.0 + abs(tau)):
+                tag = TAG_STEP_UNDERFLOW
+                break
+            last = tau + h >= tau_max
+            if last:
+                h = tau_max - tau
+            s = u + h * _A21 * k1u
+            k2u = s * (a + b * s) + math.exp(Z + h * _A21 * k1z) * (c + d * s)
+            k2z = e + g * s
+            s = u + h * (_A31 * k1u + _A32 * k2u)
+            k3u = s * (a + b * s) + math.exp(Z + h * (_A31 * k1z + _A32 * k2z)) * (c + d * s)
+            k3z = e + g * s
+            s = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
+            k4u = s * (a + b * s) + math.exp(
+                Z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)) * (c + d * s)
+            k4z = e + g * s
+            s = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
+            k5u = s * (a + b * s) + math.exp(
+                Z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)) * (c + d * s)
+            k5z = e + g * s
+            s = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
+            k6u = s * (a + b * s) + math.exp(
+                Z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z
+                         + _A65 * k5z)) * (c + d * s)
+            k6z = e + g * s
+            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
+            Zn = Z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
+            k7u = un * (a + b * un) + math.exp(Zn) * (c + d * un)
+            k7z = e + g * un
+            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
+            ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
+            err = max(abs(eu) / (tol * (1.0 + max(abs(u), abs(un)))),
+                      abs(ez) / (tol * one_m))
+            if not err <= 1.0:       # also catches a NaN or infinite stage
+                h *= max(_SAFETY * err ** (-0.2), 0.2) if err < math.inf else 0.2
+                continue
+            # accepted
+            if len(taus) + 2 > cap:  # room for this node and an extrapolated one
+                tag = TAG_OVERFLOW
+                break
+            tn = tau_max if last else tau + h
+            if (un - u_sec) * (u - u_sec) <= 0.0:
+                taus.append(tn); us.append(un); Zs.append(Zn)
+                tag = TAG_SECTION
+                break
+            lnv = (Zn - e * tn) / one_m
+            floor_hit = lnv <= _LN_FLOOR
+            w = sgn * un             # x v_x / v
+            tf, rest = tau, 0.0      # no extrapolated node
+            if w < 0.0 and (floor_hit or w <= -POLE_X):
+                # a touchdown: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w);
+                # the last node goes where that law meets the floor, and replaces
+                # this one when the floor lies inside the step
+                rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
+                tf = tn - 1.0 / (m * w) - rest
+            if not (floor_hit and tf > tau):
+                taus.append(tn); us.append(un); Zs.append(Zn)
+            if tf > tau:
+                taus.append(tf); us.append(-sgn / (m * rest))
+                Zs.append(e * tf + one_m * _LN_FLOOR)
+                tag = TAG_VALUE_FLOOR
+                break
+            if floor_hit:
+                tag = TAG_VALUE_FLOOR
+                break
+            if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
+                tag = TAG_DERIV_BLOWUP
+                break
+            if last:
+                break
+            tau = tn; u = un; Z = Zn
+            k1u = k7u; k1z = k7z
+            if err == 0.0:
+                # an exact step (e.g. a constant solution) gives the PI
+                # controller nothing to work from: grow at the cap
+                fac = 5.0
+            else:
+                fac = min(max(_SAFETY * err ** (-0.14) * err_prev ** 0.08, 0.2), 5.0)
+                err_prev = err
+            h = min(h * fac, HMAX)
+    x = np.exp(taus)
     x[0] = x0
-    if tag == TAG_RMAX and cnt > 1:
+    if tag == TAG_RMAX and len(x) > 1:
         x[-1] = x_max
-    return x, us[:cnt].copy(), Zs[:cnt].copy(), tag
+    return x, np.array(us), np.array(Zs), tag

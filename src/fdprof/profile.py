@@ -135,14 +135,15 @@ class Profile:
         """(ln x, ln v, x v_x / v) at the nodes: the dense output's knots."""
         return np.log(self.r), np.log(self.v), self.r * self.vr / self.v
 
-    def _dense(self, x):
+    def dense(self, x):
+        """(v, v_x) at chart radii x from one Hermite evaluation."""
         x = np.asarray(x, dtype=np.float64)
         lnv, w = _hermite(*self._log_nodes, np.log(x))
         v = np.exp(lnv)
         return v, v * w / x
 
     def value_at(self, x):
-        return self._dense(x)[0]
+        return self.dense(x)[0]
 
     def deriv_at(self, x):
-        return self._dense(x)[1]
+        return self.dense(x)[1]
