@@ -119,14 +119,21 @@ def _aitken(a0: float, a1: float, a2: float) -> float:
 
 
 def _richardson(seq) -> Estimate:
-    """Extrapolate a ladder ordered toward its limit; error = last jump."""
+    """Extrapolate a ladder ordered toward its limit; error = last move of
+    the estimate, and at least the last jump when the jumps grow: Aitken
+    then gives an antilimit (0 for a geometric divergence), not a limit."""
     seq = [float(s) for s in seq]
     if len(seq) >= 4:
         e1 = _aitken(seq[-4], seq[-3], seq[-2])
-        e2 = _aitken(seq[-3], seq[-2], seq[-1])
-        return Estimate(e2, abs(e2 - e1))
-    e = _aitken(seq[-3], seq[-2], seq[-1])
-    return Estimate(e, abs(e - seq[-1]))
+        e = _aitken(seq[-3], seq[-2], seq[-1])
+        error = abs(e - e1)
+    else:
+        e = _aitken(seq[-3], seq[-2], seq[-1])
+        error = abs(e - seq[-1])
+    jump = abs(seq[-1] - seq[-2])
+    if jump > abs(seq[-2] - seq[-3]):
+        error = max(error, jump)
+    return Estimate(e, error)
 
 
 def _ladder(profile: Profile, far: bool):

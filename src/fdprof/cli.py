@@ -118,8 +118,9 @@ def write_json(path: str, payload: dict) -> None:
 def write_profile_csv(path: str, header: str, r, v, vr) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for a, b, c in zip(r, v, vr):
-            fh.write(f"{_fmt(a)},{_fmt(b)},{_fmt(c)}\n")
+        # repr of the Python floats: no numpy scalar per value
+        fh.writelines(f"{a!r},{b!r},{c!r}\n"
+                      for a, b, c in zip(r.tolist(), v.tolist(), vr.tolist()))
 
 
 def _write_plots(out: str, stem: str, r, f, fr) -> None:

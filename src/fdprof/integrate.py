@@ -4,8 +4,10 @@ A solve starts from the seam state of the manifold series (localsolve) and
 keeps the series nodes below the seam.  Outward of it, kernels advances the
 series' own state (u, Z = ln Y) in tau = ln x with an embedded 5(4) pair
 (FSAL, PI step control, steps capped at kernels.HMAX in tau), and each
-accepted step maps back to (v, v_x) through profile.Chart.native.  Dense
-output is cubic Hermite of ln v in ln x (profile.Profile.value_at).
+accepted step maps back to (v, v_x) through profile.Chart.native.  A
+touchdown ends on a last node where v meets kernels.VALUE_FLOOR, placed by
+the closed form of the pole once the Y terms are below tol.  Dense output
+is cubic Hermite of ln v in ln x (profile.Profile.value_at).
 
 section_Y, for the beta* gap, runs the same integration from the series'
 seam state until its first step across the section X = -2/(1-m), the

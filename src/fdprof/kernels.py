@@ -7,9 +7,12 @@ tau = ln x for the chart radius x (r, or s = 1/r):
     u_tau = sgn (mu u - m u^2 - A Y - beta u Y),   Z_tau = |lam| + sgn (1-m) u
 
 with sgn = sign(lam) and (lam, mu, A) from profile.Chart.  A zero of the
-profile is a pole of X: near it u_tau ~ -sgn m u^2, so 1/X ~ m (t - t_v) and
-v ~ (t_v - t)^{1/m}; past |X| = POLE_X (or the value floor) the touchdown is
-extrapolated along that law instead of stepped into.
+profile (a touchdown) is a pole of u.  Without its Y terms the equation,
+u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed point at u* = mu/m
+(x v_x / v = -k in both charts) and keeps v^m (u* - u) fixed.  Past u*,
+once the Y terms are below tol of the rest, a run is closed by that law
+instead of stepped into the pole: it places the node where v meets
+VALUE_FLOOR.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ TAG_SECTION = 5
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
 VALUE_FLOOR = 1e-30
 DERIV_CAP = 1e30
-POLE_X = 1e9             # |X| past which a touchdown is extrapolated
 STEP_FLOOR = 1e-14       # least step in tau, relative to 1 + |tau|
 HMAX = 0.025             # step cap in tau, for the dense output and the residual stencil
 _SAFETY = 0.9
@@ -57,8 +59,13 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
 
     Returns (x, u, Z, tag): node radii, states and terminal tag.  x[0] is
     x0 and, when the run reaches it, x[-1] is x_max, both exactly; on a
-    floor or pole event the last node is the extrapolated point where
-    v = VALUE_FLOOR.  A finite u_sec ends the run on TAG_SECTION at the
+    touchdown the last node is the point where v = VALUE_FLOOR.  Past u*,
+    the first accepted step with Y (|c| + |d u|) <= tol |u (a + b u)| places
+    it by the closed form of the Y-free flow, unless that lies past x_max;
+    otherwise a step that lands below the floor places it by the leading
+    order of the pole, v ~ (tau_v - tau)^{1/m}.  The test takes absolute
+    values because a signed Y term also passes where c + d u changes sign,
+    far from the pole.  A finite u_sec ends the run on TAG_SECTION at the
     first accepted step that reaches or crosses u = u_sec, its node the
     last; solves keep the default, never crossed.  A run with no room left
     under MAX_NODES for two more nodes ends on TAG_OVERFLOW.  A step is
@@ -76,6 +83,9 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     tau_max, tol, u_sec = math.log(x_max), float(tol), float(u_sec)
     one_m = 1.0 - m
     a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
+    # the Y-free flow u_tau = u (a + b u) has its fixed point at u* = -a/b;
+    # past it, w < a/m, it runs into the pole when a < 0 (both charts)
+    u_fix, w_fix = -a / b, a / m if a < 0.0 else -math.inf
     cap = MAX_NODES
     taus, us, Zs = [tau], [u], [Z]
     tag = TAG_RMAX
@@ -133,17 +143,25 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
             lnv = (Zn - e * tn) / one_m
             floor_hit = lnv <= _LN_FLOOR
             w = sgn * un             # x v_x / v
-            tf, rest = tau, 0.0      # no extrapolated node
-            if w < 0.0 and (floor_hit or w <= -POLE_X):
-                # a touchdown: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w);
-                # the last node goes where that law meets the floor, and replaces
-                # this one when the floor lies inside the step
+            tf = tau                 # no floor node
+            if w < w_fix and (math.exp(Zn) * (abs(c) + abs(d * un))
+                              <= tol * abs(un * (a + b * un))):
+                # the Y terms are below tol: what is left is linear in 1/u and
+                # keeps v^m (u* - u) fixed, so v meets the floor after
+                # a s = ln(1 + (u*/u) (e^{-L} - 1)), L = m ln(v / FLOOR)
+                el = m * (lnv - _LN_FLOOR)
+                gs = math.log1p(u_fix / un * math.expm1(-el))
+                if tn + gs / a <= tau_max:
+                    tf, uf = tn + gs / a, un * math.exp(el + gs)
+            elif w < 0.0 and floor_hit:
+                # not closed: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w)
                 rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
-                tf = tn - 1.0 / (m * w) - rest
+                tf, uf = tn - 1.0 / (m * w) - rest, -sgn / (m * rest)
+            # the floor node replaces this one when the floor lies inside the step
             if not (floor_hit and tf > tau):
                 taus.append(tn); us.append(un); Zs.append(Zn)
             if tf > tau:
-                taus.append(tf); us.append(-sgn / (m * rest))
+                taus.append(tf); us.append(uf)
                 Zs.append(e * tf + one_m * _LN_FLOOR)
                 tag = TAG_VALUE_FLOOR
                 break

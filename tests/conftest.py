@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from fdprof import (ContinuationFailed, OdeState, advance_f, advance_g,
-                    derive_params, solve_farfield_profile, solve_origin_profile)
+from fdprof import (ContinuationFailed, derive_params, solve_farfield_profile,
+                    solve_origin_profile)
 
 RMAX = 100.0
 TOL = 1e-9
@@ -73,15 +73,6 @@ def farfield_eta(p, tol=TOL, r_max=RMAX):
         return (s0 / (2.0 * r_max)) ** (p.sigma / (1.0 - p.m))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first kernel call triggers compilation when the jit backend is active;
-    # keep that cost out of every timed assertion
-    p = closed_form_params()
-    advance_f(p, OdeState(0.5, float(f_exact(0.5)), _flux(p, 0.5)), 0.6, 1e-6)
-    advance_g(p, OdeState(0.5, float(g_exact(0.5)), _gflux(p, 0.5)), 0.6, 1e-6)
-
-
 def _flux(p, r):
     return float(r ** (p.n - 1) * f_exact(r) ** (p.m - 1.0) * fr_exact(r))
 
@@ -129,7 +120,7 @@ class SolveCache:
 
 
 @pytest.fixture(scope="session")
-def cache(warm_kernels):
+def cache():
     return SolveCache()
 
 

@@ -25,7 +25,7 @@ def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def test_criterion_01_origin_closed_form(warm_kernels):
+def test_criterion_01_origin_closed_form():
     p = closed_form_params()
     t0 = time.perf_counter()
     prof = solve_origin_profile(p, 1.0, 20.0, tol=1e-9)

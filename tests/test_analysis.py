@@ -157,6 +157,23 @@ def test_quadratic_limit_is_reported_not_matched(cache):
     assert abs(lim.l3.value - ref) / ref < 0.5
 
 
+@pytest.mark.parametrize("ratio", [0.5, -0.5])
+def test_converging_ladder_keeps_its_extrapolation_error(ratio):
+    seq = [3.0 + ratio ** j for j in range(4)]
+    est = analysis._richardson(seq)
+    assert est.value == pytest.approx(3.0, abs=1e-15)
+    assert est.error <= 1e-15
+
+
+@pytest.mark.parametrize("ratio", [1e35, 3.0, -3.0])
+def test_diverging_ladder_error_covers_its_last_jump(ratio):
+    """Aitken maps a geometric divergence to its antilimit, 0 here, and
+    two antilimits agree, so the error bar must come from the jumps."""
+    seq = [ratio ** j for j in range(4)]
+    est = analysis._richardson(seq)
+    assert est.error >= abs(seq[-1] - seq[-2]) > 0.0
+
+
 def test_inequalities_on_closed_form_farfield():
     prof = solve_farfield_profile(CF, 4096.0, RMAX, tol=TOL)
     v = verify_inequalities(prof)

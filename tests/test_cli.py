@@ -646,3 +646,18 @@ def test_steep_far_ladder_has_no_overflow(tmp_path, capsys):
     assert code in (0, 2)
     assert "Traceback" not in err
     assert (tmp_path / "report.json").exists()
+
+
+def test_slow_decay_limits_carry_an_error_bar(tmp_path, capsys):
+    """At (8, 0.05, 0) r^k f grows like r^{k-2/(1-m)}, k = 120: the far
+    ladder runs 1e130 ... 1e236 and Aitken's antilimit is 0, so only the
+    error bar can say that L1 and L2 do not exist."""
+    code, _, _ = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.05",
+                         "--beta", "0", "--out", str(tmp_path))
+    assert code == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["decay_class"]["class"] == "Slow"
+    for key in ("L1", "L2"):
+        est = rep["limits"][key]
+        assert math.isfinite(est["error"])
+        assert est["error"] > max(1e200, abs(est["value"]))

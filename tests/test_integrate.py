@@ -231,6 +231,69 @@ class TestExtinction:
             assert exc.value.partial.r[-1] == pytest.approx(pred, rel=1e-6)
 
 
+def _touchdown(kind, n, m, beta, tol=1e-9, r_max=None):
+    """The partial profile of a solve that touches down before r_max."""
+    p = derive_params(n, m, 1.0, beta)
+    solve = solve_origin_profile if kind == "o" else solve_farfield_profile
+    with pytest.raises(ContinuationFailed) as exc:
+        solve(p, 1.0, r_max or (100.0 if kind == "o" else 50.0), tol=tol)
+    assert exc.value.terminal is TerminalEvent.VALUE_FLOOR
+    return exc.value.partial
+
+
+class TestPoleClosure:
+    """A touchdown is closed in closed form once the Y terms are below tol."""
+
+    CASES = [("o", 4, 0.35, 0.05),      # c + d u changes sign near X = -34
+             ("o", 4, 1 / 3, -0.2),
+             ("f", 4, 0.25, 0.2)]       # the far-field `touched` profile
+
+    @pytest.mark.parametrize("kind, n, m, beta", CASES)
+    def test_radius_converges_in_tol(self, kind, n, m, beta):
+        coarse = _touchdown(kind, n, m, beta, tol=1e-9).r_end
+        fine = _touchdown(kind, n, m, beta, tol=1e-12).r_end
+        assert abs(coarse / fine - 1.0) <= 1e-9
+
+    def test_closes_long_before_the_floor(self):
+        # stepping to |X| = 1e9 took 877 nodes here
+        part = _touchdown("o", 4, 0.35, 0.05)
+        assert part.r.size - part.n_local <= 400
+
+    @pytest.mark.parametrize("kind, n, m, beta", CASES)
+    def test_rmax_either_side_of_the_touchdown(self, kind, n, m, beta):
+        r_v = _touchdown(kind, n, m, beta).r_end
+        p = derive_params(n, m, 1.0, beta)
+        solve = solve_origin_profile if kind == "o" else solve_farfield_profile
+        inside = solve(p, 1.0, r_v * (1.0 - 1e-6), tol=1e-9)
+        assert inside.terminal is TerminalEvent.REACHED_RMAX
+        assert inside.r_end == r_v * (1.0 - 1e-6)
+        part = _touchdown(kind, n, m, beta, r_max=r_v * (1.0 + 1e-6))
+        assert part.r_end == pytest.approx(r_v, rel=1e-12)
+
+    def test_y_free_flow_lands_on_its_exact_floor(self):
+        # A = beta = 0 leaves u_tau = u (mu - m u) alone (lam = 2, mu = -1,
+        # m = 1/3, u* = -3), closed at the first accepted step: from u0 = -4,
+        # v0 = 1 at tau = 0, v^m (u* - u) = 1 puts the floor at
+        # u_f = -3 - 1e10 and 1/u = -1/3 + (1/12) e^tau at tau_f = ln(4 + 12/u_f)
+        x, u, Z, tag = kernels.integrate_flux_system(
+            2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 10.0, 1e-12)
+        u_f = -3.0 - 1e10
+        assert tag == kernels.TAG_VALUE_FLOOR
+        assert x.size == 3
+        assert x[-1] == pytest.approx(4.0 + 12.0 / u_f, rel=1e-12)
+        assert u[-1] == pytest.approx(u_f, rel=1e-9)
+        lnv = (Z[-1] - 2.0 * np.log(x[-1])) / (1.0 - 1 / 3)
+        assert lnv == pytest.approx(np.log(kernels.VALUE_FLOOR), rel=1e-14)
+
+    def test_floor_past_x_max_keeps_stepping(self):
+        x, u, Z, tag = kernels.integrate_flux_system(
+            2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 3.9, 1e-9)
+        assert tag == kernels.TAG_RMAX
+        assert x[-1] == 3.9
+        # 1/u = -1/3 + x/12 along the exact orbit
+        np.testing.assert_allclose(1.0 / u, -1 / 3 + x / 12.0, rtol=1e-7)
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-11])
 @pytest.mark.parametrize("solve, n, m, beta", [
     (solve_origin_profile, 4, 1 / 3, 0.1),
