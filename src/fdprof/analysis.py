@@ -150,11 +150,7 @@ def _ladder(profile: Profile, far: bool):
 
 def _sample(profile: Profile, radii):
     """f, f_r and the log-slope r f_r / f at each f-side radius, as floats."""
-    fs, frs = [], []
-    for rr in radii:
-        f, fr = fside_samples(profile, rr)
-        fs.append(float(f))
-        frs.append(float(fr))
+    fs, frs = (a.tolist() for a in fside_samples(profile, radii))
     return fs, frs, [rr * fr / f for rr, f, fr in zip(radii, fs, frs)]
 
 
@@ -426,7 +422,9 @@ def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     nullcline of Y.  The scaling symmetry moves a datum along its manifold,
     so D depends on beta alone; it vanishes where the manifolds join, at
     the anomalous exponent, and is positive below it, where the origin
-    profile vanishes at finite radius, after it crosses the section.
+    profile vanishes at finite radius, after it crosses the section.  tol
+    bounds each Y relative to its own size, so D carries an absolute error
+    of about tol Y; below that, the sign of D is noise of the step sequence.
     """
     ys = []
     for kind, boundary in ((ProfileKind.ORIGIN, eta0), (ProfileKind.FARFIELD, 1.0)):

@@ -23,8 +23,7 @@ from .integrate import (ContinuationFailed, _require_run_settings,
                         solve_farfield_profile, solve_origin_profile)
 from .inversion import fside_nodes, invert_pointwise
 from .localsolve import LocalStageFailed
-from .params import DomainError, derive_params, require_farfield_admissible, \
-    require_origin_admissible
+from .params import DomainError, derive_params
 from .profile import Profile, ProfileKind, TerminalEvent
 
 DEFAULTS = {
@@ -163,16 +162,8 @@ def cmd_solve(ns, cfg) -> int:
     out = _opt(ns, cfg, "out", str)
     os.makedirs(out, exist_ok=True)
 
-    p = derive_params(n, m, rho1, beta)
-    if origin:
-        require_origin_admissible(p)
-    else:
-        require_farfield_admissible(p)
-    if not boundary > 0.0:
-        raise DomainError(f"{name}={boundary} violates {name} > 0")
-
     solve = solve_origin_profile if origin else solve_farfield_profile
-    profile = solve(p, boundary, rmax, tol=tol)
+    profile = solve(derive_params(n, m, rho1, beta), boundary, rmax, tol=tol)
     report = build_report(profile)
     native = (profile.r, profile.v, profile.vr)
     if origin:
@@ -308,7 +299,6 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
            "L2": "", "L3": "", "decay_class": "", "shape": "", "error": ""}
     try:
         p = derive_params(n, m, rho1, beta)
-        require_origin_admissible(p)
         profile = solve_origin_profile(p, eta0, rmax, tol=tol)
         report = build_report(profile)
         row["terminal_event"] = report.terminal_event.value

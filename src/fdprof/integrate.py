@@ -7,7 +7,7 @@ series' own state (u, Z = ln Y) in tau = ln x with an embedded 5(4) pair
 accepted step maps back to (v, v_x) through profile.Chart.native.  A
 touchdown ends on a last node where v meets kernels.VALUE_FLOOR, placed by
 the closed form of the pole once the Y terms are below tol.  Dense output
-is cubic Hermite of ln v in ln x (profile.Profile.value_at).
+is cubic Hermite of ln v in ln x (profile.Profile.dense).
 
 section_Y, for the beta* gap, runs the same integration from the series'
 seam state until its first step across the section X = -2/(1-m), the
@@ -26,15 +26,6 @@ from .localsolve import (GAP_SEAM, LocalSolution, check_datum, gap_order,
                          picard_f_origin, picard_g_origin, series_seam)
 from .params import DomainError, ProfileParams
 from .profile import Chart, Profile, ProfileKind, TerminalEvent
-
-_TAG_TO_EVENT = {
-    kernels.TAG_RMAX: TerminalEvent.REACHED_RMAX,
-    kernels.TAG_VALUE_FLOOR: TerminalEvent.VALUE_FLOOR,
-    kernels.TAG_DERIV_BLOWUP: TerminalEvent.DERIV_BLOWUP,
-    kernels.TAG_STEP_UNDERFLOW: TerminalEvent.STEP_UNDERFLOW,
-    kernels.TAG_OVERFLOW: TerminalEvent.NODE_OVERFLOW,
-}
-
 
 @dataclass(frozen=True)
 class OdeState:
@@ -73,13 +64,13 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
             f"r_max={r_max} is below the start radius {x0} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
-    x, u, Z, tag = kernels.integrate_flux_system(
+    x, u, Z, event = kernels.integrate_flux_system(
         chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
         *chart.reduced(x0, v0, vr0), r_max, tol)
     v, vr = chart.native(x, u, Z)
     # the first node is the start state as given, not its image through (u, Z)
     v[0], vr[0] = v0, vr0
-    return Trajectory(x, v, vr, _TAG_TO_EVENT[int(tag)])
+    return Trajectory(x, v, vr, event)
 
 
 def _advance_state(kind: ProfileKind, p: ProfileParams, state: OdeState,
@@ -193,10 +184,10 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     u_sec = -c.lam / (1.0 - p.m)
     if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0
         return None, f"its series seam at x={seam.eps:.6g} already lies on or past it"
-    x, u, Z, tag = kernels.integrate_flux_system(
+    x, u, Z, event = kernels.integrate_flux_system(
         c.lam, c.mu, c.A, p.m, p.beta, seam.eps, seam.u, seam.Z, reach, tol, u_sec)
-    if tag != kernels.TAG_SECTION:
-        return None, f"it ends on {_TAG_TO_EVENT[int(tag)].value}"
+    if event is not TerminalEvent.SECTION:
+        return None, f"it ends on {event.value}"
     g = math.copysign((1.0 - p.m) * math.log(x[-1] / x[-2]), c.lam)
     d0, d1 = (g * (u[-2:] - u_sec)).tolist()
     return math.exp(_hermite_peak(float(Z[-2]), float(Z[-1]), d0, d1)), None

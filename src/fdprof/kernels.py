@@ -12,13 +12,16 @@ u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed point at u* = mu/m
 (x v_x / v = -k in both charts) and keeps v^m (u* - u) fixed.  Past u*,
 once the Y terms are below tol of the rest, a run is closed by that law
 instead of stepped into the pole: it places the node where v meets
-VALUE_FLOOR.
+VALUE_FLOOR.  A run ends on a profile.TerminalEvent; SECTION ends a beta*
+gap run on its first step across a given u.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .profile import TerminalEvent
 
 # Butcher tableau, Dormand-Prince 5(4), FSAL (no abscissae: the system is autonomous)
 _A21 = 1.0 / 5.0
@@ -30,13 +33,6 @@ _A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0
 _B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-
-TAG_RMAX = 0
-TAG_VALUE_FLOOR = 1
-TAG_DERIV_BLOWUP = 2
-TAG_STEP_UNDERFLOW = 3
-TAG_OVERFLOW = 4
-TAG_SECTION = 5
 
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
 VALUE_FLOOR = 1e-30
@@ -51,24 +47,22 @@ _LN_CAP = math.log(DERIV_CAP)
 NUMBA_ENABLED = False
 
 
-
-
 def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                           u_sec=math.inf):
     """Advance (u, Z) from x0 to x_max recording every accepted step.
 
-    Returns (x, u, Z, tag): node radii, states and terminal tag.  x[0] is
-    x0 and, when the run reaches it, x[-1] is x_max, both exactly; on a
+    Returns (x, u, Z, event): node radii, states and the TerminalEvent.
+    x[0] is x0 and, when the run reaches it, x[-1] is x_max, both exactly; on a
     touchdown the last node is the point where v = VALUE_FLOOR.  Past u*,
     the first accepted step with Y (|c| + |d u|) <= tol |u (a + b u)| places
     it by the closed form of the Y-free flow, unless that lies past x_max;
     otherwise a step that lands below the floor places it by the leading
     order of the pole, v ~ (tau_v - tau)^{1/m}.  The test takes absolute
     values because a signed Y term also passes where c + d u changes sign,
-    far from the pole.  A finite u_sec ends the run on TAG_SECTION at the
+    far from the pole.  A finite u_sec ends the run on SECTION at the
     first accepted step that reaches or crosses u = u_sec, its node the
     last; solves keep the default, never crossed.  A run with no room left
-    under MAX_NODES for two more nodes ends on TAG_OVERFLOW.  A step is
+    under MAX_NODES for two more nodes ends on NODE_OVERFLOW.  A step is
     accepted when its error estimate for Z is within tol (1-m), which is tol
     relative in v, and that for u within tol (1 + |u|).  The stages are
     written out, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u:
@@ -88,7 +82,7 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     u_fix, w_fix = -a / b, a / m if a < 0.0 else -math.inf
     cap = MAX_NODES
     taus, us, Zs = [tau], [u], [Z]
-    tag = TAG_RMAX
+    event = TerminalEvent.REACHED_RMAX
     if tau_max > tau:
         k1u = u * (a + b * u) + math.exp(Z) * (c + d * u)
         k1z = e + g * u
@@ -96,7 +90,7 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
         err_prev = 1.0
         while True:
             if h < STEP_FLOOR * (1.0 + abs(tau)):
-                tag = TAG_STEP_UNDERFLOW
+                event = TerminalEvent.STEP_UNDERFLOW
                 break
             last = tau + h >= tau_max
             if last:
@@ -133,12 +127,12 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                 continue
             # accepted
             if len(taus) + 2 > cap:  # room for this node and an extrapolated one
-                tag = TAG_OVERFLOW
+                event = TerminalEvent.NODE_OVERFLOW
                 break
             tn = tau_max if last else tau + h
             if (un - u_sec) * (u - u_sec) <= 0.0:
                 taus.append(tn); us.append(un); Zs.append(Zn)
-                tag = TAG_SECTION
+                event = TerminalEvent.SECTION
                 break
             lnv = (Zn - e * tn) / one_m
             floor_hit = lnv <= _LN_FLOOR
@@ -163,13 +157,13 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
             if tf > tau:
                 taus.append(tf); us.append(uf)
                 Zs.append(e * tf + one_m * _LN_FLOOR)
-                tag = TAG_VALUE_FLOOR
+                event = TerminalEvent.VALUE_FLOOR
                 break
             if floor_hit:
-                tag = TAG_VALUE_FLOOR
+                event = TerminalEvent.VALUE_FLOOR
                 break
             if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
-                tag = TAG_DERIV_BLOWUP
+                event = TerminalEvent.DERIV_BLOWUP
                 break
             if last:
                 break
@@ -185,6 +179,6 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
             h = min(h * fac, HMAX)
     x = np.exp(taus)
     x[0] = x0
-    if tag == TAG_RMAX and len(x) > 1:
+    if event is TerminalEvent.REACHED_RMAX and len(x) > 1:
         x[-1] = x_max
-    return x, np.array(us), np.array(Zs), tag
+    return x, np.array(us), np.array(Zs), event

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DomainError, ProfileParams, classify_regime
+from .params import (DomainError, ProfileParams, require_farfield_admissible,
+                     require_origin_admissible)
 from .profile import Chart, ProfileKind
 
 ORDER = 60      # a solve's series terms; at its seam the tail is below 4^-ORDER
@@ -133,15 +134,15 @@ class Seam:
 
 
 def check_datum(p: ProfileParams, kind: ProfileKind, b: float) -> None:
-    """Refuse a datum b (eta0 or eta) or a beta the manifold series cannot take."""
+    """Refuse a beta outside the chart's window, or a datum b (eta0 or eta)
+    the manifold series cannot take: the one gate of every solve and gap."""
+    if kind is ProfileKind.ORIGIN:
+        require_origin_admissible(p)
+    else:
+        require_farfield_admissible(p)
     if not 0.0 < b < math.inf:
         name = "eta0" if kind is ProfileKind.ORIGIN else "eta"
         raise DomainError(f"{name} must be positive and finite, got {b}")
-    # the same condition twice over: alpha_tilde > 0 iff beta < beta_threshold
-    if not (classify_regime(p).farfield_admissible and p.alpha_tilde > 0.0):
-        raise DomainError(
-            f"beta={p.beta:.17g} must lie below beta_threshold={p.beta_threshold:.17g}"
-            f" (alpha_tilde = {p.alpha_tilde:.17g} must be positive)")
 
 
 def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,

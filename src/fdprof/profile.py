@@ -29,6 +29,7 @@ class TerminalEvent(enum.Enum):
     DERIV_BLOWUP = "DerivBlowup"
     STEP_UNDERFLOW = "StepUnderflow"
     NODE_OVERFLOW = "NodeOverflow"      # MAX_NODES accepted steps before r_max
+    SECTION = "Section"                 # a gap run's step across X = -2/(1-m)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class Chart:
         return v, np.sign(self.lam) * u * v / x
 
 
-def _hermite(rs, ys, dys, x):
+def hermite(rs, ys, dys, x):
     """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys, and
     its slope."""
     x = np.asarray(x, dtype=np.float64)
@@ -91,11 +92,6 @@ def _hermite(rs, ys, dys, x):
     slope = (6.0 * t * u * (y1 - y0) / h + u * (1.0 - 3.0 * t) * d0
              + t * (3.0 * t - 2.0) * d1)
     return value, slope
-
-
-def hermite_many(rs, ys, dys, x):
-    """Piecewise cubic Hermite through (rs, ys) with nodal slopes dys."""
-    return _hermite(rs, ys, dys, x)[0]
 
 
 @dataclass(frozen=True)
@@ -138,12 +134,6 @@ class Profile:
     def dense(self, x):
         """(v, v_x) at chart radii x from one Hermite evaluation."""
         x = np.asarray(x, dtype=np.float64)
-        lnv, w = _hermite(*self._log_nodes, np.log(x))
+        lnv, w = hermite(*self._log_nodes, np.log(x))
         v = np.exp(lnv)
         return v, v * w / x
-
-    def value_at(self, x):
-        return self.dense(x)[0]
-
-    def deriv_at(self, x):
-        return self.dense(x)[1]

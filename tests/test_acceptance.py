@@ -31,7 +31,7 @@ def test_criterion_01_origin_closed_form():
     prof = solve_origin_profile(p, 1.0, 20.0, tol=1e-9)
     elapsed = time.perf_counter() - t0
     rs = np.geomspace(1e-3, 20.0, 600)
-    rel = float(np.max(np.abs(prof.value_at(rs) - f_exact(rs)) / f_exact(rs)))
+    rel = float(np.max(np.abs(prof.dense(rs)[0] - f_exact(rs)) / f_exact(rs)))
     ok = rel <= 1e-6 and elapsed < 1.0 and prof.boundary == 1.0
     report(1, ok, f"max rel err {rel:.2e} <= 1e-06, {elapsed:.2f} s < 1 s")
     assert rel <= 1e-6
@@ -131,7 +131,7 @@ def test_criterion_07_singular_origin_slope():
     p = derive_params(3, 0.3, rho1=1.0, beta=0.0)
     prof = solve_farfield_profile(p, 1.0, 0.01, tol=1e-9)
     ladder = np.geomspace(float(prof.r[0]) * 1.5, 1e-3, 12)
-    y = ladder ** p.delta1 * prof.deriv_at(ladder)
+    y = ladder ** p.delta1 * prof.dense(ladder)[1]
     # two-point elimination of the O(r^q) correction term, q = 1 - delta1
     q = 1.0 - p.delta1
     r0, r1 = ladder[0], ladder[1]
@@ -208,7 +208,7 @@ def test_criterion_11_cross_tolerance_consistency(cache):
     for n, m, b in SWEEP_TUPLES:
         loose = cache.origin(n, m, b, tol=1e-8)
         tight = cache.origin(n, m, b, tol=1e-10)
-        diff = float(np.max(np.abs(loose.value_at(grid) - tight.value_at(grid))))
+        diff = float(np.max(np.abs(loose.dense(grid)[0] - tight.dense(grid)[0])))
         worst = max(worst, diff)
     ok = worst <= 1e-6
     report(11, ok, f"sup-norm drift {worst:.2e} <= 1e-06 between "

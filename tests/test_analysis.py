@@ -245,6 +245,21 @@ def test_l2_over_l1_matches_decay_exponent(cache):
         assert abs(lim.l2.value / lim.l1.value + k) <= 1e-3 * k
 
 
+def test_decay_slope_is_the_far_limit_slope(cache):
+    """classify_decay samples the same far ladder as asymptotic_limits, so
+    its measured slope is slope_far's value bit for bit wherever the limits
+    exist: e.g. -1.8947555613974227 at (o, 4, 1/3, 0.25)."""
+    checked = 0
+    for prof in cache.origin_sweep() + cache.farfield_sweep():
+        try:
+            lim = asymptotic_limits(prof)
+        except InsufficientRange:
+            continue
+        assert classify_decay(prof).measured_slope == lim.slope_far.value
+        checked += 1
+    assert checked == 90
+
+
 @pytest.fixture(scope="module")
 def found():
     return find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))
@@ -368,7 +383,7 @@ def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
     saddle_gap(derive_params(n, m, 1.0, beta), 1.0)
     assert len(runs) == 2 == len(ys)
     for (u_sec, (x, u, Z, tag)), y in zip(runs, ys):
-        assert tag == kernels.TAG_SECTION
+        assert tag == TerminalEvent.SECTION
         side = np.sign(u - u_sec)
         assert len(x) > 2 and np.all(side[:-1] == side[0]) and side[-1] != side[0]
         assert y >= np.exp(Z.max())
@@ -526,9 +541,9 @@ class TestPdeResidual:
         got = pde_residual_V(prof, 2.0, xs, ts, h)
         worst = 0.0
         for x in xs:
-            w0 = float(prof.value_at(x)) ** params.m / params.m
-            wp = float(prof.value_at(x + h)) ** params.m / params.m
-            wm = float(prof.value_at(x - h)) ** params.m / params.m
+            w0 = float(prof.dense(x)[0]) ** params.m / params.m
+            wp = float(prof.dense(x + h)[0]) ** params.m / params.m
+            wm = float(prof.dense(x - h)[0]) ** params.m / params.m
             wxx = (wp - 2.0 * w0 + wm) / h ** 2
             wx1 = 3.0 / x * (wp - wm) / (2.0 * h)
             worst = max(worst, abs(wxx + wx1) / (abs(wxx) + abs(wx1)))

@@ -123,6 +123,14 @@ def test_outside_window_exits_one(tmp_path, capsys):
     assert "origin-problem window" in err
 
 
+@pytest.mark.parametrize("beta", ["-0.5", "-0.6"])
+def test_below_window_exits_one(beta, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "solve-origin", "--n", "4", "--m", M13,
+                           f"--beta={beta}", "--out", str(tmp_path))
+    assert code == 1
+    assert "origin-problem window" in err
+
+
 def test_missing_required_option(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve-farfield", "--n", "4", "--m", M13,
                            "--beta", "0.0", "--out", str(tmp_path))

@@ -8,12 +8,13 @@ from scipy.integrate import solve_ivp
 
 from conftest import (RMAX, SWEEP_TUPLES, TOL, _flux, _gflux, f_exact,
                       farfield_eta, fr_exact, g_exact, rk4_oracle)
-from fdprof import (ContinuationFailed, OdeState, Profile, ProfileKind,
-                    TerminalEvent, advance_f, advance_g, continue_profile,
-                    derive_params, kernels, picard_f_origin, picard_g_origin,
-                    solve_farfield_profile, solve_origin_profile)
-from fdprof.integrate import _hermite_peak
-from fdprof.profile import Chart, hermite_many
+from fdprof import (ContinuationFailed, DomainError, OdeState, Profile,
+                    ProfileKind, TerminalEvent, advance_f, advance_g,
+                    continue_profile, derive_params, kernels, picard_f_origin,
+                    picard_g_origin, solve_farfield_profile,
+                    solve_origin_profile)
+from fdprof.integrate import _hermite_peak, section_Y
+from fdprof.profile import Chart, hermite
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 CF_CHART = Chart.of(CF, ProfileKind.ORIGIN)
@@ -63,7 +64,7 @@ def test_zero_error_step_grows_at_cap():
     # divide by it
     x, u, Z, tag = kernels.integrate_flux_system(
         2.0, -1.0, 0.0, 1 / 3, 0.0, 0.5, 0.0, 0.0, 2.0, 1e-9)
-    assert tag == kernels.TAG_RMAX
+    assert tag == TerminalEvent.REACHED_RMAX
     assert x[-1] == 2.0
     assert np.all(u == 0.0)
     np.testing.assert_allclose(Z, 2.0 * np.log(x / 0.5), rtol=0.0, atol=1e-14)
@@ -135,15 +136,15 @@ def test_seam_node_is_the_series_state(local, n, m, beta):
 def test_seam_is_continuous():
     prof = solve_origin_profile(CF, 1.0, 50.0, tol=1e-9)
     eps = prof.eps
-    lo = float(prof.value_at(eps * (1.0 - 1e-12)))
-    hi = float(prof.value_at(eps * (1.0 + 1e-12)))
+    lo = float(prof.dense(eps * (1.0 - 1e-12))[0])
+    hi = float(prof.dense(eps * (1.0 + 1e-12))[0])
     assert abs(hi - lo) <= 10 * prof.tol
 
 
 def test_dense_output_matches_closed_form():
     prof = solve_origin_profile(CF, 1.0, 50.0, tol=1e-9)
     x = np.geomspace(prof.r[0], 50.0, 700)
-    assert np.max(np.abs(prof.value_at(x) - f_exact(x))) <= 1e-7
+    assert np.max(np.abs(prof.dense(x)[0] - f_exact(x))) <= 1e-7
 
 
 def test_flux_integral_form():
@@ -154,10 +155,10 @@ def test_flux_integral_form():
     # steps of 0.025 in ln r leave the trapezoid rule at 16 points per step
     # near 1e-7 on its own, so the quadrature takes 64
     dense = _hermite_refine(prof.r, K=64)
-    v = prof.value_at(dense)
+    v = prof.dense(dense)[0]
     chart = prof.chart
-    P = hermite_many(prof.r, chart.flux(prof.r, prof.v, prof.vr),
-                     chart.dflux(prof.r, prof.v, prof.vr), dense)
+    P = hermite(prof.r, chart.flux(prof.r, prof.v, prof.vr),
+                chart.dflux(prof.r, prof.v, prof.vr), dense)[0]
     vr = v ** (1.0 - p.m) * P / dense ** 3
     integ = dense ** 3 * (p.alpha * v + p.beta * dense * vr)
     T = np.concatenate([[0.0],
@@ -204,7 +205,7 @@ class TestExtinction:
         p, part = touched
         q = p.n + p.sigma - 3.0
         dense = _hermite_refine(part.r)
-        g = hermite_many(part.r, part.v, part.vr, dense)
+        g = hermite(part.r, part.v, part.vr, dense)[0]
         I = np.trapezoid(dense ** q * g, dense)
         I += part.v[0] * dense[0] ** (q + 1.0) / (q + 1.0)
         c = p.beta_tilde * (p.n + p.sigma - 2.0) - p.alpha_tilde
@@ -278,7 +279,7 @@ class TestPoleClosure:
         x, u, Z, tag = kernels.integrate_flux_system(
             2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 10.0, 1e-12)
         u_f = -3.0 - 1e10
-        assert tag == kernels.TAG_VALUE_FLOOR
+        assert tag == TerminalEvent.VALUE_FLOOR
         assert x.size == 3
         assert x[-1] == pytest.approx(4.0 + 12.0 / u_f, rel=1e-12)
         assert u[-1] == pytest.approx(u_f, rel=1e-9)
@@ -288,7 +289,7 @@ class TestPoleClosure:
     def test_floor_past_x_max_keeps_stepping(self):
         x, u, Z, tag = kernels.integrate_flux_system(
             2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 3.9, 1e-9)
-        assert tag == kernels.TAG_RMAX
+        assert tag == TerminalEvent.REACHED_RMAX
         assert x[-1] == 3.9
         # 1/u = -1/3 + x/12 along the exact orbit
         np.testing.assert_allclose(1.0 / u, -1 / 3 + x / 12.0, rtol=1e-7)
@@ -346,3 +347,17 @@ def test_hermite_peak_is_the_cubics_extremum(z0, z1, a0, a1, rising):
         ref = float(Z0 + s * (D0 + s * (c2 + s * c3)))
     scale = abs(z0) + abs(z1) + a0 + a1
     assert abs(_hermite_peak(z0, z1, d0, d1) - ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("call", ["series", "solve", "gap"])
+@pytest.mark.parametrize("beta", [-0.5, -0.6])
+def test_origin_chart_refuses_beta_below_window(beta, call):
+    """The origin problem needs -rho1/2 < beta.  Below it the series once
+    ended in a raw ValueError (beta = -0.5) or the solve in
+    ContinuationFailed (-0.6); every origin entry now refuses by name."""
+    p = derive_params(4, 1 / 3, 1.0, beta)
+    run = {"series": lambda: picard_f_origin(p, 1.0),
+           "solve": lambda: solve_origin_profile(p, 1.0, RMAX),
+           "gap": lambda: section_Y(p, ProfileKind.ORIGIN, 1.0, TOL)}[call]
+    with pytest.raises(DomainError, match="origin-problem window"):
+        run()

@@ -10,7 +10,7 @@ from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
                     solve_farfield_profile, solve_origin_profile)
 from fdprof import integrate, localsolve
 from fdprof.localsolve import manifold_series
-from fdprof.profile import Chart, hermite_many
+from fdprof.profile import Chart, hermite
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -87,9 +87,9 @@ def test_hermite_between_nodes_honours_tol(n, m, beta, eta0, eta, tol):
                            (picard_g_origin, ProfileKind.FARFIELD, eta)):
         sol = solve(p, b, tol)
         t = np.log(sol.grid)
-        dense = np.exp(hermite_many(t, np.log(sol.value),
-                                    sol.grid * sol.deriv / sol.value,
-                                    0.5 * (t[1:] + t[:-1])))
+        dense = np.exp(hermite(t, np.log(sol.value),
+                               sol.grid * sol.deriv / sol.value,
+                               0.5 * (t[1:] + t[:-1]))[0])
         x = np.exp(0.5 * (t[1:] + t[:-1]))
         assert np.max(np.abs(dense / _series_at(p, kind, b, x) - 1.0)) <= tol / 10
 
@@ -331,7 +331,7 @@ def test_f_rejects_nonpositive_eta():
 
 def test_f_rejects_beta_at_threshold():
     p = derive_params(4, 1 / 3, 1.0, 0.5)
-    with pytest.raises(DomainError, match="below beta_threshold"):
+    with pytest.raises(DomainError, match="origin-problem window"):
         picard_f_origin(p, 1.0)
 
 
@@ -340,5 +340,5 @@ def test_g_rejects_bad_inputs():
     with pytest.raises(DomainError, match="eta must be positive"):
         picard_g_origin(p, 0.0)
     bad = derive_params(4, 1 / 3, 1.0, 0.7)   # alpha_tilde < 0
-    with pytest.raises(DomainError, match="alpha_tilde"):
+    with pytest.raises(DomainError, match="far-field threshold"):
         picard_g_origin(bad, 1.0)
