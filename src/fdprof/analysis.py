@@ -185,12 +185,9 @@ def asymptotic_limits(profile: Profile) -> LimitEstimates:
     slope_far = _richardson(slopes)
 
     slope_origin = None
-    try:
-        near = _ladder(profile, far=False)
-        if near[-1] <= 1e-3:
-            slope_origin = _richardson(_sample(profile, near)[2])
-    except InsufficientRange:
-        pass
+    near = _ladder(profile, far=False)   # the far ladder's span holds it too
+    if near[-1] <= 1e-3:
+        slope_origin = _richardson(_sample(profile, near)[2])
     return LimitEstimates(l1=l1, l2=l2, l3=l3, slope_far=slope_far,
                           slope_origin=slope_origin)
 

@@ -26,18 +26,8 @@ from .localsolve import LocalStageFailed
 from .params import DomainError, derive_params
 from .profile import Profile, ProfileKind, TerminalEvent
 
-DEFAULTS = {
-    "tol": 1e-9,
-    "rmax": 100.0,
-    "out": ".",
-    "rho1": 1.0,
-    "eta0": 1.0,
-    "tol-beta": 1e-3,
-    "beta-lo": -0.4,
-    "beta-hi": 0.4,
-}
-
 RESIDUAL_FACTOR = 100.0   # verification threshold: residual <= factor * tol
+REQUIRED = ("n", "m", "beta", "eta")   # the value options without a default
 
 
 def _residual_threshold(tol: float) -> float:
@@ -48,12 +38,32 @@ def _residual_threshold(tol: float) -> float:
     return max(RESIDUAL_FACTOR * tol, 1e-6)
 
 
+def _passes(residual: float, verdicts: dict, tol: float) -> bool:
+    """The pass rule of solve and verify: the residual within the threshold
+    (a NaN residual is not) and no inequality verdict fails-at."""
+    return (residual <= _residual_threshold(tol)
+            and all(v.status != "fails-at" for v in verdicts.values()))
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are configuration errors, exit code 1
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """A command's --config file parses as --key=value flags placed
+        before the command line's own, so a flag wins.  Only a key that is
+        exactly the name of a value option counts; others are ignored."""
+        ns, rest = super().parse_known_args(args, namespace)
+        if "--config" in self._option_string_actions and ns.config:
+            takes_value = {s for a in self._actions if a.nargs != 0
+                           for s in a.option_strings}
+            flags = [f"--{key}={val}" for key, val in load_config(ns.config).items()
+                     if f"--{key}" in takes_value]
+            ns, rest = super().parse_known_args(flags + list(args), namespace)
+        return ns, rest
 
 
 def load_config(path: str) -> dict:
@@ -72,23 +82,6 @@ def load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise DomainError(f"cannot read config file {path}: {e}")
     return cfg
-
-
-def _opt(ns, cfg, name, conv=float, required=False):
-    """CLI value if given, else config value, else built-in default."""
-    val = getattr(ns, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if name in cfg:
-        try:
-            return conv(cfg[name])
-        except ValueError:
-            raise DomainError(f"config key {name}: cannot parse {cfg[name]!r}")
-    if name in DEFAULTS:
-        return DEFAULTS[name]
-    if required:
-        raise DomainError(f"missing required option --{name}")
-    return None
 
 
 def _fmt(x) -> str:
@@ -135,68 +128,42 @@ def _write_plots(out: str, stem: str, r, f, fr) -> None:
                 fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def _solve_exit(report, tol: float) -> int:
-    if report.terminal_event is not TerminalEvent.REACHED_RMAX:
-        return 3
-    if (any(v.status == "fails-at" for v in report.inequalities.values())
-            or not report.residual <= _residual_threshold(tol)):
-        return 2
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_solve(ns, cfg) -> int:
+def cmd_solve(ns) -> int:
     """solve-origin (f from f(0) = eta0) or solve-farfield (g from g(0) = eta)."""
     origin = ns.kind is ProfileKind.ORIGIN
-    name = "eta0" if origin else "eta"
-    n = _opt(ns, cfg, "n", int, required=True)
-    m = _opt(ns, cfg, "m", required=True)
-    rho1 = _opt(ns, cfg, "rho1")
-    beta = _opt(ns, cfg, "beta", required=True)
-    boundary = _opt(ns, cfg, name, required=True)   # eta0 has a default
-    tol = _opt(ns, cfg, "tol")
-    rmax = _opt(ns, cfg, "rmax")
-    out = _opt(ns, cfg, "out", str)
-    os.makedirs(out, exist_ok=True)
-
+    os.makedirs(ns.out, exist_ok=True)
     solve = solve_origin_profile if origin else solve_farfield_profile
-    profile = solve(derive_params(n, m, rho1, beta), boundary, rmax, tol=tol)
+    profile = solve(derive_params(ns.n, ns.m, ns.rho1, ns.beta),
+                    ns.eta0 if origin else ns.eta, ns.rmax, tol=ns.tol)
     report = build_report(profile)
     native = (profile.r, profile.v, profile.vr)
     if origin:
-        write_profile_csv(os.path.join(out, "profile.csv"), "r,f,f_r", *native)
+        write_profile_csv(os.path.join(ns.out, "profile.csv"), "r,f,f_r", *native)
         fside = native
     else:
-        write_profile_csv(os.path.join(out, "profile_g.csv"), "r,g,g_r", *native)
+        write_profile_csv(os.path.join(ns.out, "profile_g.csv"), "r,g,g_r", *native)
         fside = fside_nodes(profile)
-        write_profile_csv(os.path.join(out, "profile_f.csv"), "r,f,f_r", *fside)
-    write_json(os.path.join(out, "report.json"), report.to_dict())
+        write_profile_csv(os.path.join(ns.out, "profile_f.csv"), "r,f,f_r", *fside)
+    write_json(os.path.join(ns.out, "report.json"), report.to_dict())
     if ns.plots:
-        _write_plots(out, ns.kind.value, *fside)
-    return _solve_exit(report, tol)
+        _write_plots(ns.out, ns.kind.value, *fside)
+    # every other terminal event raised ContinuationFailed in the solve
+    return 0 if _passes(report.residual, report.inequalities, ns.tol) else 2
 
 
-def cmd_beta_find(ns, cfg) -> int:
-    n = _opt(ns, cfg, "n", int, required=True)
-    m = _opt(ns, cfg, "m", required=True)
-    rho1 = _opt(ns, cfg, "rho1")
-    eta0 = _opt(ns, cfg, "eta0")
-    lo = _opt(ns, cfg, "beta-lo")
-    hi = _opt(ns, cfg, "beta-hi")
-    tol_beta = _opt(ns, cfg, "tol-beta")
-    tol = _opt(ns, cfg, "tol")
-    out = _opt(ns, cfg, "out", str)
-    os.makedirs(out, exist_ok=True)
-
-    result = analysis.find_anomalous_beta(n, m, rho1, eta0, (lo, hi),
-                                          tol_beta=tol_beta, tol=tol)
+def cmd_beta_find(ns) -> int:
+    os.makedirs(ns.out, exist_ok=True)
+    result = analysis.find_anomalous_beta(ns.n, ns.m, ns.rho1, ns.eta0,
+                                          (ns.beta_lo, ns.beta_hi),
+                                          tol_beta=ns.tol_beta, tol=ns.tol)
     payload = dataclasses.asdict(result)
-    payload["params"] = {"n": n, "m": m, "rho1": rho1, "eta0": eta0,
-                         "tol_beta": tol_beta}
-    write_json(os.path.join(out, "beta.json"), payload)
+    payload["params"] = {"n": ns.n, "m": ns.m, "rho1": ns.rho1, "eta0": ns.eta0,
+                         "tol_beta": ns.tol_beta}
+    write_json(os.path.join(ns.out, "beta.json"), payload)
     print(f"beta_star = {result.beta_star!r} after {result.probes} probes")
     return 0
 
@@ -234,8 +201,7 @@ def _read_profile_csv(path: str):
     return kind, r, arr[:, 1], arr[:, 2]
 
 
-def cmd_verify(ns, cfg) -> int:
-    tol = _opt(ns, cfg, "tol")
+def cmd_verify(ns) -> int:
     kind, r, v, vr = _read_profile_csv(ns.profile_csv)
     report_path = ns.report or os.path.join(os.path.dirname(ns.profile_csv) or ".",
                                             "report.json")
@@ -261,17 +227,14 @@ def cmd_verify(ns, cfg) -> int:
         kind = ProfileKind.FARFIELD
 
     profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
-                      n_local=0, terminal=terminal, tol=tol)
+                      n_local=0, terminal=terminal, tol=ns.tol)
     with np.errstate(all="ignore"):
         residual = float(analysis.ode_residual(profile))
         verdicts = analysis.verify_inequalities(profile)
-    ok = math.isfinite(residual) and residual <= _residual_threshold(tol)
-    print(f"residual = {residual!r} (threshold {_residual_threshold(tol)!r})")
+    print(f"residual = {residual!r} (threshold {_residual_threshold(ns.tol)!r})")
     for name, verdict in verdicts.items():
         print(f"{name}: {verdict.status}")
-        if verdict.status == "fails-at":
-            ok = False
-    return 0 if ok else 2
+    return 0 if _passes(residual, verdicts, ns.tol) else 2
 
 
 def _parse_axis(text: str, what: str):
@@ -293,10 +256,14 @@ def _parse_axis(text: str, what: str):
             for t in (i / (count - 1) for i in range(count))]
 
 
+COLUMNS = ("n", "m", "rho1", "beta", "eta0", "terminal_event", "residual",
+           "L1", "L2", "L3", "decay_class", "shape", "error")   # of summary.csv
+
+
 def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
-    row = {"n": str(n), "m": _fmt(m), "rho1": _fmt(rho1), "beta": _fmt(beta),
-           "eta0": _fmt(eta0), "terminal_event": "", "residual": "", "L1": "",
-           "L2": "", "L3": "", "decay_class": "", "shape": "", "error": ""}
+    row = dict.fromkeys(COLUMNS, "")
+    row.update(n=str(n), m=_fmt(m), rho1=_fmt(rho1), beta=_fmt(beta),
+               eta0=_fmt(eta0))
     try:
         p = derive_params(n, m, rho1, beta)
         profile = solve_origin_profile(p, eta0, rmax, tol=tol)
@@ -318,46 +285,36 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
     return row
 
 
-def cmd_sweep(ns, cfg) -> int:
-    n_text = _opt(ns, cfg, "n", str, required=True)
-    m_text = _opt(ns, cfg, "m", str, required=True)
-    beta_text = _opt(ns, cfg, "beta", str, required=True)
-    rho1 = _opt(ns, cfg, "rho1")
-    eta0 = _opt(ns, cfg, "eta0")
-    tol = _opt(ns, cfg, "tol")
-    rmax = _opt(ns, cfg, "rmax")
-    out = _opt(ns, cfg, "out", str)
-    workers = min(8, os.cpu_count() or 1) if ns.workers is None else ns.workers
+def cmd_sweep(ns) -> int:
     # settings shared by every tuple are refused once, not once per row
-    _require_run_settings(rmax, tol, eta0=eta0, rho1=rho1)
-    if workers < 1:
-        raise DomainError(f"workers={workers} violates workers >= 1")
-    os.makedirs(out, exist_ok=True)
+    _require_run_settings(ns.rmax, ns.tol, eta0=ns.eta0, rho1=ns.rho1)
+    if ns.workers < 1:
+        raise DomainError(f"workers={ns.workers} violates workers >= 1")
+    os.makedirs(ns.out, exist_ok=True)
 
     try:
-        ns_list = sorted({int(tok) for tok in str(n_text).split(",") if tok.strip()})
+        dims = sorted({int(tok) for tok in ns.n.split(",") if tok.strip()})
     except ValueError:
-        raise DomainError(f"n axis is not a comma list of integers: {n_text!r}")
-    if not ns_list:
+        raise DomainError(f"n axis is not a comma list of integers: {ns.n!r}")
+    if not dims:
         raise DomainError("n axis is empty")
-    m_list = _parse_axis(str(m_text), "m")
-    beta_list = _parse_axis(str(beta_text), "beta")
+    m_list = _parse_axis(ns.m, "m")
+    beta_list = _parse_axis(ns.beta, "beta")
 
-    tuples = [(n, m, b) for n in ns_list for m in sorted(m_list)
+    tuples = [(n, m, b) for n in dims for m in sorted(m_list)
               for b in sorted(beta_list)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=ns.workers) as pool:
         rows = list(pool.map(
-            lambda it: _sweep_tuple(it[0], *it[1], rho1, eta0, rmax, tol, out),
+            lambda it: _sweep_tuple(it[0], *it[1], ns.rho1, ns.eta0, ns.rmax,
+                                    ns.tol, ns.out),
             enumerate(tuples)))
 
-    columns = ["n", "m", "rho1", "beta", "eta0", "terminal_event", "residual",
-               "L1", "L2", "L3", "decay_class", "shape", "error"]
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(",".join(columns) + "\n")
+    summary = os.path.join(ns.out, "summary.csv")
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(row[col].replace(",", ";") for col in columns) + "\n")
-    print(f"{len(rows)} tuples -> {os.path.join(out, 'summary.csv')}")
+            fh.write(",".join(row[col].replace(",", ";") for col in COLUMNS) + "\n")
+    print(f"{len(rows)} tuples -> {summary}")
     return 0
 
 
@@ -367,66 +324,74 @@ def cmd_sweep(ns, cfg) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it as is."""
+    """The argument parser, built once per process; parsing leaves it as is.
+
+    Each default is stated once, in its add_argument; the options without
+    one are REQUIRED.
+    """
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="ODE and local-solver tolerance (default 1e-9)")
-    common.add_argument("--rmax", type=float, default=None,
-                        help="outer integration radius (default 100)")
-    common.add_argument("--out", type=str, default=None,
-                        help="output directory (default .)")
-    common.add_argument("--config", type=str, default=None,
+    common.add_argument("--tol", type=float, default=1e-9,
+                        help="ODE and local-solver tolerance (default %(default)s)")
+    common.add_argument("--rmax", type=float, default=100.0,
+                        help="outer integration radius (default %(default)s)")
+    common.add_argument("--out", default=".",
+                        help="output directory (default %(default)s)")
+    common.add_argument("--config",
                         help="flat key=value config file; flags override it")
+    scaled = _Parser(add_help=False, parents=[common])
+    scaled.add_argument("--rho1", type=float, default=1.0,
+                        help="alpha (1-m) - 2 beta (default %(default)s)")
+    datum = _Parser(add_help=False)
+    datum.add_argument("--eta0", type=float, default=1.0,
+                       help="origin value f(0) (default %(default)s)")
 
     # the commands for one (n, m, rho1)
-    point = _Parser(add_help=False, parents=[common])
+    point = _Parser(add_help=False, parents=[scaled])
     point.add_argument("--n", type=int)
     point.add_argument("--m", type=float)
-    point.add_argument("--rho1", type=float)
+    solve = _Parser(add_help=False, parents=[point])
+    solve.add_argument("--beta", type=float)
+    solve.add_argument("--plots", action="store_true")
 
     parser = _Parser(prog="fdprof", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    so = sub.add_parser("solve-origin", parents=[point],
+    so = sub.add_parser("solve-origin", parents=[solve, datum],
                         help="solve the origin profile f with f(0)=eta0")
-    so.add_argument("--beta", type=float)
-    so.add_argument("--eta0", type=float)
-    so.add_argument("--plots", action="store_true")
     so.set_defaults(func=cmd_solve, kind=ProfileKind.ORIGIN)
 
-    sf = sub.add_parser("solve-farfield", parents=[point],
+    sf = sub.add_parser("solve-farfield", parents=[solve],
                         help="solve the far-field profile via g with g(0)=eta")
-    sf.add_argument("--beta", type=float)
     sf.add_argument("--eta", type=float)
-    sf.add_argument("--plots", action="store_true")
     sf.set_defaults(func=cmd_solve, kind=ProfileKind.FARFIELD)
 
-    bf = sub.add_parser("beta-find", parents=[point],
+    bf = sub.add_parser("beta-find", parents=[point, datum],
                         help="find beta*, where the origin profile joins the "
                              "fast-decay saddle")
-    bf.add_argument("--eta0", type=float)
-    bf.add_argument("--beta-lo", type=float)
-    bf.add_argument("--beta-hi", type=float)
-    bf.add_argument("--tol-beta", type=float)
+    bf.add_argument("--beta-lo", type=float, default=-0.4,
+                    help="bracket end (default %(default)s)")
+    bf.add_argument("--beta-hi", type=float, default=0.4,
+                    help="bracket end (default %(default)s)")
+    bf.add_argument("--tol-beta", type=float, default=1e-3,
+                    help="bracket width to stop at (default %(default)s)")
     bf.set_defaults(func=cmd_beta_find)
 
     ve = sub.add_parser("verify", parents=[common],
                         help="re-check a stored profile CSV against its report")
     ve.add_argument("profile_csv")
-    ve.add_argument("--report", type=str, default=None,
+    ve.add_argument("--report",
                     help="sidecar report path (default: report.json next to the CSV)")
     ve.set_defaults(func=cmd_verify)
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[scaled, datum],
                         help="solve a grid of parameter tuples; the --workers "
                              "threads share one interpreter lock, so solves "
                              "do not run in parallel")
-    sw.add_argument("--n", type=str, help="comma list of dimensions, e.g. 3,4")
-    sw.add_argument("--m", type=str, help="m axis lo:hi:count (inclusive)")
-    sw.add_argument("--beta", type=str, help="beta axis lo:hi:count (inclusive)")
-    sw.add_argument("--rho1", type=float)
-    sw.add_argument("--eta0", type=float)
-    sw.add_argument("--workers", type=int, default=None)
+    sw.add_argument("--n", help="comma list of dimensions, e.g. 3,4")
+    sw.add_argument("--m", help="m axis lo:hi:count (inclusive)")
+    sw.add_argument("--beta", help="beta axis lo:hi:count (inclusive)")
+    sw.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1),
+                    help="threads (default %(default)s: the core count, at most 8)")
     sw.set_defaults(func=cmd_sweep)
     return parser
 
@@ -435,15 +400,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if not getattr(ns, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
+        for name in REQUIRED:
+            if getattr(ns, name, 0) is None:
+                raise DomainError(f"missing required option --{name}")
+        return ns.func(ns)
     except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 1
-    if not getattr(ns, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        cfg = load_config(ns.config) if ns.config else {}
-        return ns.func(ns, cfg)
+        return e.code if isinstance(e.code, int) else 1
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import RMAX, TOL, f_exact, fr_exact
+from conftest import RMAX, TOL, f_exact, fr_exact, g_exact, gr_exact
 from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     InsufficientRange, ProfileKind, ProfileParams, RangeError,
                     TerminalEvent, Verdict, asymptotic_limits, build_report,
@@ -19,6 +19,7 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
 from fdprof import analysis, integrate, kernels
 from fdprof.analysis import flux_slope, l3_reference, saddle_gap
 from fdprof.integrate import section_Y
+from fdprof.inversion import fside_nodes
 from fdprof.kernels import integrate_flux_system
 from fdprof.localsolve import manifold_series
 from fdprof.profile import Profile
@@ -258,6 +259,28 @@ def test_decay_slope_is_the_far_limit_slope(cache):
         assert classify_decay(prof).measured_slope == lim.slope_far.value
         checked += 1
     assert checked == 90
+
+
+@pytest.mark.parametrize("kind, value, deriv", [
+    (ProfileKind.ORIGIN, f_exact, fr_exact),
+    (ProfileKind.FARFIELD, g_exact, gr_exact)])
+def test_decay_slope_on_a_short_span_is_the_far_end_slope(kind, value, deriv):
+    """A node set spanning less than 4x holds no ladder, as a stored CSV may
+    not; classify_decay then reads the log-slope r f_r / f at the f-side
+    far end: the last origin node, or the Kelvin image of the first g node."""
+    r = np.geomspace(1.0, 3.0, 9)
+    v, vr = value(r), deriv(r)
+    # built as verify builds a profile from a CSV
+    prof = Profile(kind=kind, params=CF, boundary=float(v[0]), r=r, v=v, vr=vr,
+                   n_local=0, terminal=TerminalEvent.REACHED_RMAX, tol=TOL)
+    with pytest.raises(InsufficientRange, match="cannot hold a geometric ladder"):
+        asymptotic_limits(prof)
+    rf, f, fr = fside_nodes(prof)
+    slope = classify_decay(prof).measured_slope
+    assert slope == pytest.approx(rf[-1] * fr[-1] / f[-1], rel=1e-14)
+    # the closed form at the far end, f-radius 3 or 1
+    far = r[-1] if kind is ProfileKind.ORIGIN else 1.0 / r[0]
+    assert slope == pytest.approx(far * fr_exact(far) / f_exact(far), rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ available for value checks on whatever the CLI writes to disk.
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -21,7 +23,11 @@ from hypothesis import strategies as st
 
 import fdprof
 from fdprof import DomainError, integrate, kernels
-from fdprof.cli import _parse_axis, _read_profile_csv, load_config, main
+from fdprof.cli import (_parse_axis, _read_profile_csv, build_parser,
+                        load_config, main)
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 M13 = "0.3333333333333333"
 
@@ -568,6 +574,10 @@ def test_config_file_layering(tmp_path, capsys):
     assert code == 0
     _, arr = read_csv(str(out_dir / "profile.csv"))
     assert arr[-1, 0] == pytest.approx(30.0, rel=1e-14)
+    code, _, _ = run_cli(capsys, "solve-origin", "--config", str(cfg))
+    assert code == 0
+    _, arr = read_csv(str(out_dir / "profile.csv"))
+    assert arr[-1, 0] == 50.0
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("n 4\n")
@@ -579,6 +589,99 @@ def test_config_file_layering(tmp_path, capsys):
                            str(tmp_path / "nope.cfg"))
     assert code == 1
     assert "cannot read config file" in err
+
+
+def test_config_keys_set_value_options_by_exact_name_only(tmp_path, capsys):
+    """'rm' is only a prefix of --rmax and --plots takes no value: both keys
+    are ignored, as unknown keys are."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 4\nm = {M13}\nbeta = 0.0\nrm = 5\nplots = true\n"
+                   "func = x\ntol_beta = 1\n")
+    code, _, err = run_cli(capsys, "solve-origin", "--config", str(cfg),
+                           "--out", str(tmp_path))
+    assert code == 0, err
+    _, arr = read_csv(str(tmp_path / "profile.csv"))
+    assert arr[-1, 0] == 100.0
+    assert sorted(os.listdir(tmp_path)) == ["profile.csv", "report.json", "run.cfg"]
+
+
+@pytest.mark.parametrize("argv, line, fragment", [
+    (["solve-origin", "--beta", "0.0"], "m = abc",
+     "argument --m: invalid float value: 'abc'"),
+    (["solve-origin", "--m", "0.3", "--beta", "0.0"], "n = 4.5",
+     "argument --n: invalid int value: '4.5'"),
+    (["sweep", "--n", "4", "--m", "0.3:0.35:2", "--beta", "0.0:0.1:2"],
+     "workers = two", "argument --workers: invalid int value: 'two'"),
+])
+def test_config_bad_value_names_the_option(argv, line, fragment, tmp_path,
+                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert fragment in err
+    assert not out.exists()
+
+
+_EVERY_OPTION = {
+    "solve-origin": ["--n", "4", "--m", M13, "--rho1", "2.0", "--beta", "0.1",
+                     "--eta0", "0.5", "--tol", "1e-8", "--rmax", "20"],
+    "solve-farfield": ["--n", "4", "--m", M13, "--rho1", "2.0", "--beta", "0.1",
+                       "--eta", "3.0", "--tol", "1e-8", "--rmax", "20"],
+    "beta-find": ["--n", "4", "--m", M13, "--rho1", "2.0", "--eta0", "0.5",
+                  "--beta-lo", "-0.3", "--beta-hi", "0.3", "--tol-beta", "1e-2",
+                  "--tol", "1e-8", "--rmax", "20"],
+    "sweep": ["--n", "4", "--m", "0.3:0.35:2", "--beta", "0.0:0.1:2",
+              "--rho1", "2.0", "--eta0", "0.5", "--workers", "1", "--tol", "1e-8",
+              "--rmax", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EVERY_OPTION))
+def test_config_gives_every_option_as_flags_do(command, tmp_path, capsys):
+    argv = _EVERY_OPTION[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{flag[2:]} = {value}\n"
+                           for flag, value in zip(argv[::2], argv[1::2]))
+                   + f"out = {tmp_path / 'config'}\n")
+    by_flags = run_cli(capsys, command, *argv, "--out", str(tmp_path / "flags"))
+    by_config = run_cli(capsys, command, "--config", str(cfg))
+    assert by_config[0] == by_flags[0] in (0, 2)
+    names = sorted(os.listdir(tmp_path / "flags"))
+    assert sorted(os.listdir(tmp_path / "config")) == names
+    for name in names:
+        assert ((tmp_path / "config" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes()), name
+
+
+def test_verify_reads_tol_and_report_from_config(origin_run, tmp_path, capsys):
+    csv = os.path.join(origin_run, "profile.csv")
+    report = os.path.join(origin_run, "report.json")
+    moved = tmp_path / "profile.csv"
+    with open(csv, "rb") as fh:
+        moved.write_bytes(fh.read())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"report = {report}\ntol = 1e-7\n")
+    by_flags = run_cli(capsys, "verify", str(moved), "--report", report,
+                       "--tol", "1e-7")
+    assert by_flags[0] == 0
+    assert f"(threshold {100 * 1e-7!r})" in by_flags[1]
+    assert run_cli(capsys, "verify", str(moved), "--config", str(cfg)) == by_flags
+
+
+def test_readme_commands_parse():
+    """Each fdprof command of README's "Command line" block, continuation
+    lines joined, parses as it is written."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in
+                block.replace("\\\n", " ").splitlines() if line.startswith("fdprof ")]
+    assert [argv[0] for argv in commands] == ["solve-origin", "solve-farfield",
+                                              "verify", "beta-find", "sweep"]
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_breakdown_exits_three(tmp_path, capsys):
