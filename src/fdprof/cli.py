@@ -102,9 +102,8 @@ def _sanitize(obj):
 
 
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_sanitize(payload), fh, indent=2)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:   # one write
+        fh.write(json.dumps(_sanitize(payload), indent=2) + "\n")
 
 
 def write_profile_csv(path: str, header: str, r, v, vr) -> None:
@@ -124,8 +123,7 @@ def _write_plots(out: str, stem: str, r, f, fr) -> None:
     }
     for name, (xs, ys) in views.items():
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-            for x, y in zip(xs, ys):
-                fh.write(f"{_fmt(x)} {_fmt(y)}\n")
+            fh.writelines("%r %r\n" % xy for xy in zip(xs.tolist(), ys.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,9 @@ def cmd_sweep(ns) -> int:
 
     tuples = [(n, m, b) for n in dims for m in sorted(m_list)
               for b in sorted(beta_list)]
-    with ThreadPoolExecutor(max_workers=ns.workers) as pool:
+    # one worker thread: solves hold the interpreter lock, so more threads
+    # only take turns, and a tracer needs each tuple off the calling thread
+    with ThreadPoolExecutor(max_workers=1) as pool:
         rows = list(pool.map(
             lambda it: _sweep_tuple(it[0], *it[1], ns.rho1, ns.eta0, ns.rmax,
                                     ns.tol, ns.out),
@@ -326,19 +326,20 @@ def cmd_sweep(ns) -> int:
 def build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it as is.
 
-    Each default is stated once, in its add_argument; the options without
-    one are REQUIRED.
+    Each command takes only the options it reads; each default is stated
+    once, in its add_argument, and the options without one are REQUIRED.
     """
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9,
                         help="ODE and local-solver tolerance (default %(default)s)")
-    common.add_argument("--rmax", type=float, default=100.0,
-                        help="outer integration radius (default %(default)s)")
-    common.add_argument("--out", default=".",
-                        help="output directory (default %(default)s)")
     common.add_argument("--config",
                         help="flat key=value config file; flags override it")
+    radius = _Parser(add_help=False)
+    radius.add_argument("--rmax", type=float, default=100.0,
+                        help="outer integration radius (default %(default)s)")
     scaled = _Parser(add_help=False, parents=[common])
+    scaled.add_argument("--out", default=".",
+                        help="output directory (default %(default)s)")
     scaled.add_argument("--rho1", type=float, default=1.0,
                         help="alpha (1-m) - 2 beta (default %(default)s)")
     datum = _Parser(add_help=False)
@@ -349,7 +350,7 @@ def build_parser() -> _Parser:
     point = _Parser(add_help=False, parents=[scaled])
     point.add_argument("--n", type=int)
     point.add_argument("--m", type=float)
-    solve = _Parser(add_help=False, parents=[point])
+    solve = _Parser(add_help=False, parents=[point, radius])
     solve.add_argument("--beta", type=float)
     solve.add_argument("--plots", action="store_true")
 
@@ -383,15 +384,14 @@ def build_parser() -> _Parser:
                     help="sidecar report path (default: report.json next to the CSV)")
     ve.set_defaults(func=cmd_verify)
 
-    sw = sub.add_parser("sweep", parents=[scaled, datum],
-                        help="solve a grid of parameter tuples; the --workers "
-                             "threads share one interpreter lock, so solves "
-                             "do not run in parallel")
+    sw = sub.add_parser("sweep", parents=[scaled, radius, datum],
+                        help="solve a grid of parameter tuples, one at a time")
     sw.add_argument("--n", help="comma list of dimensions, e.g. 3,4")
     sw.add_argument("--m", help="m axis lo:hi:count (inclusive)")
     sw.add_argument("--beta", help="beta axis lo:hi:count (inclusive)")
-    sw.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1),
-                    help="threads (default %(default)s: the core count, at most 8)")
+    sw.add_argument("--workers", type=int, default=1,
+                    help="unused until sweeps get a process pool: tuples run "
+                         "one at a time (default %(default)s)")
     sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -7,6 +7,7 @@ only when a benchmark run fails.  The harness is read, never modified.
 """
 import importlib
 import os
+import random
 import subprocess
 import sys
 
@@ -20,19 +21,20 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fdprof.__file__)))
 
 
 def _load_harness():
-    """perfbench's spans and run modules, imported without writing bytecode
-    next to them."""
+    """perfbench's spans, run and workloads modules, imported without writing
+    bytecode next to them."""
     sys.path.insert(0, PERFBENCH)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        return importlib.import_module("spans"), importlib.import_module("run")
+        return tuple(importlib.import_module(name)
+                     for name in ("spans", "run", "workloads"))
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(PERFBENCH)
 
 
-spans, run = _load_harness()
+spans, run, workloads = _load_harness()
 
 
 @pytest.mark.parametrize("module, attr", [(b[0], b[1]) for b in spans.BOUNDARIES],
@@ -92,3 +94,31 @@ def test_traced_beta_find_steps_in_the_kernel(tmp_path):
         tracer.uninstall()
     assert rc == 0
     assert tracer.counts["beta"]["kernels.accepted_steps"] > 0
+
+
+def test_sweep_workload_times_each_tuple_as_a_root_operation(tmp_path):
+    """perfbench's sweep workload, untraced and traced, on its first grid.
+
+    Sweep.execute times tuples by wrapping cli._sweep_tuple in process, and
+    run.per_layer expects each tuple to be a root operation of the tracer.
+    A sweep that ran tuples in other processes would leave no walls, and
+    one that ran them on the calling thread would nest them under the
+    command's span; either fails here rather than in a benchmark run.
+    """
+    from fdprof import analysis, cli, integrate, kernels
+    wl = workloads.Sweep(random.Random(3), str(tmp_path))
+    cmd = next(wl.commands())
+    wl.window = cmd.info["tuples"]
+    tracer = spans.Tracer()
+    records = run.run_loop(wl, {"cli": cli, "integrate": integrate,
+                                "kernels": kernels, "analysis": analysis},
+                           0.0, tracer)
+    assert [rec["traced"] for rec in records] == [False, True]
+    for rec in records:
+        assert [op for op, _ in rec["walls"]] == [
+            f"{cmd.id}/{i}" for i in range(cmd.info["tuples"])]
+        assert all(o.reason is None or o.known for o in rec["outcomes"])
+        assert not any(o.wrong for o in rec["outcomes"])
+    metrics = run.per_layer(records, tracer, wl)
+    assert 0.0 < metrics["cli.sweep_busy_frac"][0] <= 1.0
+    assert metrics["kernels.accepted_steps"][0] > 0

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdprof
-from fdprof import DomainError, integrate, kernels
+from fdprof import DomainError, cli, integrate, kernels
 from fdprof.cli import (_parse_axis, _read_profile_csv, build_parser,
                         load_config, main)
 
@@ -342,6 +343,16 @@ def test_sweep_summary_rows(sweep_run, capsys):
     assert written == [f"report_{i:04d}.json" for i in (0, 1, 2, 4, 5)]
 
 
+def _same_files(ours, theirs):
+    """Directories ours and theirs hold the same file names and bytes."""
+    names = sorted(os.listdir(theirs))
+    assert sorted(os.listdir(ours)) == names
+    for name in names:
+        with open(os.path.join(ours, name), "rb") as a, \
+                open(os.path.join(theirs, name), "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_sweep_worker_count_does_not_change_output(sweep_run, tmp_path,
                                                    capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.4:3",
@@ -349,9 +360,41 @@ def test_sweep_worker_count_does_not_change_output(sweep_run, tmp_path,
                            "--workers", "4", "--out", str(tmp_path))
     assert code == 0
     assert out.startswith("9 tuples -> ")
-    ours = (tmp_path / "summary.csv").read_bytes()
-    theirs = open(os.path.join(sweep_run, "summary.csv"), "rb").read()
-    assert ours == theirs
+    # summary.csv and every report_NNNN.json
+    _same_files(str(tmp_path), sweep_run)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "4"])
+def test_sweep_runs_one_tuple_at_a_time_off_the_calling_thread(
+        workers, sweep_run, monkeypatch, tmp_path, capsys):
+    """Whatever --workers says, the tuples run one at a time, in index order,
+    on a worker thread (a tracer wrapping _sweep_tuple sees each tuple as a
+    root operation), and the files are those of any other worker count."""
+    orig = cli._sweep_tuple
+    lock = threading.Lock()
+    calls, active, peak = [], 0, 0
+
+    def watched(idx, *args):
+        nonlocal active, peak
+        with lock:
+            active += 1
+            peak = max(peak, active)
+            calls.append((idx, threading.get_ident()))
+        try:
+            return orig(idx, *args)
+        finally:
+            with lock:
+                active -= 1
+
+    monkeypatch.setattr(cli, "_sweep_tuple", watched)
+    code, _, _ = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.4:3",
+                         "--beta", "0.0:0.2:3", "--rmax", "60",
+                         "--workers", workers, "--out", str(tmp_path))
+    assert code == 0
+    assert peak == 1
+    assert [idx for idx, _ in calls] == list(range(9))
+    assert threading.get_ident() not in {ident for _, ident in calls}
+    _same_files(str(tmp_path), sweep_run)
 
 
 def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
@@ -631,7 +674,7 @@ _EVERY_OPTION = {
                        "--eta", "3.0", "--tol", "1e-8", "--rmax", "20"],
     "beta-find": ["--n", "4", "--m", M13, "--rho1", "2.0", "--eta0", "0.5",
                   "--beta-lo", "-0.3", "--beta-hi", "0.3", "--tol-beta", "1e-2",
-                  "--tol", "1e-8", "--rmax", "20"],
+                  "--tol", "1e-8"],
     "sweep": ["--n", "4", "--m", "0.3:0.35:2", "--beta", "0.0:0.1:2",
               "--rho1", "2.0", "--eta0", "0.5", "--workers", "1", "--tol", "1e-8",
               "--rmax", "20"],
@@ -653,6 +696,38 @@ def test_config_gives_every_option_as_flags_do(command, tmp_path, capsys):
     for name in names:
         assert ((tmp_path / "config" / name).read_bytes()
                 == (tmp_path / "flags" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["beta-find", "--n", "4", "--m", M13], "--rmax"),
+    (["verify", "profile.csv"], "--rmax"),
+    (["verify", "profile.csv"], "--out"),
+], ids=["beta-find-rmax", "verify-rmax", "verify-out"])
+def test_options_a_command_does_not_read_are_refused(argv, flag, capsys):
+    code, _, err = run_cli(capsys, *argv, flag, "20")
+    assert code == 1
+    assert f"unrecognized arguments: {flag} 20" in err
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(origin_run, tmp_path,
+                                                         capsys):
+    """rmax = 0 would be refused and out would be created by a command that
+    read them; beta-find and verify read neither."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"rmax = 0\nout = {tmp_path / 'elsewhere'}\n")
+    csv = os.path.join(origin_run, "profile.csv")
+    plain = run_cli(capsys, "verify", csv)
+    assert plain[0] == 0
+    assert run_cli(capsys, "verify", csv, "--config", str(cfg)) == plain
+    found = []
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / f"beta{len(extra)}"
+        code, _, err = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
+                               "--tol-beta", "1e-2", "--out", str(out), *extra)
+        assert code == 0, err
+        found.append((out / "beta.json").read_bytes())
+    assert found[0] == found[1]
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_verify_reads_tol_and_report_from_config(origin_run, tmp_path, capsys):

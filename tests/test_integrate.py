@@ -333,7 +333,8 @@ def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
 def test_hermite_peak_is_the_cubics_extremum(z0, z1, a0, a1, rising):
     """Cubic Hermite reproduces a cubic, so on any cubic whose end slopes
     differ in sign the helper gives the cubic's own extremum, to 1e-12 of
-    the size of its data; the reference is worked at 50 digits."""
+    the size of its data; the reference is worked at 50 digits, each root
+    in the form that does not subtract w from a c2 of its own sign."""
     d0, d1 = (a0, -a1) if rising else (-a0, a1)
     with mpmath.workdps(50):
         Z0, Z1, D0, D1 = (mpmath.mpf(t) for t in (z0, z1, d0, d1))
@@ -342,7 +343,8 @@ def test_hermite_peak_is_the_cubics_extremum(z0, z1, a0, a1, rising):
             roots = [-D0 / (2 * c2)]
         else:   # real roots: the slope d0 + 2 c2 s + 3 c3 s^2 changes sign
             w = mpmath.sqrt(c2 * c2 - 3 * c3 * D0)
-            roots = [(-c2 + w) / (3 * c3), (-c2 - w) / (3 * c3)]
+            q = -(c2 + (w if c2 >= 0 else -w))
+            roots = [q / (3 * c3), D0 / q]
         s = next(t for t in roots if 0 <= t <= 1)
         ref = float(Z0 + s * (D0 + s * (c2 + s * c3)))
     scale = abs(z0) + abs(z1) + a0 + a1
