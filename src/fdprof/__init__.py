@@ -9,11 +9,10 @@ Kelvin-type inversion, verifies the proven invariants and asymptotics, and
 searches for the anomalous decay exponent.
 """
 from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
-                       Estimate, InsufficientRange, LimitEstimates, RangeError,
-                       Shape, SolveReport, Verdict, asymptotic_limits,
-                       build_report, classify_decay, classify_shape,
-                       find_anomalous_beta, ode_residual, pde_residual_V,
-                       selfsimilar_eval, verify_inequalities)
+                       Estimate, LimitEstimates, RangeError, Shape, SolveReport,
+                       Verdict, asymptotic_limits, build_report, classify_decay,
+                       classify_shape, find_anomalous_beta, ode_residual,
+                       pde_residual_V, selfsimilar_eval, verify_inequalities)
 from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
                         advance_g, continue_profile, solve_farfield_profile,
                         solve_origin_profile)
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadBracket", "BetaSearchResult", "ContinuationFailed", "DecayClass",
     "DecayLabel", "DomainError", "Estimate",
-    "InsufficientRange", "LimitEstimates", "LocalSolution", "LocalStageFailed",
+    "LimitEstimates", "LocalSolution", "LocalStageFailed",
     "NUMBA_ENABLED", "OdeState", "Profile", "ProfileKind",
     "ProfileParams", "RangeError", "RegimeFlags", "Shape", "SolveReport",
     "TerminalEvent", "Trajectory", "Verdict", "advance_f", "advance_g",

@@ -2,18 +2,19 @@
 
 Residual checks differentiate the nodal flux once (first derivative on
 scattered nodes, closed-form 7-point Lagrange weights); values are never
-second-differenced.  Asymptotic limits come from Richardson extrapolation
-over geometric ladders with an empirical error bar.  Decay classification
-works off the log-slope X = r f_r / f, whose two candidate limits are
-separated by a computable gap for every admissible (n, m).  The anomalous
-exponent is the beta at which the origin profile joins the fast-decay
-saddle: the root of the difference of Y = r^2 f^{1-m} between the origin
-and the far-field manifold where each first crosses X = -2/(1-m), each
-integrated from its series seam to that crossing and no farther.
+second-differenced.  The far-field limits and the decay class are read off
+the state (X, Y) = (r f_r / f, r^2 f^{1-m}) at the profile's f-side far
+end: its distance from the fast point's stable manifold, whose series
+localsolve sums, and from the slow fixed point.  The anomalous exponent is
+the beta at which the origin profile joins the fast-decay saddle: the root
+of the difference of Y = r^2 f^{1-m} between the origin and the far-field
+manifold where each first crosses X = -2/(1-m), each integrated from its
+series seam to that crossing and no farther.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,13 +24,10 @@ import numpy as np
 # check calls it
 from .integrate import section_Y, solve_origin_profile
 from .inversion import fside_samples
+from .localsolve import gap_order, manifold_series
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
 from .profile import Profile, ProfileKind, TerminalEvent
-
-
-class InsufficientRange(RuntimeError):
-    """The profile does not span enough radius to build an extrapolation ladder."""
 
 
 class BadBracket(RuntimeError):
@@ -98,7 +96,7 @@ def ode_residual(profile: Profile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# limits
+# far end: limits and decay class
 
 
 @dataclass(frozen=True)
@@ -107,93 +105,38 @@ class Estimate:
     error: float
 
 
-def _aitken(a0: float, a1: float, a2: float) -> float:
-    # a2 - d2 d2/(d2 - d1), with no difference squared: on far ladders of
-    # r^k f with k near 120 the square of a jump overflows
-    d1, d2 = a1 - a0, a2 - a1
-    den = d2 - d1
-    if abs(den) < 1e-300 or not math.isfinite(den):
-        return a2
-    e = a2 - d2 * (d2 / den)
-    return e if math.isfinite(e) else a2
-
-
-def _richardson(seq) -> Estimate:
-    """Extrapolate a ladder ordered toward its limit; error = last move of
-    the estimate, and at least the last jump when the jumps grow: Aitken
-    then gives an antilimit (0 for a geometric divergence), not a limit."""
-    seq = [float(s) for s in seq]
-    if len(seq) >= 4:
-        e1 = _aitken(seq[-4], seq[-3], seq[-2])
-        e = _aitken(seq[-3], seq[-2], seq[-1])
-        error = abs(e - e1)
-    else:
-        e = _aitken(seq[-3], seq[-2], seq[-1])
-        error = abs(e - seq[-1])
-    jump = abs(seq[-1] - seq[-2])
-    if jump > abs(seq[-2] - seq[-3]):
-        error = max(error, jump)
-    return Estimate(e, error)
-
-
-def _ladder(profile: Profile, far: bool):
-    """Geometric f-side radii, ordered toward the limit r -> inf (far) or r -> 0."""
-    bottom, top = profile.fside_span
-    if top < 4.0 * bottom:
-        raise InsufficientRange(
-            f"radial span [{bottom:g}, {top:g}] cannot hold a geometric ladder")
-    count = 4 if top >= 8.0 * bottom else 3
-    if far:
-        return [top / 2 ** (count - 1 - j) for j in range(count)]
-    return [bottom * 2 ** (count - 1 - j) for j in range(count)]
-
-
-def _sample(profile: Profile, radii):
-    """f, f_r and the log-slope r f_r / f at each f-side radius, as floats."""
-    fs, frs = (a.tolist() for a in fside_samples(profile, radii))
-    return fs, frs, [rr * fr / f for rr, f, fr in zip(radii, fs, frs)]
-
-
 @dataclass(frozen=True)
 class LimitEstimates:
-    """Richardson estimates of the proven limits, with empirical error bars.
+    """The far-field limits read in the phase plane, with error bars.
 
-    l1: lim r^{(n-2)/m} f,  l2: lim r^{(n-2)/m+1} f_r,
-    l3: lim r^2 f^{1-m} (exploratory outside the fast-decay regime),
-    slope_origin: lim_{r->0} r f_r / f,  slope_far: lim_{r->inf} r f_r / f.
+    l1: lim r^{(n-2)/m} f,  l2: lim r^{(n-2)/m+1} f_r (None where they
+    diverge, as on Slow profiles, or where the read fails),
+    l3: lim r^2 f^{1-m},  slope_far: lim_{r->inf} r f_r / f,
+    slope_origin: lim_{r->0} r f_r / f (None on far-field profiles).
     """
-    l1: Estimate
-    l2: Estimate
+    l1: Estimate | None
+    l2: Estimate | None
     l3: Estimate
     slope_far: Estimate
     slope_origin: Estimate | None
 
 
-def asymptotic_limits(profile: Profile) -> LimitEstimates:
-    k = profile.params.k
-    one_m = 1.0 - profile.params.m
+class DecayLabel(enum.Enum):
+    FAST = "Fast"
+    SLOW = "Slow"
+    UNDETERMINED = "Undetermined"
 
-    far = _ladder(profile, far=True)
-    top = far[-1]
-    if top < 50.0:
-        raise InsufficientRange(
-            f"largest radius {top:g} below the 50 needed for far-field limits")
-    fs, frs, slopes = _sample(profile, far)
-    l1 = _richardson([rr ** k * f for rr, f in zip(far, fs)])
-    l2 = _richardson([rr ** (k + 1.0) * fr for rr, fr in zip(far, frs)])
-    l3 = _richardson([rr ** 2 * f ** one_m for rr, f in zip(far, fs)])
-    slope_far = _richardson(slopes)
 
-    slope_origin = None
-    near = _ladder(profile, far=False)   # the far ladder's span holds it too
-    if near[-1] <= 1e-3:
-        slope_origin = _richardson(_sample(profile, near)[2])
-    return LimitEstimates(l1=l1, l2=l2, l3=l3, slope_far=slope_far,
-                          slope_origin=slope_origin)
+@dataclass(frozen=True)
+class DecayClass:
+    label: DecayLabel
+    measured_slope: float     # X = r f_r / f at the f-side far end
+    target_fast: float
+    target_slow: float
 
 
 def l3_reference(p: ProfileParams) -> float:
-    """Reference constant for the quadratic-decay limit; diagnostic only.
+    """Y* of the slow-decay fixed point: L3 of a Slow profile.
 
     In X = r f_r / f, Y = r^2 f^{1-m} and t = ln r the profile equation is
     X' = -X (n-2 + m X) - Y (alpha + beta X), Y' = Y (2 + (1-m) X).  Slow
@@ -203,6 +146,122 @@ def l3_reference(p: ProfileParams) -> float:
     Y* = 2 (n-2-nm) / ((1-m) rho1).
     """
     return 2.0 * (p.n - 2.0 - p.n * p.m) / ((1.0 - p.m) * p.rho1)
+
+
+def _far_end(profile: Profile):
+    """(ln r, X, Y) at the f-side far end of the profile: its last origin
+    node, or the Kelvin image r = 1/s of its first far-field node, where
+    X = -k - s g_s / g and Y = s^sigma g^{1-m}."""
+    p = profile.params
+    one_m = 1.0 - p.m
+    if profile.kind is ProfileKind.ORIGIN:
+        r, f, fr = profile.r[-1], profile.v[-1], profile.vr[-1]
+        return math.log(r), float(r * fr / f), float(r * r * f ** one_m)
+    s, g, gs = profile.r[0], profile.v[0], profile.vr[0]
+    return -math.log(s), float(-p.k - s * gs / g), float(s ** p.sigma * g ** one_m)
+
+
+def _series(c: list, x: float):
+    """sum_j c_j x^j and its derivative at x, by Horner."""
+    s = ds = 0.0
+    for a in reversed(c):
+        ds = ds * x + s
+        s = s * x + a
+    return s, ds
+
+
+def _manifold_theta(y: list, Y: float) -> float | None:
+    """theta > 0 with sum_j y_j theta^j = Y, by Newton from theta = Y
+    (y_1 = 1), or None where Newton leaves theta > 0 or does not settle."""
+    theta = Y
+    for _ in range(50):
+        P, dP = _series(y, theta)
+        if not dP:
+            return None
+        step = (P - Y) / dP
+        theta -= step
+        if not 0.0 < theta < math.inf:
+            return None
+        if abs(step) <= 1e-13 * theta:
+            return float(theta)
+    return None
+
+
+@functools.lru_cache(maxsize=16)
+def _read(p: ProfileParams, tol: float, X: float, Y: float):
+    """(label, theta, du) of the far-end state (X, Y); cached, so that
+    asymptotic_limits and classify_decay on one profile sum the series once.
+
+    theta is the coordinate of the fast point's stable manifold (the
+    far-field chart's series, gap_order(tol) terms) at the state's Y, and
+    du = X + k - U(theta) the state's distance from the manifold along X
+    (inf where theta is None).  Fast when |du| <= (n-2) sqrt(tol), where
+    L1 is known to about half the digits the solve was asked for.  Slow
+    when the slow point (-2/(1-m), Y*) attracts, which its Jacobian's
+    trace -(n-2) + 4m/(1-m) - beta Y* < 0 decides (its determinant rho1 Y*
+    is positive), and the state lies nearer to it than to (-k, 0).
+    Undetermined otherwise.
+    """
+    u, y = (c.tolist() for c in manifold_series(p, ProfileKind.FARFIELD,
+                                                gap_order(tol)))
+    theta = _manifold_theta(y, Y)
+    du = math.inf if theta is None else X + p.k - _series(u, theta)[0]
+    y_slow = l3_reference(p)
+    trace = -(p.n - 2.0) + 4.0 * p.m / (1.0 - p.m) - p.beta * y_slow
+    if abs(du) <= (p.n - 2.0) * math.sqrt(tol):
+        label = DecayLabel.FAST
+    elif trace < 0.0 and (math.hypot(X + 2.0 / (1.0 - p.m), Y - y_slow)
+                          < math.hypot(X + p.k, Y)):
+        label = DecayLabel.SLOW
+    else:
+        label = DecayLabel.UNDETERMINED
+    return label, theta, du
+
+
+def asymptotic_limits(profile: Profile) -> LimitEstimates:
+    """The limits of the fixed point the far-end state reads toward.
+
+    A Slow read's point is (-2/(1-m), Y*), where r^k f diverges: l1 and
+    l2 are None.  Any other read takes the fast point (-k, 0), and
+    L1 = eta = (theta r^sigma)^{1/(1-m)}, the far-field datum of the
+    manifold through the state.  To first order its relative error is
+    |du|/(n-2): the growing mode e^{(n-2) t} that carries du moves ln Y by
+    (1-m) du/(n-2).  On the critical bubbles that falls short by up to 40%
+    where Y is not yet small, and it misses the error along the manifold,
+    so the relative bar is 2 |du|/(n-2) + tol.  L2 = -k L1.  slope_far and
+    L3 are the point's X and Y, each with the state's distance from the
+    point as its bar.  slope_origin is 0 on origin profiles, as the datum
+    forces, with the first node's |X| as its bar.
+    """
+    p = profile.params
+    t, X, Y = _far_end(profile)
+    label, theta, du = _read(p, profile.tol, X, Y)
+    l1 = l2 = None
+    if label is DecayLabel.SLOW:
+        x_lim, y_lim = -2.0 / (1.0 - p.m), l3_reference(p)
+    else:
+        x_lim, y_lim = -p.k, 0.0
+        ln_eta = math.inf if theta is None else (
+            (math.log(theta) + p.sigma * t) / (1.0 - p.m))
+        if ln_eta < 700.0:   # a double holds k eta
+            eta = math.exp(ln_eta)
+            error = eta * (2.0 * abs(du) / (p.n - 2.0) + profile.tol)
+            l1, l2 = Estimate(eta, error), Estimate(-p.k * eta, p.k * error)
+    bar = math.hypot(X - x_lim, Y - y_lim)
+    slope_origin = None
+    if profile.kind is ProfileKind.ORIGIN:
+        x0 = profile.r[0] * profile.vr[0] / profile.v[0]
+        slope_origin = Estimate(0.0, abs(float(x0)))
+    return LimitEstimates(l1=l1, l2=l2, l3=Estimate(y_lim, bar),
+                          slope_far=Estimate(x_lim, bar), slope_origin=slope_origin)
+
+
+def classify_decay(profile: Profile) -> DecayClass:
+    """Fast, Slow or Undetermined from the state at the f-side far end (see
+    _read); the measured slope is that state's X."""
+    p = profile.params
+    _, X, Y = _far_end(profile)
+    return DecayClass(_read(p, profile.tol, X, Y)[0], X, -p.k, -2.0 / (1.0 - p.m))
 
 
 # ---------------------------------------------------------------------------
@@ -293,55 +352,6 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     else:
         out["monotone_decreasing"] = NOT_APPLICABLE
     return out
-
-
-# ---------------------------------------------------------------------------
-# decay classification
-
-
-class DecayLabel(enum.Enum):
-    FAST = "Fast"
-    SLOW = "Slow"
-    UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class DecayClass:
-    label: DecayLabel
-    measured_slope: float
-    target_fast: float
-    target_slow: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.target_fast - self.target_slow)
-
-
-def classify_decay(profile: Profile) -> DecayClass:
-    """Assign Fast/Slow from the far log-slope, Undetermined between bands.
-
-    Fast only within gap/4 of -(n-2)/m, Slow only within gap/4 of -2/(1-m);
-    the gap is positive for every admissible (n, m).
-    """
-    p = profile.params
-    target_fast = -p.k
-    target_slow = -2.0 / (1.0 - p.m)
-    try:
-        slope = _richardson(_sample(profile, _ladder(profile, far=True))[2]).value
-    except InsufficientRange:
-        if profile.kind is ProfileKind.ORIGIN:
-            slope = float(profile.r[-1] * profile.vr[-1] / profile.v[-1])
-        else:
-            f, fr = fside_samples(profile, 1.0 / profile.r[0])
-            slope = float(fr / f / profile.r[0])
-    gap = abs(target_fast - target_slow)
-    if abs(slope - target_fast) < gap / 4.0:
-        label = DecayLabel.FAST
-    elif abs(slope - target_slow) < gap / 4.0:
-        label = DecayLabel.SLOW
-    else:
-        label = DecayLabel.UNDETERMINED
-    return DecayClass(label, slope, target_fast, target_slow)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +556,7 @@ def pde_residual_V(profile: Profile, T: float, space_grid, time_grid,
 
 
 def _estimate_dict(e: Estimate | None):
-    if e is None:
-        return None
-    return {"value": e.value, "error": e.error}
+    return None if e is None else {"value": e.value, "error": e.error}
 
 
 def _verdict_dict(v: Verdict):
@@ -567,7 +575,7 @@ class SolveReport:
     kind: ProfileKind
     terminal_event: TerminalEvent
     residual: float
-    limits: LimitEstimates | None
+    limits: LimitEstimates
     inequalities: dict
     decay: DecayClass
     shape: Shape
@@ -575,16 +583,14 @@ class SolveReport:
     def to_dict(self) -> dict:
         p = self.params
         flags = classify_regime(p)
-        limits = {}
-        if self.limits is not None:
-            limits = {
-                "L1": _estimate_dict(self.limits.l1),
-                "L2": _estimate_dict(self.limits.l2),
-                "L3": _estimate_dict(self.limits.l3),
-                "slope_far": _estimate_dict(self.limits.slope_far),
-                "slope_origin": _estimate_dict(self.limits.slope_origin),
-            }
-            limits["L3"]["exploratory"] = True
+        limits = {
+            "L1": _estimate_dict(self.limits.l1),
+            "L2": _estimate_dict(self.limits.l2),
+            "L3": _estimate_dict(self.limits.l3),
+            "slope_far": _estimate_dict(self.limits.slope_far),
+            "slope_origin": _estimate_dict(self.limits.slope_origin),
+        }
+        limits["L3"]["exploratory"] = True
         return {
             "params": {
                 "n": p.n, "m": p.m, "rho1": p.rho1, "beta": p.beta,
@@ -616,13 +622,9 @@ class SolveReport:
 
 def build_report(profile: Profile) -> SolveReport:
     """Run every check on a solved profile and collect the results."""
-    residual = ode_residual(profile)
-    try:
-        limits = asymptotic_limits(profile)
-    except InsufficientRange:
-        limits = None
     return SolveReport(params=profile.params, boundary=profile.boundary,
                        kind=profile.kind, terminal_event=profile.terminal,
-                       residual=residual, limits=limits,
+                       residual=ode_residual(profile),
+                       limits=asymptotic_limits(profile),
                        inequalities=verify_inequalities(profile),
                        decay=classify_decay(profile), shape=classify_shape(profile))

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import analysis
-from .analysis import BadBracket, InsufficientRange, build_report
+from .analysis import BadBracket, build_report
 from .integrate import (ContinuationFailed, _require_run_settings,
                         solve_farfield_profile, solve_origin_profile)
 from .inversion import fside_nodes, invert_pointwise
@@ -268,14 +268,14 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
         report = build_report(profile)
         row["terminal_event"] = report.terminal_event.value
         row["residual"] = _fmt(report.residual)
-        if report.limits is not None:
-            row["L1"] = _fmt(report.limits.l1.value)
-            row["L2"] = _fmt(report.limits.l2.value)
-            row["L3"] = _fmt(report.limits.l3.value)
+        lim = report.limits
+        for col, est in (("L1", lim.l1), ("L2", lim.l2), ("L3", lim.l3)):
+            if est is not None:   # L1 and L2 diverge on Slow profiles
+                row[col] = _fmt(est.value)
         row["decay_class"] = report.decay.label.value
         row["shape"] = report.shape.label
         write_json(os.path.join(out, f"report_{idx:04d}.json"), report.to_dict())
-    except (DomainError, LocalStageFailed, InsufficientRange) as e:
+    except (DomainError, LocalStageFailed) as e:
         row["error"] = f"{type(e).__name__}: {e}"
     except ContinuationFailed as e:
         row["terminal_event"] = e.terminal.value
@@ -414,9 +414,6 @@ def main(argv=None) -> int:
         return 1
     except BadBracket as e:
         print(f"bracket error: {e}", file=sys.stderr)
-        return 2
-    except InsufficientRange as e:
-        print(f"verification error: {e}", file=sys.stderr)
         return 2
     except (LocalStageFailed, ContinuationFailed) as e:
         print(f"solver error: {e}", file=sys.stderr)

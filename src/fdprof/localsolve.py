@@ -85,16 +85,16 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
                log_depth: float) -> np.ndarray:
     """ln z at the nodes, z = theta/theta_seam from 1 down to e^log_depth.
 
-    The log-radius gap at z is the least of three.  Cubic Hermite of ln v in
+    The log-radius gap at z is the lesser of two.  Cubic Hermite of ln v in
     ln x misses v by gap^4 |K(z)|/384 relative, with K = D^4 ln v: for
     D = x d/dx, D z = |lam| z and D ln v = sign(lam) sum zu_j z^j, so
     K = sign(lam) sum (|lam| j)^3 zu_j z^j; d0 z^{-1/4} holds that to tol/20
     for K* = sup |K(z)|/z.  The residual's 7-node stencil misses the term c_j z^j
     x^g of the flux P = x^gamma sum_j c_j z^j, g = gamma + |lam| j, by
     gap^6 prod_{k<=6} |g - k|/140 of P'; the second gap holds the sum of
-    those to 10 tol, a tenth of the residual bar.  The third is ln 2, the
-    ladders' rung ratio.  Above the rungs the nodes split evenly the node
-    count, the integral of 1/(|lam| gap) over ln z, taken on 128 points.
+    those to 10 tol, a tenth of the residual bar.  The nodes split evenly
+    the node count, the integral of 1/(|lam| gap) over ln z, taken on 128
+    points.
     """
     e, tol = abs(lam), max(tol, 1e-15)   # below it, rounding sets the error
     order = len(zu) - 1
@@ -111,16 +111,9 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
     t = -np.expm1(np.linspace(0.0, math.log1p(-log_depth), 128))   # dense near 0
     z = np.exp(np.outer(t, j[:-1]))   # z^j at the sample points
     d0 = (19.2 * tol / np.max(np.abs(z @ k_over_z))) ** 0.25
-    gap = np.minimum(np.minimum(d0 * np.exp(-t / 4.0), math.log(2.0)),
-                     (1400.0 * tol / (z @ c)) ** (1 / 6))
+    gap = np.minimum(d0 * np.exp(-t / 4.0), (1400.0 * tol / (z @ c)) ** (1 / 6))
     count = np.concatenate([[0.0], np.cumsum((t[:-1] - t[1:]) / (e * gap[:-1]))])
-    # the ladders' rungs x_0 2^k, k <= 3, are nodes: even gaps of ln(2)/q there
-    rungs = log_depth + 3.0 * e * math.log(2.0)
-    top = np.interp(rungs, t[::-1], count[::-1])
-    q = math.ceil(math.log(2.0) / np.interp(rungs, t[::-1], gap[::-1]))
-    return np.concatenate([
-        np.interp(np.linspace(0.0, top, math.ceil(top) + 1), count, t),
-        np.linspace(rungs, log_depth, 3 * q + 1)[1:]])
+    return np.interp(np.linspace(0.0, count[-1], math.ceil(count[-1]) + 1), count, t)
 
 
 @dataclass(frozen=True)
@@ -178,7 +171,8 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
 
     The nodes reach down to theta_seam * 1e-7 at the origin; in the far
     field to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in
-    k g + s g_r), and at least to s_seam * 4e-3 so the far ladder has room.
+    k g + s g_r), and at least to s_seam * 4e-3.  No check needs that
+    floor; tests pin the depth, so it goes in a change of its own.
     """
     check_datum(p, kind, b)
     # min(1, b^{(m-1)/2}) in this form keeps the seam's last bit

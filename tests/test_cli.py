@@ -338,6 +338,10 @@ def test_sweep_summary_rows(sweep_run, capsys):
             assert row[5] == "ReachedRmax"
             assert float(row[6]) < 1e-6
             assert row[12] == ""
+            # L1 and L2 diverge on Slow profiles and are left empty
+            assert (row[7] == row[8] == "") == (row[10] == "Slow")
+            assert row[9] != ""
+    assert [row[10] for row in rows].count("Slow") == 4
     written = sorted(f for f in os.listdir(sweep_run)
                      if f.startswith("report_"))
     assert written == [f"report_{i:04d}.json" for i in (0, 1, 2, 4, 5)]
@@ -825,8 +829,8 @@ def test_small_sigma_farfield_succeeds_or_names_breakdown(n, m, beta,
 
 
 def test_steep_far_ladder_has_no_overflow(tmp_path, capsys):
-    # k = 120: the far ladder's r^k f spans 1e130 to 1e236, and the square
-    # of a jump in Aitken's step used to end in a raw OverflowError
+    # k = 120: r^k f spans 1e130 to 1e236 on the far tail, and no read of
+    # the limits may end in a raw OverflowError
     code, _, err = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.05",
                            "--beta", "0", "--out", str(tmp_path))
     assert code in (0, 2)
@@ -835,15 +839,15 @@ def test_steep_far_ladder_has_no_overflow(tmp_path, capsys):
 
 
 def test_slow_decay_limits_carry_an_error_bar(tmp_path, capsys):
-    """At (8, 0.05, 0) r^k f grows like r^{k-2/(1-m)}, k = 120: the far
-    ladder runs 1e130 ... 1e236 and Aitken's antilimit is 0, so only the
-    error bar can say that L1 and L2 do not exist."""
+    """At (8, 0.05, 0) r^k f grows like r^{k-2/(1-m)}, k = 120: L1 and L2
+    do not exist and are null.  L3 and slope_far are the slow point's Y*
+    and X*, each with the far-end state's distance from it as its bar."""
     code, _, _ = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.05",
                          "--beta", "0", "--out", str(tmp_path))
     assert code == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["decay_class"]["class"] == "Slow"
-    for key in ("L1", "L2"):
-        est = rep["limits"][key]
-        assert math.isfinite(est["error"])
-        assert est["error"] > max(1e200, abs(est["value"]))
+    assert rep["limits"]["L1"] is None and rep["limits"]["L2"] is None
+    assert rep["limits"]["slope_far"]["value"] == pytest.approx(-2.0 / 0.95)
+    for key in ("L3", "slope_far"):
+        assert 0.0 < rep["limits"][key]["error"] < 1.0

@@ -53,15 +53,10 @@ def test_f_diagnostics():
     assert sol.iterations == localsolve.ORDER
     assert sol.eps == sol.grid[-1] <= 1.0
     gaps = np.diff(np.log(sol.grid))
-    assert np.all(gaps > 0.0) and np.all(gaps <= np.log(2.0) * (1.0 + 1e-12))
-    # the ladders' rungs r0 2^k, k <= 3, are nodes; above them the log-radius
-    # gaps shrink toward the seam
-    r0 = sol.grid[0]
-    for k in (1, 2, 3):
-        assert np.min(np.abs(sol.grid / (r0 * 2.0 ** k) - 1.0)) <= 1e-13
-    above = gaps[sol.grid[:-1] >= 8.0 * r0 * (1.0 - 1e-13)]
-    assert np.all(np.diff(above) <= 1e-12)
-    assert above[0] > 10.0 * above[-1]
+    # the log-radius gaps shrink toward the seam
+    assert np.all(gaps > 0.0)
+    assert np.all(np.diff(gaps) <= 1e-12)
+    assert gaps[0] > 10.0 * gaps[-1]
     assert np.all(sol.deriv < 0.0)
 
 
@@ -100,8 +95,7 @@ def test_hermite_between_nodes_honours_tol(n, m, beta, eta0, eta, tol):
     (5, 0.45, 0.27, 0.5), (8, 0.05, 0.0, 1.0)])
 def test_node_depth_is_independent_of_tol(n, m, beta, b, tol):
     """The deepest node sits at theta_seam * 1e-7 at the origin and at
-    theta_seam * min(5e-5, 4e-3^sigma) in the far field, whatever the tol,
-    so the origin-slope and far ladders keep their range."""
+    theta_seam * min(5e-5, 4e-3^sigma) in the far field, whatever the tol."""
     p = derive_params(n, m, 1.0, beta)
     f = picard_f_origin(p, b, tol)
     assert f.grid[0] == pytest.approx(f.eps * 1e-7 ** 0.5, rel=1e-12)
