@@ -4,9 +4,9 @@ Radially symmetric backward self-similar solutions V(x, t) =
 (T-t)^alpha f((T-t)^beta |x|) reduce to a one-dimensional profile equation.
 This package constructs the origin and far-field profiles (the power series
 of the invariant manifold that carries the datum near the boundary point,
-adaptive embedded Runge-Kutta continuation outward), relates them through a
-Kelvin-type inversion, verifies the proven invariants and asymptotics, and
-searches for the anomalous decay exponent.
+then Taylor continuation outward by the same Cauchy-product recursion),
+relates them through a Kelvin-type inversion, verifies the proven
+invariants and asymptotics, and searches for the anomalous decay exponent.
 """
 from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
                        Estimate, LimitEstimates, RangeError, Shape, SolveReport,

@@ -583,14 +583,6 @@ class SolveReport:
     def to_dict(self) -> dict:
         p = self.params
         flags = classify_regime(p)
-        limits = {
-            "L1": _estimate_dict(self.limits.l1),
-            "L2": _estimate_dict(self.limits.l2),
-            "L3": _estimate_dict(self.limits.l3),
-            "slope_far": _estimate_dict(self.limits.slope_far),
-            "slope_origin": _estimate_dict(self.limits.slope_origin),
-        }
-        limits["L3"]["exploratory"] = True
         return {
             "params": {
                 "n": p.n, "m": p.m, "rho1": p.rho1, "beta": p.beta,
@@ -608,7 +600,13 @@ class SolveReport:
             },
             "terminal_event": self.terminal_event.value,
             "residual": self.residual,
-            "limits": limits,
+            "limits": {
+                "L1": _estimate_dict(self.limits.l1),
+                "L2": _estimate_dict(self.limits.l2),
+                "L3": _estimate_dict(self.limits.l3),
+                "slope_far": _estimate_dict(self.limits.slope_far),
+                "slope_origin": _estimate_dict(self.limits.slope_origin),
+            },
             "inequalities": {k: _verdict_dict(v) for k, v in self.inequalities.items()},
             "decay_class": {
                 "class": self.decay.label.value,

@@ -31,10 +31,11 @@ REQUIRED = ("n", "m", "beta", "eta")   # the value options without a default
 
 
 def _residual_threshold(tol: float) -> float:
-    # the pointwise stencil defect carries FD truncation ~ (step/r)^6 from
-    # the node spacing, whose steps are capped at 0.025 in ln r: on the 45
-    # benchmark tuples it reads up to 6.6e-8 at the default tolerance and
-    # still 7e-9 at tol 1e-11, so the pass bar never drops below 1e-6
+    # the pointwise stencil defect carries FD truncation ~ (gap/r)^6 from
+    # the node spacing, with nodes at most 0.025 apart in ln r (a node gap,
+    # not a step cap): on the 45 benchmark tuples it reads up to 1.3e-7 at
+    # the default tolerance and still 1.2e-7 at tol 1e-11, so the pass bar
+    # never drops below 1e-6
     return max(RESIDUAL_FACTOR * tol, 1e-6)
 
 

@@ -1,18 +1,17 @@
-"""Adaptive outward continuation in the reduced chart of the series.
+"""Outward continuation in the reduced chart of the series.
 
 A solve starts from the seam state of the manifold series (localsolve) and
 keeps the series nodes below the seam.  Outward of it, kernels advances the
-series' own state (u, Z = ln Y) in tau = ln x with an embedded 5(4) pair
-(FSAL, PI step control, steps capped at kernels.HMAX in tau), and each
-accepted step maps back to (v, v_x) through profile.Chart.native.  A
-touchdown ends on a last node where v meets kernels.VALUE_FLOOR, placed by
-the closed form of the pole once the Y terms are below tol.  Dense output
-is cubic Hermite of ln v in ln x (profile.Profile.dense).
+series' own state (u, Z = ln Y) in tau = ln x by Taylor steps, with nodes
+at most kernels.HMAX apart in tau, and each node maps back to (v, v_x)
+through profile.Chart.native.  A touchdown ends on a last node where the
+f-side value meets kernels.VALUE_FLOOR, placed by the closed form of the
+pole once the Y terms are below tol.  Dense output is cubic Hermite of
+ln v in ln x (profile.Profile.dense).
 
 section_Y, for the beta* gap, runs the same integration from the series'
-seam state until its first step across the section X = -2/(1-m), the
-nullcline of Y, and reads Y there as the peak of the cubic Hermite of
-ln Y in tau; it builds no nodes and no Profile.
+seam state to the section X = -2/(1-m), the nullcline of Y, whose
+crossing is the run's last node, and reads Y there; it builds no Profile.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ class OdeState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted steps of one outward integration run."""
+    """Nodes of one outward integration run."""
     r: np.ndarray
     v: np.ndarray
     vr: np.ndarray
@@ -102,7 +101,7 @@ def thin_local_nodes(grid: np.ndarray) -> np.ndarray:
 
 def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
                      tol: float = 1e-9) -> Profile:
-    """Stitch the series nodes to the adaptive outward integration.
+    """Stitch the series nodes to the outward integration.
 
     The series state at the seam eps becomes the first node of the outward
     trajectory, so the stitched dense representation is C^1 at the seam by
@@ -134,7 +133,7 @@ def _require_run_settings(r_max: float, tol: float, **more: float) -> None:
 
 def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
                          tol: float = 1e-9) -> Profile:
-    """Full origin profile: series near r = 0, then adaptive continuation."""
+    """Full origin profile: series near r = 0, then Taylor continuation."""
     _require_run_settings(r_max, tol)
     loc = picard_f_origin(params, eta0, tol, r_max)
     return continue_profile(params, loc, r_max, tol=tol)
@@ -151,18 +150,6 @@ def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
 SECTION_REACH = 8.0 ** 4   # a gap's reach, in units of a solve's seam cap b^{(m-1)/2}
 
 
-def _hermite_peak(z0, z1, d0, d1):
-    """Extremum of the cubic Hermite from (z0, d0) to (z1, d1), slopes per
-    unit s in [0, 1] of opposite signs.  Its slope d0 (1-s)^2 + 2c s(1-s) +
-    d1 s^2, c = 3 (z1 - z0) - d0 - d1, vanishes once in [0, 1]; that root is
-    a ratio of sums of nonnegative terms, so it needs no clamp."""
-    c = 3.0 * (z1 - z0) - d0 - d1
-    q = math.sqrt(c * c - d0 * d1) + abs(c)
-    s = abs(d0) / (q + abs(d0)) if c * d1 > 0.0 else q / (q + abs(d1))
-    t = 1.0 - s
-    return z0 + s * s * (3.0 - 2.0 * s) * (z1 - z0) + s * t * (t * d0 - s * d1)
-
-
 def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     """Y = r^2 f^{1-m} where the chart's manifold first crosses X = -2/(1-m).
 
@@ -170,11 +157,10 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  The
     series (localsolve.gap_order(tol) terms) has its seam at GAP_SEAM of its
     root-test radius, capped only by the reach, SECTION_REACH times b^{(m-1)/2};
-    the stepper runs from there to the reach, stops on the first step across
-    the section and reads Y as the peak of the cubic Hermite of Z = ln Y in
-    tau over that step, with end slopes h Z_tau = h (1-m) sign(lam) (u - u_sec).
-    Returns (Y, None), or (None, why no step crosses the section): the seam
-    already lies on or past it, or the run ends on an event.
+    the stepper runs from there to the reach and ends on a last node at the
+    section's first crossing, where Y = e^Z.  Returns (Y, None), or
+    (None, why no step crosses the section): the seam already lies on or
+    past it, or the run ends on an event.
     """
     check_datum(p, kind, boundary)
     reach = SECTION_REACH * boundary ** ((p.m - 1.0) / 2.0)
@@ -184,10 +170,8 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     u_sec = -c.lam / (1.0 - p.m)
     if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0
         return None, f"its series seam at x={seam.eps:.6g} already lies on or past it"
-    x, u, Z, event = kernels.integrate_flux_system(
+    _, _, Z, event = kernels.integrate_flux_system(
         c.lam, c.mu, c.A, p.m, p.beta, seam.eps, seam.u, seam.Z, reach, tol, u_sec)
     if event is not TerminalEvent.SECTION:
         return None, f"it ends on {event.value}"
-    g = math.copysign((1.0 - p.m) * math.log(x[-1] / x[-2]), c.lam)
-    d0, d1 = (g * (u[-2:] - u_sec)).tolist()
-    return math.exp(_hermite_peak(float(Z[-2]), float(Z[-1]), d0, d1)), None
+    return math.exp(Z[-1]), None

@@ -1,4 +1,4 @@
-"""Dormand-Prince 5(4) stepper for the reduced system of both charts.
+"""Taylor stepper for the reduced system of both charts.
 
 The state is the one the manifold series solves for (see localsolve):
 u = X - X* and Z = ln Y, with X = r f_r / f, Y = r^2 f^{1-m}, advanced in
@@ -6,42 +6,38 @@ tau = ln x for the chart radius x (r, or s = 1/r):
 
     u_tau = sgn (mu u - m u^2 - A Y - beta u Y),   Z_tau = |lam| + sgn (1-m) u
 
-with sgn = sign(lam) and (lam, mu, A) from profile.Chart.  A zero of the
-profile (a touchdown) is a pole of u.  Without its Y terms the equation,
-u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed point at u* = mu/m
-(x v_x / v = -k in both charts) and keeps v^m (u* - u) fixed.  Past u*,
-once the Y terms are below tol of the rest, a run is closed by that law
-instead of stepped into the pole: it places the node where v meets
-VALUE_FLOOR.  A run ends on a profile.TerminalEvent; SECTION ends a beta*
-gap run on its first step across a given u.
+with sgn = sign(lam) and (lam, mu, A) from profile.Chart.  The system is
+polynomial in (u, Y), so the Cauchy-product recursion of the manifold
+series also gives its Taylor coefficients in tau at any state; each step
+sums them to an order and over a step set by tol and the root test (Jorba
+& Zou, Exp. Math. 14, 2005); a solve's nodes lie at most HMAX apart.
+
+A zero of the profile (a touchdown) is a pole of u.  Without its Y terms
+the equation, u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed
+point at u* = mu/m (x v_x / v = -k in both charts) and keeps v^m (u* - u)
+fixed.  Past u*, once the Y terms are below tol of the rest, a run is
+closed by that law instead of stepped into the pole: it places the node
+where the f-side value meets VALUE_FLOOR, or the node at x_max if that
+comes first.  A run ends on a profile.TerminalEvent; SECTION ends a beta*
+gap run where its step's polynomial first crosses a given u.
 """
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
 from .profile import TerminalEvent
 
-# Butcher tableau, Dormand-Prince 5(4), FSAL (no abscissae: the system is autonomous)
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
 VALUE_FLOOR = 1e-30
 DERIV_CAP = 1e30
 STEP_FLOOR = 1e-14       # least step in tau, relative to 1 + |tau|
-HMAX = 0.025             # step cap in tau, for the dense output and the residual stencil
-_SAFETY = 0.9
+HMAX = 0.025             # largest node gap in tau: dense output, residual stencil
 _LN_FLOOR = math.log(VALUE_FLOOR)
 _LN_CAP = math.log(DERIV_CAP)
+_REACH = math.exp(-2.0)  # a step, as a fraction of the root-test radius
 
 # fdprof has one backend, this interpreted one; perfbench is the only reader
 NUMBA_ENABLED = False
@@ -49,26 +45,31 @@ NUMBA_ENABLED = False
 
 def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                           u_sec=math.inf):
-    """Advance (u, Z) from x0 to x_max recording every accepted step.
+    """Advance (u, Z) from x0 to x_max recording every emitted node.
 
     Returns (x, u, Z, event): node radii, states and the TerminalEvent.
-    x[0] is x0 and, when the run reaches it, x[-1] is x_max, both exactly; on a
-    touchdown the last node is the point where v = VALUE_FLOOR.  Past u*,
-    the first accepted step with Y (|c| + |d u|) <= tol |u (a + b u)| places
-    it by the closed form of the Y-free flow, unless that lies past x_max;
-    otherwise a step that lands below the floor places it by the leading
-    order of the pole, v ~ (tau_v - tau)^{1/m}.  The test takes absolute
+    x[0] is x0 and, when the run reaches it, x[-1] is x_max, both exactly.
+    Each step sums N = ceil(-ln(tol)/2) + 3 Taylor terms of u and of
+    y = Y/Y0 from its start, takes Z as Z0 plus the integral of Z_tau, and
+    spans e^-2 of the least root-test radius |c_j / scale|^{-1/j}, j = N-1
+    and N, with scale 1 + |u| for u and 1 for y; a non-finite coefficient,
+    or a step below STEP_FLOOR, ends the run on STEP_UNDERFLOW.  A solve's
+    step emits nodes that split it evenly, at most HMAX apart, and every
+    test below runs at each emitted node.  The floor is on the f-side
+    value: v in the origin chart, s^k v in the far chart.  Past u*, the
+    first node with Y (|c| + |d u|) <= tol |u (a + b u)| places the floor
+    node by the closed form of the Y-free flow, or the x_max node by the
+    same law when the floor lies past x_max.  The test takes absolute
     values because a signed Y term also passes where c + d u changes sign,
-    far from the pole.  A finite u_sec ends the run on SECTION at the
-    first accepted step that reaches or crosses u = u_sec, its node the
-    last; solves keep the default, never crossed.  A run with no room left
-    under MAX_NODES for two more nodes ends on NODE_OVERFLOW.  A step is
-    accepted when its error estimate for Z is within tol (1-m), which is tol
-    relative in v, and that for u within tol (1 + |u|).  The stages are
-    written out, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u:
-    a call per stage costs the interpreter a fifth more time per step.  The
-    name dates from the flux-form stepper this one replaced; perfbench
-    counts steps by len(x).
+    far from the pole.  A finite u_sec makes a gap run, one node per step,
+    which ends on SECTION where the step's polynomial first crosses
+    u = u_sec: Newton on that polynomial places the last node, with
+    u = u_sec; solves keep the default, never crossed.  A run with no room
+    left under MAX_NODES for two more nodes ends on NODE_OVERFLOW.  The
+    recursion is written out in the loop, as u_tau = u (a + b u) +
+    Y (c + d u) and Z_tau = e + g u: a call per Cauchy product would cost
+    the step 2-5%.  The name dates from the flux-form stepper this one
+    replaced; perfbench counts steps by len(x), which here counts nodes.
     """
     # plain floats: numpy scalars would make the loop several times slower
     e, sgn = abs(lam), math.copysign(1.0, lam)
@@ -80,84 +81,109 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     # the Y-free flow u_tau = u (a + b u) has its fixed point at u* = -a/b;
     # past it, w < a/m, it runs into the pole when a < 0 (both charts)
     u_fix, w_fix = -a / b, a / m if a < 0.0 else -math.inf
-    cap = MAX_NODES
+    # the f-side value is ln v + kf tau: f(1/s) = s^k g(s) in the far chart
+    kf = u_fix if lam < 0.0 else 0.0
+    # a step's truncation, e^{-2(N+1)} of its scale, is below tol e^{-8}:
+    # on far tails, where the flux is nearly constant, the residual check
+    # reads the kinks between steps amplified up to ~5e4
+    order = max(4, math.ceil(-math.log(tol) / 2.0) + 3)
+    inv = [1.0 / (j + 1) for j in range(order + 1)]
+    # a gap run keeps only its last node, so its steps emit one each
+    spacing = HMAX if u_sec == math.inf else math.inf
     taus, us, Zs = [tau], [u], [Z]
-    event = TerminalEvent.REACHED_RMAX
-    if tau_max > tau:
-        k1u = u * (a + b * u) + math.exp(Z) * (c + d * u)
-        k1z = e + g * u
-        h = min(1e-3, tau_max - tau)
-        err_prev = 1.0
-        while True:
-            if h < STEP_FLOOR * (1.0 + abs(tau)):
-                event = TerminalEvent.STEP_UNDERFLOW
-                break
-            last = tau + h >= tau_max
-            if last:
-                h = tau_max - tau
-            s = u + h * _A21 * k1u
-            k2u = s * (a + b * s) + math.exp(Z + h * _A21 * k1z) * (c + d * s)
-            k2z = e + g * s
-            s = u + h * (_A31 * k1u + _A32 * k2u)
-            k3u = s * (a + b * s) + math.exp(Z + h * (_A31 * k1z + _A32 * k2z)) * (c + d * s)
-            k3z = e + g * s
-            s = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-            k4u = s * (a + b * s) + math.exp(
-                Z + h * (_A41 * k1z + _A42 * k2z + _A43 * k3z)) * (c + d * s)
-            k4z = e + g * s
-            s = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-            k5u = s * (a + b * s) + math.exp(
-                Z + h * (_A51 * k1z + _A52 * k2z + _A53 * k3z + _A54 * k4z)) * (c + d * s)
-            k5z = e + g * s
-            s = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-            k6u = s * (a + b * s) + math.exp(
-                Z + h * (_A61 * k1z + _A62 * k2z + _A63 * k3z + _A64 * k4z
-                         + _A65 * k5z)) * (c + d * s)
-            k6z = e + g * s
-            un = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-            Zn = Z + h * (_B1 * k1z + _B3 * k3z + _B4 * k4z + _B5 * k5z + _B6 * k6z)
-            k7u = un * (a + b * un) + math.exp(Zn) * (c + d * un)
-            k7z = e + g * un
-            eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-            ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-            err = max(abs(eu) / (tol * (1.0 + max(abs(u), abs(un)))),
-                      abs(ez) / (tol * one_m))
-            if not err <= 1.0:       # also catches a NaN or infinite stage
-                h *= max(_SAFETY * err ** (-0.2), 0.2) if err < math.inf else 0.2
-                continue
-            # accepted
-            if len(taus) + 2 > cap:  # room for this node and an extrapolated one
+    event = None
+    while event is None:
+        if tau >= tau_max:
+            event = TerminalEvent.REACHED_RMAX
+            break
+        # (j+1) u_{j+1} = a u_j + b [u^2]_j + Y0 (c y_j + d [uy]_j),
+        # (j+1) y_{j+1} = e y_j + g [uy]_j, from y_0 = 1
+        Y0 = math.exp(Z)
+        Yc, Yd = Y0 * c, Y0 * d
+        uc, yc = [u], [1.0]
+        for j in range(order):
+            uy = sum(map(mul, uc, reversed(yc)))
+            uj, yj = uc[j], yc[j]
+            uc.append((a * uj + b * sum(map(mul, uc, reversed(uc)))
+                       + Yc * yj + Yd * uy) * inv[j])
+            yc.append((e * yj + g * uy) * inv[j])
+        su = 1.0 + abs(u)
+        rho = max((abs(uc[-2]) / su) ** inv[order - 2], abs(yc[-2]) ** inv[order - 2],
+                  (abs(uc[-1]) / su) ** inv[order - 1], abs(yc[-1]) ** inv[order - 1])
+        h = _REACH / rho if rho > 0.0 else math.inf
+        if not (math.isfinite(uc[-1] + yc[-1])
+                and h >= STEP_FLOOR * (1.0 + abs(tau))):
+            event = TerminalEvent.STEP_UNDERFLOW
+            break
+        last = tau + h >= tau_max
+        if last:
+            h = tau_max - tau
+        # u(t) and Z(t) = Z + t z(t): Horner pairs, highest degree first
+        zc = [g * uj * q for uj, q in zip(uc, inv)]
+        zc[0] += e
+        coef = list(zip(reversed(uc), reversed(zc)))
+        k = math.ceil(h / spacing) or 1
+        t_prev, u_prev = 0.0, u
+        for i in range(1, k + 1):
+            t = h if i == k else h * i / k
+            un = zz = 0.0
+            for cu, cz in coef:
+                un = un * t + cu
+                zz = zz * t + cz
+            tn = tau_max if last and i == k else tau + t
+            Zn = Z + t * zz
+            if len(taus) + 2 > MAX_NODES:  # room for this node and a closing one
                 event = TerminalEvent.NODE_OVERFLOW
                 break
-            tn = tau_max if last else tau + h
-            if (un - u_sec) * (u - u_sec) <= 0.0:
-                taus.append(tn); us.append(un); Zs.append(Zn)
+            if (un - u_sec) * (u_prev - u_sec) <= 0.0:
+                # Newton on the step's polynomial, from the secant
+                s = t if un == u_prev else (
+                    t_prev + (t - t_prev) * (u_prev - u_sec) / (u_prev - un))
+                for _ in range(20):
+                    pu = du = 0.0
+                    for cu, _ in coef:
+                        du = du * s + pu
+                        pu = pu * s + cu
+                    ds = (pu - u_sec) / du if du else 0.0
+                    s = min(max(s - ds, t_prev), t)
+                    if not abs(ds) > 1e-15 * (1.0 + s):
+                        break
+                zz = 0.0
+                for _, cz in coef:
+                    zz = zz * s + cz
+                taus.append(tau + s); us.append(u_sec); Zs.append(Z + s * zz)
                 event = TerminalEvent.SECTION
                 break
             lnv = (Zn - e * tn) / one_m
-            floor_hit = lnv <= _LN_FLOOR
+            floor_hit = lnv + kf * tn <= _LN_FLOOR
             w = sgn * un             # x v_x / v
-            tf = tau                 # no floor node
+            closing = False
             if w < w_fix and (math.exp(Zn) * (abs(c) + abs(d * un))
                               <= tol * abs(un * (a + b * un))):
                 # the Y terms are below tol: what is left is linear in 1/u and
-                # keeps v^m (u* - u) fixed, so v meets the floor after
-                # a s = ln(1 + (u*/u) (e^{-L} - 1)), L = m ln(v / FLOOR)
-                el = m * (lnv - _LN_FLOOR)
-                gs = math.log1p(u_fix / un * math.expm1(-el))
-                if tn + gs / a <= tau_max:
-                    tf, uf = tn + gs / a, un * math.exp(el + gs)
-            elif w < 0.0 and floor_hit:
-                # not closed: v ~ (tau_v - tau)^{1/m} with tau_v = tn - 1/(m w)
-                rest = -math.exp(m * (_LN_FLOOR - lnv)) / (m * w)
-                tf, uf = tn - 1.0 / (m * w) - rest, -sgn / (m * rest)
-            # the floor node replaces this one when the floor lies inside the step
-            if not (floor_hit and tf > tau):
+                # keeps v^m (u* - u) fixed, so ln v falls by L/m after
+                # a s = ln(1 + (u*/u) (e^{-L} - 1)); the floor moves with
+                # kf tau, which two passes settle
+                tf = tn
+                for _ in range(2):
+                    el = m * (lnv + kf * tf - _LN_FLOOR)
+                    tf = tn + math.log1p(u_fix / un * math.expm1(-el)) / a
+                floor = tf <= tau_max
+                if floor:
+                    lnf = _LN_FLOOR - kf * tf
+                else:   # the floor lies past x_max: the same law gives x_max
+                    tf = tau_max
+                    el = -math.log1p(un / u_fix * math.expm1(a * (tf - tn)))
+                    lnf = lnv - el / m
+                closing = tf > taus[-1]
+            # the closing node replaces this one when it lies inside the step
+            if not (closing and tf <= tn):
                 taus.append(tn); us.append(un); Zs.append(Zn)
-            if tf > tau:
-                taus.append(tf); us.append(uf)
-                Zs.append(e * tf + one_m * _LN_FLOOR)
-                event = TerminalEvent.VALUE_FLOOR
+            if closing:
+                taus.append(tf); us.append(un * math.exp(el + a * (tf - tn)))
+                Zs.append(e * tf + one_m * lnf)
+                event = (TerminalEvent.VALUE_FLOOR if floor
+                         else TerminalEvent.REACHED_RMAX)
                 break
             if floor_hit:
                 event = TerminalEvent.VALUE_FLOOR
@@ -165,18 +191,8 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
             if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
                 event = TerminalEvent.DERIV_BLOWUP
                 break
-            if last:
-                break
-            tau = tn; u = un; Z = Zn
-            k1u = k7u; k1z = k7z
-            if err == 0.0:
-                # an exact step (e.g. a constant solution) gives the PI
-                # controller nothing to work from: grow at the cap
-                fac = 5.0
-            else:
-                fac = min(max(_SAFETY * err ** (-0.14) * err_prev ** 0.08, 0.2), 5.0)
-                err_prev = err
-            h = min(h * fac, HMAX)
+            t_prev, u_prev = t, un
+        tau, u, Z = tn, un, Zn
     x = np.exp(taus)
     x[0] = x0
     if event is TerminalEvent.REACHED_RMAX and len(x) > 1:

@@ -1,7 +1,7 @@
 """Stitched profile representation shared by the solvers and the checks.
 
 A Profile concatenates the local nodes of the manifold series (spaced by
-tol, widest deep below the seam) with the accepted steps of the outward
+tol, widest deep below the seam) with the nodes of the outward
 integration.  A node is (r, v, v_r); the flux P = r^{n-1} v^{m-1} v_r and
 its slope come from Chart when a check needs them.  Dense evaluation is C1
 cubic Hermite of ln v in ln x with the nodal log-slopes x v_x / v, the
@@ -28,8 +28,8 @@ class TerminalEvent(enum.Enum):
     VALUE_FLOOR = "ValueFloor"
     DERIV_BLOWUP = "DerivBlowup"
     STEP_UNDERFLOW = "StepUnderflow"
-    NODE_OVERFLOW = "NodeOverflow"      # MAX_NODES accepted steps before r_max
-    SECTION = "Section"                 # a gap run's step across X = -2/(1-m)
+    NODE_OVERFLOW = "NodeOverflow"      # MAX_NODES nodes before r_max
+    SECTION = "Section"                 # a gap run's crossing of X = -2/(1-m)
 
 
 @dataclass(frozen=True)

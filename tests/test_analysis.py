@@ -439,8 +439,9 @@ def test_one_farfield_solve_per_regular_gap(monkeypatch, n, m, beta):
 @pytest.mark.parametrize("n, m, beta", [(5, 0.45, 0.1), (4, 1 / 3, -0.2),
                                         (3, 0.2, 0.3)])
 def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
-    """Each integration of a gap ends on the first node past the section,
-    and the Y read there is the run's peak: at least Y at every node."""
+    """Each integration of a gap ends on a last node that lies on the
+    section, after nodes all on one side of it, and the Y read there is the
+    run's peak: at least Y at every node."""
     runs, ys = [], []
 
     def recorded(*args, **kwargs):
@@ -460,8 +461,18 @@ def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
     for (u_sec, (x, u, Z, tag)), y in zip(runs, ys):
         assert tag == TerminalEvent.SECTION
         side = np.sign(u - u_sec)
-        assert len(x) > 2 and np.all(side[:-1] == side[0]) and side[-1] != side[0]
-        assert y >= np.exp(Z.max())
+        assert len(x) > 2 and np.all(side[:-1] == side[0]) and u[-1] == u_sec
+        assert y == np.exp(Z[-1]) and y >= np.exp(Z.max())
+
+
+@pytest.mark.parametrize("kind", list(ProfileKind))
+def test_section_Y_of_the_critical_bubble(kind):
+    """At (4, 1/3, 0) the bubble f = (1 + r^2/16)^-3 crosses X = -3 at
+    r = 4, where Y = r^2 f^{2/3} = 4 exactly; both charts read it to tol."""
+    p = derive_params(4, 1 / 3, 1.0, 0.0)
+    y, why = section_Y(p, kind, 1.0, 1e-9)
+    assert why is None
+    assert y == pytest.approx(4.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("n, m", CRITICAL)
@@ -645,7 +656,7 @@ def test_report_structure(closed_form_origin):
     assert rep["residual"] <= 1e-6
     assert rep["params"]["k"] == 6.0
     assert rep["regime"]["origin_admissible"] is True
-    assert rep["limits"]["L3"]["exploratory"] is True
+    assert sorted(rep["limits"]["L3"]) == ["error", "value"]
     assert rep["decay_class"]["class"] == "Fast"
     assert rep["shape"]["label"] == "monotone-decreasing"
     json.dumps(rep)   # must round-trip through plain JSON

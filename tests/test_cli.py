@@ -402,7 +402,7 @@ def test_sweep_runs_one_tuple_at_a_time_off_the_calling_thread(
 
 
 def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
-    # every tuple needs more accepted steps than this capacity
+    # every tuple needs more stepper nodes than this capacity
     monkeypatch.setattr(kernels, "MAX_NODES", 50)
     code, out, _ = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.35:2",
                            "--beta", "0.0:0.1:2", "--rmax", "60",

@@ -13,7 +13,7 @@ from fdprof import (ContinuationFailed, DomainError, OdeState, Profile,
                     continue_profile, derive_params, kernels, picard_f_origin,
                     picard_g_origin, solve_farfield_profile,
                     solve_origin_profile)
-from fdprof.integrate import _hermite_peak, section_Y
+from fdprof.integrate import section_Y
 from fdprof.profile import Chart, hermite
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
@@ -58,17 +58,26 @@ def test_backward_target_rejected():
         advance_f(CF, st, 0.25, tol=1e-9)
 
 
-def test_zero_error_step_grows_at_cap():
-    # A = beta = 0 and u0 = 0 keep u = 0 and Z_tau = |lam| exactly, so every
-    # step's error estimate is exactly zero and the controller must not
-    # divide by it
+def test_constant_solution_keeps_the_node_gap():
+    # A = beta = 0 and u0 = 0 keep u = 0 and Z_tau = |lam| exactly: every
+    # Taylor coefficient of u vanishes, and the nodes still lie at most
+    # HMAX apart
     x, u, Z, tag = kernels.integrate_flux_system(
         2.0, -1.0, 0.0, 1 / 3, 0.0, 0.5, 0.0, 0.0, 2.0, 1e-9)
     assert tag == TerminalEvent.REACHED_RMAX
     assert x[-1] == 2.0
     assert np.all(u == 0.0)
     np.testing.assert_allclose(Z, 2.0 * np.log(x / 0.5), rtol=0.0, atol=1e-14)
-    assert np.max(np.diff(np.log(x))) == pytest.approx(kernels.HMAX, rel=1e-12)
+    assert np.max(np.diff(np.log(x))) <= kernels.HMAX * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("u0", [1e200, float("nan")])
+def test_non_finite_coefficients_end_on_an_event(u0):
+    # u0^2 overflows in the first Taylor coefficient; a NaN state has no step
+    x, u, Z, tag = kernels.integrate_flux_system(
+        2.0, -1.0, 1.0, 1 / 3, 0.0, 1.0, u0, 0.0, 2.0, 1e-9)
+    assert tag == TerminalEvent.STEP_UNDERFLOW
+    assert x.size == 1
 
 
 def test_against_fixed_step_rk4_f_side():
@@ -92,16 +101,16 @@ def test_against_fixed_step_rk4_g_side():
     assert np.max(np.abs(P[1:] - Ps)) <= 1e-7
 
 
-def test_convergence_order_at_least_four():
+def test_end_error_follows_tol():
+    """The relative error at r = 5 stays within tol of the closed form, and
+    the order follows tol: each tenfold tighter tol buys a smaller error
+    until rounding, 1e-14, takes over."""
     st = OdeState(0.5, float(f_exact(0.5)), _flux(CF, 0.5))
-    pts = []
-    for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        tr = advance_f(CF, st, 5.0, tol=tol)
-        err = abs(tr.v[-1] - float(f_exact(5.0)))
-        pts.append((4.5 / (tr.r.size - 1), max(err, 1e-16)))
-    slope = np.polyfit(np.log([h for h, _ in pts]),
-                       np.log([e for _, e in pts]), 1)[0]
-    assert slope >= 4.0
+    tols = [1e-6, 1e-7, 1e-8, 1e-9, 1e-10]
+    errs = [abs(advance_f(CF, st, 5.0, tol=t).v[-1] / float(f_exact(5.0)) - 1.0)
+            for t in tols]
+    assert all(e <= t for e, t in zip(errs, tols))
+    assert all(b < a or b <= 1e-14 for a, b in zip(errs, errs[1:]))
 
 
 def test_stitched_profile_shape():
@@ -286,13 +295,36 @@ class TestPoleClosure:
         lnv = (Z[-1] - 2.0 * np.log(x[-1])) / (1.0 - 1 / 3)
         assert lnv == pytest.approx(np.log(kernels.VALUE_FLOOR), rel=1e-14)
 
-    def test_floor_past_x_max_keeps_stepping(self):
+    def test_floor_past_x_max_closes_at_x_max(self):
         x, u, Z, tag = kernels.integrate_flux_system(
             2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 3.9, 1e-9)
         assert tag == TerminalEvent.REACHED_RMAX
         assert x[-1] == 3.9
         # 1/u = -1/3 + x/12 along the exact orbit
         np.testing.assert_allclose(1.0 / u, -1 / 3 + x / 12.0, rtol=1e-7)
+
+    def test_x_max_just_inside_the_touchdown_is_closed(self):
+        # stepping on to an r_max 1e-9 inside the pole took 859 nodes past
+        # the seam, against 344 for the touchdown itself
+        part = _touchdown("o", 4, 1 / 3, -0.2)
+        p = derive_params(4, 1 / 3, 1.0, -0.2)
+        r_max = part.r_end * (1.0 - 1e-9)
+        prof = solve_origin_profile(p, 1.0, r_max, tol=1e-9)
+        assert prof.terminal is TerminalEvent.REACHED_RMAX
+        assert prof.r_end == r_max
+        assert prof.r.size - prof.n_local <= part.r.size - part.n_local
+
+
+def test_farfield_floor_is_on_the_fside_value():
+    """Near u* = -k the far-field g falls below VALUE_FLOOR through s^-k
+    alone: at s = 3.43 here ln g = -70 while f(1/s) = s^k g = 141.  The
+    floor is on f, so the run goes on to r_max."""
+    p = derive_params(3, 1 / 60, 1.0, -0.475)
+    prof = solve_farfield_profile(p, 1.0, RMAX, tol=TOL)
+    assert prof.terminal is TerminalEvent.REACHED_RMAX
+    s, g = prof.r[prof.n_local:], prof.v[prof.n_local:]
+    assert np.min(g) < kernels.VALUE_FLOOR
+    assert np.min(np.log(g) + p.k * np.log(s)) > np.log(kernels.VALUE_FLOOR)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-11])
@@ -325,30 +357,6 @@ def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
                     method="DOP853", rtol=1e-13, atol=1e-300, t_eval=x).y[0]
     assert x.size > 100
     assert np.max(np.abs(prof.v[i:] / ref - 1.0)) <= 10.0 * tol
-
-
-@settings(max_examples=300, deadline=None)
-@given(z0=st.floats(-1e3, 1e3), z1=st.floats(-1e3, 1e3),
-       a0=st.floats(1e-8, 1e3), a1=st.floats(1e-8, 1e3), rising=st.booleans())
-def test_hermite_peak_is_the_cubics_extremum(z0, z1, a0, a1, rising):
-    """Cubic Hermite reproduces a cubic, so on any cubic whose end slopes
-    differ in sign the helper gives the cubic's own extremum, to 1e-12 of
-    the size of its data; the reference is worked at 50 digits, each root
-    in the form that does not subtract w from a c2 of its own sign."""
-    d0, d1 = (a0, -a1) if rising else (-a0, a1)
-    with mpmath.workdps(50):
-        Z0, Z1, D0, D1 = (mpmath.mpf(t) for t in (z0, z1, d0, d1))
-        c2, c3 = 3 * (Z1 - Z0) - 2 * D0 - D1, 2 * (Z0 - Z1) + D0 + D1
-        if c3 == 0:
-            roots = [-D0 / (2 * c2)]
-        else:   # real roots: the slope d0 + 2 c2 s + 3 c3 s^2 changes sign
-            w = mpmath.sqrt(c2 * c2 - 3 * c3 * D0)
-            q = -(c2 + (w if c2 >= 0 else -w))
-            roots = [q / (3 * c3), D0 / q]
-        s = next(t for t in roots if 0 <= t <= 1)
-        ref = float(Z0 + s * (D0 + s * (c2 + s * c3)))
-    scale = abs(z0) + abs(z1) + a0 + a1
-    assert abs(_hermite_peak(z0, z1, d0, d1) - ref) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("call", ["series", "solve", "gap"])
