@@ -24,7 +24,7 @@ import numpy as np
 # check calls it
 from .integrate import section_Y, solve_origin_profile
 from .inversion import fside_samples
-from .localsolve import gap_order, manifold_series
+from .localsolve import gap_order, manifold_coefficients
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
 from .profile import Profile, ProfileKind, TerminalEvent
@@ -202,8 +202,7 @@ def _read(p: ProfileParams, tol: float, X: float, Y: float):
     is positive), and the state lies nearer to it than to (-k, 0).
     Undetermined otherwise.
     """
-    u, y = (c.tolist() for c in manifold_series(p, ProfileKind.FARFIELD,
-                                                gap_order(tol)))
+    u, y = manifold_coefficients(p, ProfileKind.FARFIELD, gap_order(tol))
     theta = _manifold_theta(y, Y)
     du = math.inf if theta is None else X + p.k - _series(u, theta)[0]
     y_slow = l3_reference(p)

@@ -8,9 +8,11 @@ tau = ln x for the chart radius x (r, or s = 1/r):
 
 with sgn = sign(lam) and (lam, mu, A) from profile.Chart.  The system is
 polynomial in (u, Y), so the Cauchy-product recursion of the manifold
-series also gives its Taylor coefficients in tau at any state; each step
-sums them to an order and over a step set by tol and the root test (Jorba
-& Zou, Exp. Math. 14, 2005); a solve's nodes lie at most HMAX apart.
+series also gives its Taylor coefficients in tau at any state, and both
+run on plain floats.  Each step sums them to an order and over a step set
+by tol and the root test (Jorba & Zou, Exp. Math. 14, 2005); a solve's
+nodes lie at most HMAX apart, and a beta* gap run, read only at its last
+node, takes two terms fewer.
 
 A zero of the profile (a touchdown) is a pole of u.  Without its Y terms
 the equation, u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed
@@ -50,7 +52,8 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     Returns (x, u, Z, event): node radii, states and the TerminalEvent.
     x[0] is x0 and, when the run reaches it, x[-1] is x_max, both exactly.
     Each step sums N = ceil(-ln(tol)/2) + 3 Taylor terms of u and of
-    y = Y/Y0 from its start, takes Z as Z0 plus the integral of Z_tau, and
+    y = Y/Y0 from its start (ceil(-ln(tol)/2) + 1 in a gap run, which is
+    read only at its last node), takes Z as Z0 plus the integral of Z_tau, and
     spans e^-2 of the least root-test radius |c_j / scale|^{-1/j}, j = N-1
     and N, with scale 1 + |u| for u and 1 for y; a non-finite coefficient,
     or a step below STEP_FLOOR, ends the run on STEP_UNDERFLOW.  A solve's
@@ -83,13 +86,15 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     u_fix, w_fix = -a / b, a / m if a < 0.0 else -math.inf
     # the f-side value is ln v + kf tau: f(1/s) = s^k g(s) in the far chart
     kf = u_fix if lam < 0.0 else 0.0
-    # a step's truncation, e^{-2(N+1)} of its scale, is below tol e^{-8}:
+    # a solve's step truncation, e^{-2(N+1)} of its scale, is below tol e^{-8}:
     # on far tails, where the flux is nearly constant, the residual check
-    # reads the kinks between steps amplified up to ~5e4
-    order = max(4, math.ceil(-math.log(tol) / 2.0) + 3)
+    # reads the kinks between steps amplified up to ~5e4.  A gap run keeps
+    # only its last node, read at the section: one node per step, and
+    # tol e^{-4} is enough there
+    solve = u_sec == math.inf
+    order = max(4, math.ceil(-math.log(tol) / 2.0) + (3 if solve else 1))
     inv = [1.0 / (j + 1) for j in range(order + 1)]
-    # a gap run keeps only its last node, so its steps emit one each
-    spacing = HMAX if u_sec == math.inf else math.inf
+    spacing = HMAX if solve else math.inf
     taus, us, Zs = [tau], [u], [Z]
     event = None
     while event is None:

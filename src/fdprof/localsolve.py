@@ -21,12 +21,15 @@ which needs no nodes.  A solve sums ORDER terms at a quarter of the radius,
 capped at min(1, b^{(m-1)/2}, r_max) in x; a gap, which keeps no series
 node, sums gap_order(tol) terms at GAP_SEAM of the radius with no such cap,
 so its stepper starts farther out (order set by tol and step by the root
-test, as for Taylor methods; Jorba & Zou, Exp. Math. 14, 2005).
+test, as for Taylor methods; Jorba & Zou, Exp. Math. 14, 2005).  The
+coefficients and the seam sums are plain floats, as in the stepper; numpy
+takes over where an operation spans the nodes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -53,21 +56,31 @@ class LocalSolution:
     iterations: int           # series order
 
 
-def manifold_series(p: ProfileParams, kind: ProfileKind, order: int | None = None):
+def manifold_coefficients(p: ProfileParams, kind: ProfileKind,
+                          order: int | None = None) -> tuple[list, list]:
     """Coefficients (u_j, y_j), j = 0..order (default ORDER), of the chart's
-    manifold."""
+    manifold, as lists of floats.
+
+    The recursion runs on plain floats, as the stepper's does: on at most
+    ORDER + 1 terms a numpy call per product costs more than the product.
+    """
     order = ORDER if order is None else order
     c = Chart.of(p, kind)
-    u = np.zeros(order + 1)
-    y = np.zeros(order + 1)
-    y[1] = 1.0
+    m, beta, A, lam, mu = (float(x) for x in (p.m, p.beta, c.A, c.lam, c.mu))
+    us, ys = [], []   # u_1.., y_1..; each holds j - 1 terms at step j
     for j in range(1, order + 1):
-        uy = u[1:j] @ y[j - 1:0:-1]
-        if j > 1:
-            y[j] = (1.0 - p.m) * uy / (c.lam * (j - 1))
-        u[j] = -(p.m * (u[1:j] @ u[j - 1:0:-1]) + c.A * y[j] + p.beta * uy) / (
-            c.lam * j - c.mu)
-    return u, y
+        uy = sum(map(mul, us, reversed(ys)))
+        y_j = (1.0 - m) * uy / (lam * (j - 1)) if j > 1 else 1.0
+        us.append(-(m * sum(map(mul, us, reversed(us))) + A * y_j + beta * uy)
+                  / (lam * j - mu))
+        ys.append(y_j)
+    return [0.0, *us], [0.0, *ys]
+
+
+def manifold_series(p: ProfileParams, kind: ProfileKind, order: int | None = None):
+    """manifold_coefficients as arrays (u_j), (y_j)."""
+    u, y = manifold_coefficients(p, kind, order)
+    return np.array(u), np.array(y)
 
 
 def gap_order(tol: float) -> int:
@@ -147,22 +160,29 @@ def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,
     |c_j|^{-1/j} over the upper half of the coefficients, and never beyond
     x_cap in the chart radius x.
     """
-    u, y = manifold_series(p, kind, order)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+    u, y = manifold_coefficients(p, kind, order)
+    if not all(map(math.isfinite, u + y)):
         raise LocalStageFailed(
             f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
-    j = np.arange(order // 2, order + 1)
-    tail = np.concatenate([np.abs(u[j]) ** (1.0 / j), np.abs(y[j]) ** (1.0 / j)])
-    theta = fraction / tail.max() if tail.max() > 0.0 else math.inf
+    half = order // 2
+    inv = [1.0 / j for j in range(half, order + 1)]
+    rho = max(map(pow, map(abs, u[half:] + y[half:]), inv + inv))
+    theta = fraction / rho if rho > 0.0 else math.inf
     e, one_m = abs(Chart.of(p, kind).lam), 1.0 - p.m
     eps = min(math.exp((math.log(theta) - one_m * math.log(b)) / e), x_cap)
-    powers = (b ** one_m * eps ** e) ** np.arange(order + 1)
-    zu, zy = u * powers, y[1:] * powers[:-1]
-    if not (np.all(np.isfinite(zu)) and np.all(np.isfinite(zy))):
+    try:   # a float's ** raises OverflowError where numpy's gave inf
+        q = b ** one_m * eps ** e
+        powers = [q ** j for j in range(order + 1)]
+    except OverflowError:
+        powers = [math.inf] * (order + 1)
+    zu, zy = list(map(mul, u, powers)), list(map(mul, y[1:], powers))
+    if not all(map(math.isfinite, zu + zy)):
         raise LocalStageFailed(
             f"{kind.value} series terms overflow at the seam (sigma={p.sigma:.3g})")
-    return Seam(eps, float(zu.sum()),
-                one_m * math.log(b) + e * math.log(eps) + math.log(zy.sum()), zu, zy)
+    # the terms fall off with j: summed from the last one, they round least
+    return Seam(eps, sum(reversed(zu)),
+                one_m * math.log(b) + e * math.log(eps) + math.log(sum(reversed(zy))),
+                np.array(zu), np.array(zy))
 
 
 def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,

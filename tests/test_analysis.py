@@ -2,6 +2,7 @@
 import dataclasses
 import functools
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -441,7 +442,8 @@ def test_one_farfield_solve_per_regular_gap(monkeypatch, n, m, beta):
 def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
     """Each integration of a gap ends on a last node that lies on the
     section, after nodes all on one side of it, and the Y read there is the
-    run's peak: at least Y at every node."""
+    run's peak: at least Y at every node.  Y is read with math.exp, the
+    function section_Y calls; np.exp can differ from it by an ulp."""
     runs, ys = [], []
 
     def recorded(*args, **kwargs):
@@ -462,7 +464,7 @@ def test_gap_integration_stops_at_the_section(monkeypatch, n, m, beta):
         assert tag == TerminalEvent.SECTION
         side = np.sign(u - u_sec)
         assert len(x) > 2 and np.all(side[:-1] == side[0]) and u[-1] == u_sec
-        assert y == np.exp(Z[-1]) and y >= np.exp(Z.max())
+        assert y == math.exp(Z[-1]) and y >= math.exp(Z.max())
 
 
 @pytest.mark.parametrize("kind", list(ProfileKind))
@@ -499,6 +501,19 @@ def test_off_critical_exponent():
         stars.append(r.beta_star)
     assert max(stars) - min(stars) <= 1e-8
     assert find_anomalous_beta(5, 0.45, 1.0, 1.0, (-0.4, 0.4)).probes <= 12
+
+
+@pytest.mark.parametrize("n, m, probes, star", [(4, 1 / 3, 4, 0.0),
+                                                (5, 0.45, 8, 0.1189037960)])
+def test_beta_search_probe_counts(n, m, probes, star):
+    """The searches perfbench's beta-search times (bracket (-0.45, 0.45),
+    tol_beta 1e-3) take at most 4 probes at (4, 1/3) and 8 at (5, 0.45),
+    and land within 1e-9 of the root, at each eta0: their cost is these
+    probes' gap evaluations."""
+    for eta0 in (0.5, 1.0, 2.0):
+        r = find_anomalous_beta(n, m, 1.0, eta0, (-0.45, 0.45), tol_beta=1e-3)
+        assert r.probes <= probes
+        assert abs(r.beta_star - star) <= 1e-9
 
 
 def test_verdict_fails_at_a_nan_node():

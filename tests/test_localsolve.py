@@ -1,4 +1,7 @@
 """The invariant-manifold series near the profile's boundary point."""
+import dataclasses
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
                     picard_f_origin, picard_g_origin, singular_slope_limit,
                     solve_farfield_profile, solve_origin_profile)
 from fdprof import integrate, localsolve
+from fdprof.cli import main
 from fdprof.localsolve import manifold_series
 from fdprof.profile import Chart, hermite
 
@@ -279,14 +283,17 @@ def _mp_series(p, kind, order):
     return x, y
 
 
-@pytest.mark.parametrize("kind, n, m, beta, b", [
+MP_CASES = [
     (ProfileKind.ORIGIN, 4, 1 / 3, 0.25, 1.0),
     (ProfileKind.ORIGIN, 3, 0.2, 0.1, 0.6),
     (ProfileKind.ORIGIN, 4, 0.3, -0.1, 2.0),
     (ProfileKind.FARFIELD, 3, 0.3, 0.0, 1.0),
     (ProfileKind.FARFIELD, 3, 0.2, 0.05, 0.7),
     (ProfileKind.FARFIELD, 5, 0.45, 0.1, 2.0),
-])
+]
+
+
+@pytest.mark.parametrize("kind, n, m, beta, b", MP_CASES)
 def test_recursion_against_mpmath(kind, n, m, beta, b):
     """Double-precision coefficients and node values against 30 digits."""
     p = derive_params(n, m, 1.0, beta)
@@ -313,6 +320,62 @@ def test_recursion_against_mpmath(kind, n, m, beta, b):
             der = sign * mpmath.polyval(xs[::-1], th) * val / x
             worst = max(worst, float(abs(v / val - 1)), float(abs(vx / der - 1)))
         assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-11])
+@pytest.mark.parametrize("kind, n, m, beta, b", MP_CASES)
+def test_gap_seam_against_mpmath(kind, n, m, beta, b, tol):
+    """A gap's seam state (u, Z = ln Y), summed in doubles from the last
+    term down, against a 30-digit sum of the same number of terms at the
+    same eps: within 2 ulps of the scale of its rounded pieces (summed in
+    index order, they read up to 3.5 ulps)."""
+    p = derive_params(n, m, 1.0, beta)
+    order = localsolve.gap_order(tol)
+    reach = integrate.SECTION_REACH * b ** ((m - 1.0) / 2.0)
+    seam = localsolve.series_seam(p, kind, b, reach, order, localsolve.GAP_SEAM)
+    assert len(seam.zu) == order + 1
+    with mpmath.workdps(30):
+        xs, ys = _mp_series(p, kind, order)
+        e = abs(mpmath.mpf(Chart.of(p, kind).lam))
+        th = mpmath.mpf(b) ** (1 - mpmath.mpf(m)) * mpmath.mpf(seam.eps) ** e
+        u = mpmath.polyval(xs[::-1], th)
+        Y_th = mpmath.polyval(ys[:0:-1], th)
+        Z = mpmath.log(th * Y_th)
+        # the scales of the rounded pieces: the terms of u, the logs of Z
+        u_scale = float(mpmath.fsum(abs(x) * th ** j for j, x in enumerate(xs)))
+        Z_scale = float(abs((1 - m) * mpmath.log(b)) + abs(e * mpmath.log(seam.eps))
+                        + abs(mpmath.log(Y_th)))
+    assert abs(seam.u - float(u)) <= 2 * np.spacing(u_scale)
+    assert abs(seam.Z - float(Z)) <= 2 * np.spacing(Z_scale)
+
+
+def _chart_with(monkeypatch, **change):
+    """Change the given fields of every chart Chart.of builds."""
+    of = Chart.of
+    monkeypatch.setattr(localsolve.Chart, "of", staticmethod(
+        lambda p, kind: dataclasses.replace(of(p, kind), **change)))
+
+
+@pytest.mark.parametrize("change, b, why", [
+    # u_2 carries m u_1^2 ~ 1e600
+    ({"A": 1e300}, 1.0, "origin series coefficients overflow at sigma=2"),
+    # with A = 0 the series is u = 0, Y = theta: no tail, so the seam sits
+    # at the cap, where theta = b^{1-m} cap^{1/2} = 1e150 and theta^3 overflows
+    ({"A": 0.0, "lam": 0.5}, 1e300,
+     "origin series terms overflow at the seam (sigma=2)"),
+])
+def test_series_overflow_is_a_local_stage_failure(monkeypatch, capsys, tmp_path,
+                                                  change, b, why):
+    """Both overflows of series_seam raise LocalStageFailed, never a float's
+    OverflowError, and solve-origin exits 3 on them."""
+    _chart_with(monkeypatch, **change)
+    with pytest.raises(localsolve.LocalStageFailed, match=re.escape(why)):
+        picard_f_origin(CF, b)
+    code = main(["solve-origin", "--n", "4", "--m", "0.3333333333333333",
+                 "--beta", "0", "--eta0", repr(b), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert why in err and "OverflowError" not in err
 
 
 def test_f_rejects_nonpositive_eta():
