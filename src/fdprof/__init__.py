@@ -14,7 +14,7 @@ from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
                        classify_shape, find_anomalous_beta, ode_residual,
                        pde_residual_V, selfsimilar_eval, verify_inequalities)
 from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
-                        advance_g, continue_profile, solve_farfield_profile,
+                        continue_profile, solve_farfield_profile,
                         solve_origin_profile)
 from .inversion import fside_nodes, fside_samples, invert_pointwise, roundtrip
 from .kernels import NUMBA_ENABLED
@@ -33,7 +33,7 @@ __all__ = [
     "LimitEstimates", "LocalSolution", "LocalStageFailed",
     "NUMBA_ENABLED", "OdeState", "Profile", "ProfileKind",
     "ProfileParams", "RangeError", "RegimeFlags", "Shape", "SolveReport",
-    "TerminalEvent", "Trajectory", "Verdict", "advance_f", "advance_g",
+    "TerminalEvent", "Trajectory", "Verdict", "advance_f",
     "asymptotic_limits", "build_report",
     "classify_decay", "classify_regime", "classify_shape",
     "continue_profile", "derive_params", "find_anomalous_beta", "fside_nodes",

@@ -12,6 +12,7 @@ ln v in ln x (profile.Profile.dense).
 section_Y, for the beta* gap, runs the same integration from the series'
 seam state to the section X = -2/(1-m), the nullcline of Y, whose
 crossing is the run's last node, and reads Y there; it builds no Profile.
+Each builds its chart once and passes it down.
 """
 from __future__ import annotations
 
@@ -72,23 +73,13 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
     return Trajectory(x, v, vr, event)
 
 
-def _advance_state(kind: ProfileKind, p: ProfileParams, state: OdeState,
-                   r_max: float, tol: float) -> Trajectory:
-    """_advance from a flux-form state, for advance_f and advance_g."""
-    vr = state.flux * state.v ** (1.0 - p.m) / state.r ** (p.n - 1)
-    return _advance(Chart.of(p, kind), state.r, state.v, vr, r_max, tol)
-
-
 def advance_f(params: ProfileParams, state: OdeState, r_max: float,
               tol: float = 1e-9) -> Trajectory:
-    """Continue the origin profile outward to r_max or a terminal event."""
-    return _advance_state(ProfileKind.ORIGIN, params, state, r_max, tol)
-
-
-def advance_g(params: ProfileParams, state: OdeState, r_max: float,
-              tol: float = 1e-9) -> Trajectory:
-    """Continue the far-field profile outward to r_max or a terminal event."""
-    return _advance_state(ProfileKind.FARFIELD, params, state, r_max, tol)
+    """Continue the origin profile from a flux-form state outward to r_max or
+    a terminal event."""
+    vr = state.flux * state.v ** (1.0 - params.m) / state.r ** (params.n - 1)
+    return _advance(Chart.of(params, ProfileKind.ORIGIN), state.r, state.v, vr,
+                    r_max, tol)
 
 
 def thin_local_nodes(grid: np.ndarray) -> np.ndarray:
@@ -162,11 +153,11 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     (None, why no step crosses the section): the seam already lies on or
     past it, or the run ends on an event.
     """
-    check_datum(p, kind, boundary)
+    c = Chart.of(p, kind)
+    check_datum(c, boundary)
     reach = SECTION_REACH * boundary ** ((p.m - 1.0) / 2.0)
     _require_run_settings(reach, tol)
-    seam = series_seam(p, kind, boundary, reach, gap_order(tol), GAP_SEAM)
-    c = Chart.of(p, kind)
+    seam = series_seam(c, boundary, reach, gap_order(tol), GAP_SEAM)
     u_sec = -c.lam / (1.0 - p.m)
     if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0
         return None, f"its series seam at x={seam.eps:.6g} already lies on or past it"

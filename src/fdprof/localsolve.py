@@ -23,7 +23,8 @@ node, sums gap_order(tol) terms at GAP_SEAM of the radius with no such cap,
 so its stepper starts farther out (order set by tol and step by the root
 test, as for Taylor methods; Jorba & Zou, Exp. Math. 14, 2005).  The
 coefficients and the seam sums are plain floats, as in the stepper; numpy
-takes over where an operation spans the nodes.
+takes over where an operation spans the nodes.  Each stage takes the
+profile.Chart its run built once, in place of (params, kind).
 """
 from __future__ import annotations
 
@@ -56,8 +57,7 @@ class LocalSolution:
     iterations: int           # series order
 
 
-def manifold_coefficients(p: ProfileParams, kind: ProfileKind,
-                          order: int | None = None) -> tuple[list, list]:
+def manifold_coefficients(chart: Chart, order: int | None = None) -> tuple[list, list]:
     """Coefficients (u_j, y_j), j = 0..order (default ORDER), of the chart's
     manifold, as lists of floats.
 
@@ -65,8 +65,8 @@ def manifold_coefficients(p: ProfileParams, kind: ProfileKind,
     ORDER + 1 terms a numpy call per product costs more than the product.
     """
     order = ORDER if order is None else order
-    c = Chart.of(p, kind)
-    m, beta, A, lam, mu = (float(x) for x in (p.m, p.beta, c.A, c.lam, c.mu))
+    p = chart.params
+    m, beta, A, lam, mu = (float(x) for x in (p.m, p.beta, chart.A, chart.lam, chart.mu))
     us, ys = [], []   # u_1.., y_1..; each holds j - 1 terms at step j
     for j in range(1, order + 1):
         uy = sum(map(mul, us, reversed(ys)))
@@ -75,12 +75,6 @@ def manifold_coefficients(p: ProfileParams, kind: ProfileKind,
                   / (lam * j - mu))
         ys.append(y_j)
     return [0.0, *us], [0.0, *ys]
-
-
-def manifold_series(p: ProfileParams, kind: ProfileKind, order: int | None = None):
-    """manifold_coefficients as arrays (u_j), (y_j)."""
-    u, y = manifold_coefficients(p, kind, order)
-    return np.array(u), np.array(y)
 
 
 def gap_order(tol: float) -> int:
@@ -94,7 +88,8 @@ def gap_order(tol: float) -> int:
     return min(ORDER, max(4, math.ceil(n) - 1))
 
 
-def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
+@np.errstate(divide="ignore")   # a bound over a zero sum is inf: it does not bind
+def _node_taus(zu: np.ndarray, chart: Chart, tol: float,
                log_depth: float) -> np.ndarray:
     """ln z at the nodes, z = theta/theta_seam from 1 down to e^log_depth.
 
@@ -109,6 +104,9 @@ def _node_taus(zu: np.ndarray, lam: float, p: ProfileParams, tol: float,
     the node count, the integral of 1/(|lam| gap) over ln z, taken on 128
     points.
     """
+    if not zu[1]:   # theta underflows at the seam: the series is flat there
+        return np.zeros(1)
+    lam, p = chart.lam, chart.params
     e, tol = abs(lam), max(tol, 1e-15)   # below it, rounding sets the error
     order = len(zu) - 1
     j = np.arange(order + 1)
@@ -139,28 +137,31 @@ class Seam:
     zy: np.ndarray            # Y = theta sum zy_j z^j
 
 
-def check_datum(p: ProfileParams, kind: ProfileKind, b: float) -> None:
+def check_datum(chart: Chart, b: float) -> None:
     """Refuse a beta outside the chart's window, or a datum b (eta0 or eta)
     the manifold series cannot take: the one gate of every solve and gap."""
-    if kind is ProfileKind.ORIGIN:
-        require_origin_admissible(p)
+    origin = chart.kind is ProfileKind.ORIGIN
+    if origin:
+        require_origin_admissible(chart.params)
     else:
-        require_farfield_admissible(p)
+        require_farfield_admissible(chart.params)
     if not 0.0 < b < math.inf:
-        name = "eta0" if kind is ProfileKind.ORIGIN else "eta"
+        name = "eta0" if origin else "eta"
         raise DomainError(f"{name} must be positive and finite, got {b}")
 
 
-def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,
-                order: int, fraction: float) -> Seam:
+def series_seam(chart: Chart, b: float, x_cap: float, order: int,
+                fraction: float) -> Seam:
     """The seam of the chart's order-term manifold series for a datum b that
     check_datum admits.
 
     The seam sits at fraction of the root-test radius in theta, the least
     |c_j|^{-1/j} over the upper half of the coefficients, and never beyond
-    x_cap in the chart radius x.
+    x_cap in the chart radius x.  A seam radius that under- or overflows a
+    float is a LocalStageFailed.
     """
-    u, y = manifold_coefficients(p, kind, order)
+    p, kind = chart.params, chart.kind
+    u, y = manifold_coefficients(chart, order)
     if not all(map(math.isfinite, u + y)):
         raise LocalStageFailed(
             f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
@@ -168,8 +169,13 @@ def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,
     inv = [1.0 / j for j in range(half, order + 1)]
     rho = max(map(pow, map(abs, u[half:] + y[half:]), inv + inv))
     theta = fraction / rho if rho > 0.0 else math.inf
-    e, one_m = abs(Chart.of(p, kind).lam), 1.0 - p.m
-    eps = min(math.exp((math.log(theta) - one_m * math.log(b)) / e), x_cap)
+    e, one_m = abs(chart.lam), 1.0 - p.m
+    ln_eps = (math.log(theta) - one_m * math.log(b)) / e
+    # exp overflows past e^709.78, where the cap binds anyway
+    eps = min(math.exp(ln_eps), x_cap) if ln_eps < 709.0 else x_cap
+    if not 0.0 < eps < math.inf:
+        raise LocalStageFailed(f"{kind.value} series seam radius {eps:.3g} "
+                               f"underflows or overflows (sigma={p.sigma:.3g})")
     try:   # a float's ** raises OverflowError where numpy's gave inf
         q = b ** one_m * eps ** e
         powers = [q ** j for j in range(order + 1)]
@@ -185,8 +191,7 @@ def series_seam(p: ProfileParams, kind: ProfileKind, b: float, x_cap: float,
                 np.array(zu), np.array(zy))
 
 
-def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
-           r_max: float) -> LocalSolution:
+def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     """Series nodes from below the seam up to it, graded in theta by tol.
 
     The nodes reach down to theta_seam * 1e-7 at the origin; in the far
@@ -194,17 +199,17 @@ def _local(p: ProfileParams, kind: ProfileKind, b: float, tol: float,
     k g + s g_r), and at least to s_seam * 4e-3.  No check needs that
     floor; tests pin the depth, so it goes in a change of its own.
     """
-    check_datum(p, kind, b)
+    p, kind, lam = chart.params, chart.kind, chart.lam
+    check_datum(chart, b)
     # min(1, b^{(m-1)/2}) in this form keeps the seam's last bit
     cap = math.exp(min(0.0, (p.m - 1.0) / 2.0 * math.log(b)))
-    seam = series_seam(p, kind, b, min(cap, r_max), ORDER, 0.25)
-    lam = Chart.of(p, kind).lam
+    seam = series_seam(chart, b, min(cap, r_max), ORDER, 0.25)
     e, one_m = abs(lam), 1.0 - p.m
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
     if not depth > 0.0:
         raise LocalStageFailed(
             f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
-    tau = _node_taus(seam.zu, lam, p, tol, math.log(depth))
+    tau = _node_taus(seam.zu, chart, tol, math.log(depth))
     grid = seam.eps * np.exp(tau[::-1] / e)
     # a far-field node's Kelvin image carries s^{k+1}
     image = grid[0] if kind is ProfileKind.ORIGIN else grid[0] ** (p.k + 1.0)
@@ -227,13 +232,13 @@ def picard_f_origin(p: ProfileParams, eta0: float, tol: float = 1e-9,
     Both names date from the Picard stage the series replaced; perfbench
     traces them, so they are kept until its next change.
     """
-    return _local(p, ProfileKind.ORIGIN, eta0, tol, r_max)
+    return _local(Chart.of(p, ProfileKind.ORIGIN), eta0, tol, r_max)
 
 
 def picard_g_origin(p: ProfileParams, eta: float, tol: float = 1e-9,
                     r_max: float = math.inf) -> LocalSolution:
     """Far-field profile g(s) = s^{-k} f(1/s) near s = 0 from g(0) = eta."""
-    return _local(p, ProfileKind.FARFIELD, eta, tol, r_max)
+    return _local(Chart.of(p, ProfileKind.FARFIELD), eta, tol, r_max)
 
 
 def singular_slope_limit(p: ProfileParams, eta: float) -> float:

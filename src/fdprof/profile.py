@@ -41,9 +41,11 @@ class Chart:
     residual checks.  The chart's datum is an invariant manifold of a fixed
     point X* of the reduced system in u = X - X*, Z = ln Y (see localsolve
     and kernels): lam is the fixed point's eigenvalue along the manifold, mu
-    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.
+    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.  A run
+    builds its chart once, by Chart.of, and passes it to every stage.
     """
     params: ProfileParams
+    kind: ProfileKind
     w: float
     A: float
     B: float
@@ -54,8 +56,8 @@ class Chart:
     def of(cls, params: ProfileParams, kind: ProfileKind) -> Chart:
         p = params
         if kind is ProfileKind.ORIGIN:
-            return cls(p, p.n - 1.0, p.alpha, p.beta, 2.0, 2.0 - p.n)
-        return cls(p, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
+            return cls(p, kind, p.n - 1.0, p.alpha, p.beta, 2.0, 2.0 - p.n)
+        return cls(p, kind, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
                    -p.sigma, p.n - 2.0)
 
     def flux(self, r, v, vr):
@@ -115,7 +117,7 @@ class Profile:
     def r_end(self) -> float:
         return float(self.r[-1])
 
-    @property
+    @functools.cached_property
     def chart(self) -> Chart:
         return Chart.of(self.params, self.kind)
 

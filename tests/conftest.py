@@ -9,8 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from fdprof import (ContinuationFailed, derive_params, solve_farfield_profile,
-                    solve_origin_profile)
+from fdprof import (ContinuationFailed, ProfileKind, derive_params, integrate,
+                    solve_farfield_profile, solve_origin_profile)
+from fdprof.localsolve import manifold_coefficients
+from fdprof.profile import Chart
 
 RMAX = 100.0
 TOL = 1e-9
@@ -79,6 +81,19 @@ def _flux(p, r):
 
 def _gflux(p, s):
     return float(s ** (p.n - 1) * g_exact(s) ** (p.m - 1.0) * gr_exact(s))
+
+
+def advance_g(p, state, r_max, tol=1e-9):
+    """The far chart's outward continuation from a flux-form OdeState, the
+    path continue_profile takes from the far-field series seam."""
+    vr = state.flux * state.v ** (1.0 - p.m) / state.r ** (p.n - 1)
+    return integrate._advance(Chart.of(p, ProfileKind.FARFIELD), state.r,
+                              state.v, vr, r_max, tol)
+
+
+def manifold_series(p, kind, order=None):
+    """The chart's manifold coefficients (u_j), (y_j) as arrays."""
+    return tuple(map(np.array, manifold_coefficients(Chart.of(p, kind), order)))
 
 
 class SolveCache:

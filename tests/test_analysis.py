@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import RMAX, TOL, f_exact, fr_exact, g_exact, gr_exact
+from conftest import (RMAX, TOL, f_exact, fr_exact, g_exact, gr_exact,
+                      manifold_series)
 from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     ProfileKind, ProfileParams, RangeError,
                     TerminalEvent, Verdict, asymptotic_limits, build_report,
@@ -22,7 +23,6 @@ from fdprof.analysis import flux_slope, l3_reference, saddle_gap
 from fdprof.integrate import section_Y
 from fdprof.inversion import fside_nodes, fside_samples
 from fdprof.kernels import integrate_flux_system
-from fdprof.localsolve import manifold_series
 from fdprof.profile import Profile
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
@@ -514,6 +514,42 @@ def test_beta_search_probe_counts(n, m, probes, star):
         r = find_anomalous_beta(n, m, 1.0, eta0, (-0.45, 0.45), tol_beta=1e-3)
         assert r.probes <= probes
         assert abs(r.beta_star - star) <= 1e-9
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_lane_emden_oracle_at_beta_zero(n):
+    """At beta = 0 the profile equation is Lane-Emden for w = f^m,
+    Delta w + m alpha w^{1/m} = 0, whose power 1/m is critical for Sobolev
+    at m_c = (n-2)/(n+2).  Above m_c no positive entire solution exists (Gidas &
+    Spruck, Comm. Pure Appl. Math. 34, 1981), so the origin solve touches
+    down; below it the regular solution stays positive (Joseph & Lundgren,
+    Arch. Rational Mech. Anal. 49, 1973) and spirals into the slow point.
+    The weak focus at (4, 0.99 m_c), next to the Hopf point m_c, reads
+    Undetermined at r_max 1e4.  beta* has the sign of m - m_c, and it lies
+    above -rho1/2: below beta* the origin solution is not positive, though
+    the whole window (-rho1/2, beta_threshold) admits the solve."""
+    m_c = (n - 2) / (n + 2)
+    for m in (f * m_c for f in (0.5, 0.9, 0.99, 1.01, 1.1, 1.3)):
+        if not m < (n - 2) / n:
+            continue
+        p = derive_params(n, m, 1.0, 0.0)
+        if m > m_c:
+            with pytest.raises(ContinuationFailed) as e:
+                solve_origin_profile(p, 1.0, 1e4)
+            assert e.value.terminal is TerminalEvent.VALUE_FLOOR
+            continue
+        prof = solve_origin_profile(p, 1.0, 1e4)
+        hopf = (n, m) == (4, 0.99 * m_c)
+        assert prof.terminal is TerminalEvent.REACHED_RMAX
+        assert classify_decay(prof).label is (DecayLabel.UNDETERMINED if hopf
+                                              else DecayLabel.SLOW)
+    for f, sign in ((0.9, -1.0), (1.05, 1.0)):
+        p = derive_params(n, f * m_c, 1.0, 0.0)
+        r = find_anomalous_beta(n, p.m, 1.0, 1.0,
+                                (-0.45, min(0.45, 0.9 * p.beta_threshold)),
+                                tol_beta=1e-6)
+        assert math.copysign(1.0, r.beta_star) == sign
+        assert r.beta_star > -0.5
 
 
 def test_verdict_fails_at_a_nan_node():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -812,13 +813,14 @@ def test_beta_find_refuses_a_seam_past_the_section(monkeypatch, tmp_path, capsys
 
 
 @pytest.mark.parametrize("n, m, beta", [(4, 0.49, 0.2), (3, 0.33, 0.0),
-                                         (3, 0.323, 0.0)])
+                                         (3, 0.323, 0.0), (3, 0.333, 0.0)])
 def test_small_sigma_farfield_succeeds_or_names_breakdown(n, m, beta,
                                                           tmp_path, capsys):
-    # sigma = 0.08, 0.03 and 0.1: the stable manifold is nearly flat in s, so
-    # the series nodes reach far below the seam (s ~ 1e-60 at m = 0.323, where
-    # residual stencil weights in absolute radii underflow); no raw
-    # traceback and no spurious verification failure
+    # sigma = 0.08, 0.03, 0.1 and 0.003: the stable manifold is nearly flat
+    # in s, so the series nodes reach far below the seam (s ~ 1e-60 at
+    # m = 0.323, where residual stencil weights in absolute radii underflow,
+    # and at m = 0.333 the seam radius itself underflows); no raw traceback
+    # and no spurious verification failure
     code, _, err = run_cli(capsys, "solve-farfield", "--n", str(n),
                            "--m", str(m), "--beta", str(beta), "--eta", "1",
                            "--out", str(tmp_path))
@@ -851,3 +853,76 @@ def test_slow_decay_limits_carry_an_error_bar(tmp_path, capsys):
     assert rep["limits"]["slope_far"]["value"] == pytest.approx(-2.0 / 0.95)
     for key in ("L3", "slope_far"):
         assert 0.0 < rep["limits"][key]["error"] < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta-find", "--n", "3", "--m", "0.333"],
+    ["solve-farfield", "--n", "3", "--m", "0.333", "--beta", "0", "--eta", "1e-10"],
+    ["solve-farfield", "--n", "5", "--m", "0.59", "--beta", "0", "--eta", "1e300"],
+    ["solve-farfield", "--n", "5", "--m", "0.59", "--beta", "0", "--eta", "1e-300"],
+])
+def test_small_sigma_seam_names_breakdown(argv, tmp_path, capsys):
+    # sigma = 0.003 and 0.085: exp of ln(seam radius)/sigma under- or
+    # overflows, which used to end in a raw math domain or range error
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+    assert "underflows" in err and "sigma=" in err
+
+
+@pytest.mark.parametrize("argv, code, why", [
+    (["solve-origin", "--rmax", "1e-300"], 3, "f-side image underflows"),
+    (["solve-origin", "--rmax", "1e-200"], 1, "residual needs at least 5"),
+    (["solve-origin", "--rmax", "1e-100"], 1, "residual needs at least 5"),
+    (["solve-farfield", "--eta", "1", "--rmax", "1e-300"], 3,
+     "f-side image underflows"),
+])
+def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
+    # a seam capped at r_max ~ 1e-300 has theta ~ 0: its z-powers underflow,
+    # which used to reach the node count as 0/0; at 1e-100 a bound with a
+    # zero sum warned.  One named line on stderr, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(capsys, argv[0], "--n", "4", "--m", "0.3",
+                              "--beta", "0", *argv[1:], "--out", str(tmp_path))
+    assert got == code
+    assert why in err and err.count("\n") == 1
+
+
+def test_sweep_with_tiny_rmax_records_each_failure(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.31:2",
+                           "--beta=0:0:1", "--rmax", "1e-300",
+                           "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    with open(tmp_path / "summary.csv", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[-1].startswith("LocalStageFailed: origin series nodes")
+               for row in rows)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["solve-origin", "solve-farfield", "beta-find"]),
+       n=st.integers(3, 8), m_frac=st.floats(0.001, 0.999),
+       beta_frac=st.floats(0.001, 0.999), b=_log_uniform(1e-300, 1e300),
+       tol=_log_uniform(1e-15, 0.9), r_max=_log_uniform(1e-300, 1e300))
+def test_cli_returns_an_exit_code_and_never_raises(tmp_path_factory, command, n,
+                                                   m_frac, beta_frac, b, tol,
+                                                   r_max):
+    """Over admissible (n, m, beta), with the datum, tol and r_max anywhere
+    in their float ranges, every solver command ends on an exit code: a
+    solver path never ends in a raw traceback."""
+    m = m_frac * (n - 2) / n
+    beta = -0.5 + beta_frac * (0.5 + fdprof.derive_params(n, m, 1.0, 0.0).beta_threshold)
+    argv = [command, "--n", str(n), "--m", repr(m), "--tol", repr(tol),
+            "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+    if command == "beta-find":
+        argv += ["--eta0", repr(b)]
+    else:
+        argv += ["--beta", repr(beta), "--rmax", repr(r_max),
+                 "--eta0" if command == "solve-origin" else "--eta", repr(b)]
+    assert main(argv) in (0, 1, 2, 3)

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import (RMAX, SWEEP_TUPLES, TOL, _flux, _gflux, f_exact,
-                      farfield_eta, fr_exact, g_exact, rk4_oracle)
+from conftest import (RMAX, SWEEP_TUPLES, TOL, _flux, _gflux, advance_g,
+                      f_exact, farfield_eta, fr_exact, g_exact, rk4_oracle)
 from fdprof import (ContinuationFailed, DomainError, OdeState, Profile,
-                    ProfileKind, TerminalEvent, advance_f, advance_g,
-                    continue_profile, derive_params, kernels, picard_f_origin,
-                    picard_g_origin, solve_farfield_profile,
-                    solve_origin_profile)
+                    ProfileKind, TerminalEvent, advance_f, continue_profile,
+                    derive_params, kernels, picard_f_origin, picard_g_origin,
+                    solve_farfield_profile, solve_origin_profile)
 from fdprof.integrate import section_Y
 from fdprof.profile import Chart, hermite
 

@@ -6,14 +6,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import f_exact, fr_exact, g_exact, gr_exact
-from fdprof import (DomainError, OdeState, ProfileKind, advance_g,
-                    classify_regime, derive_params, ode_residual,
-                    picard_f_origin, picard_g_origin, singular_slope_limit,
+from conftest import (advance_g, f_exact, fr_exact, g_exact, gr_exact,
+                      manifold_series)
+from fdprof import (DomainError, OdeState, ProfileKind, classify_regime,
+                    derive_params, ode_residual, picard_f_origin,
+                    picard_g_origin, singular_slope_limit,
                     solve_farfield_profile, solve_origin_profile)
 from fdprof import integrate, localsolve
 from fdprof.cli import main
-from fdprof.localsolve import manifold_series
 from fdprof.profile import Chart, hermite
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
@@ -153,9 +153,9 @@ def test_gap_series_order_from_the_root_test(monkeypatch, tol):
     there, in u and in Y relative, in both charts over the admissible grid."""
     seams = []
 
-    def recorded(p, kind, b, *rest):
-        seam = localsolve.series_seam(p, kind, b, *rest)
-        seams.append((p, kind, b, seam))
+    def recorded(chart, b, *rest):
+        seam = localsolve.series_seam(chart, b, *rest)
+        seams.append((chart.params, chart.kind, b, seam))
         return seam
 
     monkeypatch.setattr(integrate, "series_seam", recorded)
@@ -177,6 +177,25 @@ def test_gap_series_order_from_the_root_test(monkeypatch, tol):
             tail_y = np.exp(np.log(np.abs(y[j])) + (j - 1) * ln_theta).sum()
         worst = max(worst, tail_u, tail_y / seam.zy.sum())
     assert worst < tol / 10
+
+
+def test_a_gap_builds_each_chart_once(monkeypatch):
+    """section_Y builds its chart once and passes it to every stage it
+    calls: the datum check, the manifold series and its seam."""
+    calls = []
+    of = Chart.of
+
+    def counted(p, kind):
+        calls.append(kind)
+        return of(p, kind)
+
+    monkeypatch.setattr(Chart, "of", staticmethod(counted))
+    p = derive_params(5, 0.45, 1.0, 0.1)
+    for kind in ProfileKind:
+        calls.clear()
+        y, why = integrate.section_Y(p, kind, 1.0, 1e-9)
+        assert y is not None, why
+        assert calls == [kind]
 
 
 def test_g_closed_form():
@@ -332,7 +351,8 @@ def test_gap_seam_against_mpmath(kind, n, m, beta, b, tol):
     p = derive_params(n, m, 1.0, beta)
     order = localsolve.gap_order(tol)
     reach = integrate.SECTION_REACH * b ** ((m - 1.0) / 2.0)
-    seam = localsolve.series_seam(p, kind, b, reach, order, localsolve.GAP_SEAM)
+    seam = localsolve.series_seam(Chart.of(p, kind), b, reach, order,
+                                  localsolve.GAP_SEAM)
     assert len(seam.zu) == order + 1
     with mpmath.workdps(30):
         xs, ys = _mp_series(p, kind, order)
