@@ -5,11 +5,12 @@ scattered nodes, closed-form 7-point Lagrange weights); values are never
 second-differenced.  The far-field limits and the decay class are read off
 the state (X, Y) = (r f_r / f, r^2 f^{1-m}) at the profile's f-side far
 end: its distance from the fast point's stable manifold, whose series
-localsolve sums, and from the slow fixed point.  The anomalous exponent is
-the beta at which the origin profile joins the fast-decay saddle: the root
-of the difference of Y = r^2 f^{1-m} between the origin and the far-field
-manifold where each first crosses X = -2/(1-m), each integrated from its
-series seam to that crossing and no farther.
+localsolve sums, and from the slow fixed point.  The inequality verdicts
+and the shape are sign conditions on X, read at every node.  The anomalous
+exponent is the beta at which the origin profile joins the fast-decay
+saddle: the root of the difference of Y = r^2 f^{1-m} between the origin
+and the far-field manifold where each first crosses X = -2/(1-m), each
+integrated from its series seam to that crossing and no farther.
 """
 from __future__ import annotations
 
@@ -71,6 +72,7 @@ def flux_slope(r: np.ndarray, P: np.ndarray):
     return inner, total / rc
 
 
+@np.errstate(all="ignore")   # a NaN defect gives a NaN residual
 def ode_residual(profile: Profile) -> float:
     """Worst relative defect of the profile equation over interior nodes.
 
@@ -148,17 +150,29 @@ def l3_reference(p: ProfileParams) -> float:
     return 2.0 * (p.n - 2.0 - p.n * p.m) / ((1.0 - p.m) * p.rho1)
 
 
+@np.errstate(all="ignore")   # a NaN node reads NaN
+def _fside_slope(profile: Profile):
+    """(r, u, X*) at the stored nodes, in their stored order: the f-side
+    radius (r, or 1/s in the far chart), the chart's own u = sign(lam) x v_x
+    / v and its fixed point X* (0 at the origin, -k in the far field), so
+    that X = r f_r / f = X* + u at every node."""
+    u = profile.chart.reduced(profile.r, profile.v, profile.vr)[0]
+    if profile.kind is ProfileKind.ORIGIN:
+        return profile.r, u, 0.0
+    return 1.0 / profile.r, u, -profile.params.k
+
+
 def _far_end(profile: Profile):
     """(ln r, X, Y) at the f-side far end of the profile: its last origin
-    node, or the Kelvin image r = 1/s of its first far-field node, where
-    X = -k - s g_s / g and Y = s^sigma g^{1-m}."""
+    node, or the Kelvin image r = 1/s of its first far-field node."""
     p = profile.params
     one_m = 1.0 - p.m
+    _, u, x_star = _fside_slope(profile)
     if profile.kind is ProfileKind.ORIGIN:
-        r, f, fr = profile.r[-1], profile.v[-1], profile.vr[-1]
-        return math.log(r), float(r * fr / f), float(r * r * f ** one_m)
-    s, g, gs = profile.r[0], profile.v[0], profile.vr[0]
-    return -math.log(s), float(-p.k - s * gs / g), float(s ** p.sigma * g ** one_m)
+        r, f = profile.r[-1], profile.v[-1]
+        return math.log(r), float(x_star + u[-1]), float(r * r * f ** one_m)
+    s, g = profile.r[0], profile.v[0]
+    return -math.log(s), float(x_star + u[0]), float(s ** p.sigma * g ** one_m)
 
 
 def _series(c: list, x: float):
@@ -295,61 +309,42 @@ class Verdict:
 NOT_APPLICABLE = Verdict("not-applicable")
 
 
+@np.errstate(all="ignore")   # a NaN node fails
 def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     """Tri-state verdicts for the proven pointwise inequalities.
 
-    mass_monotonicity:   f + (m/(n-2)) r f_r > 0   (r^{(n-2)/m} f increasing)
-    eta_upper_bound:     eta - r^{(n-2)/m} f > 0   (far-field profiles only)
-    drift_positivity_f:  alpha f + beta r f_r > 0  (only when beta > 0)
-    drift_positivity_g:  alpha~ g + beta~ r g_r > 0 (when the comparison
-                         argument applies, see RegimeFlags.lemma_applicable)
+    mass_monotonicity:   k + X > 0           (r^{(n-2)/m} f increasing)
+    eta_upper_bound:     eta - g > 0         (far-field profiles only)
+    drift_positivity_f:  alpha + beta X > 0  (only when beta > 0)
+    drift_positivity_g:  alpha~ + beta u > 0 (far-field profiles, when
+                         RegimeFlags.lemma_applicable)
     monotone_decreasing: -v_r > 0 on the native samples
 
-    On far-field profiles the f-side combinations are evaluated through the
-    transform identities (for example f + (m/(n-2)) r f_r maps to a positive
-    multiple of -g_r), which avoids catastrophic cancellation at nodes whose
-    image radius is enormous.
+    With X = X* + u from _fside_slope, the first, third and fourth are
+    f + (m/(n-2)) r f_r, alpha f + beta r f_r and alpha~ g + beta~ s g_s
+    over positive multiples of f or g; the f-side two are summed as
+    (a + b X*) + b u, so that X* = -k never cancels against k.  Margins are
+    the least values of these forms; at_r is an f-side radius, except for
+    drift_positivity_g and monotone_decreasing, which report native ones.
     """
     p = profile.params
     flags = classify_regime(p)
-    r, v, vr = profile.r, profile.v, profile.vr
-    out: dict[str, Verdict] = {}
-    cm = p.m / (p.n - 2.0)
-
-    if profile.kind is ProfileKind.ORIGIN:
-        out["mass_monotonicity"] = Verdict.check(v + cm * r * vr, r)
-        out["eta_upper_bound"] = NOT_APPLICABLE
-        if p.beta > 0.0:
-            out["drift_positivity_f"] = Verdict.check(p.alpha * v + p.beta * r * vr, r)
-        else:
-            out["drift_positivity_f"] = NOT_APPLICABLE
-        out["drift_positivity_g"] = NOT_APPLICABLE
-        if flags.origin_admissible:
-            out["monotone_decreasing"] = Verdict.check(-vr, r)
-        else:
-            out["monotone_decreasing"] = NOT_APPLICABLE
-        return out
-
-    # far-field profile: native samples are g(r); the image radius is 1/r
-    sk = r ** p.k
-    out["mass_monotonicity"] = Verdict.check(cm * sk * r * (-vr), 1.0 / r,
-                                             tie_sign=-vr)
-    out["eta_upper_bound"] = Verdict.check(profile.boundary - v, 1.0 / r,
-                                           tie_sign=-vr)
+    r, u, x_star = _fside_slope(profile)
+    origin = profile.kind is ProfileKind.ORIGIN
+    out = dict.fromkeys(("mass_monotonicity", "eta_upper_bound", "drift_positivity_f",
+                         "drift_positivity_g", "monotone_decreasing"), NOT_APPLICABLE)
+    out["mass_monotonicity"] = Verdict.check((p.k + x_star) + u, r)
     if p.beta > 0.0:
-        tie = p.alpha_tilde * v - p.beta * r * vr
-        out["drift_positivity_f"] = Verdict.check(sk * tie, 1.0 / r, tie_sign=tie)
-    else:
-        out["drift_positivity_f"] = NOT_APPLICABLE
+        out["drift_positivity_f"] = Verdict.check(
+            (p.alpha + p.beta * x_star) + p.beta * u, r)
+    if (flags.origin_admissible if origin else p.alpha_tilde > 0.0):
+        out["monotone_decreasing"] = Verdict.check(-profile.vr, profile.r)
+    if origin:
+        return out
+    out["eta_upper_bound"] = Verdict.check(profile.boundary - profile.v, r,
+                                           tie_sign=-profile.vr)
     if flags.lemma_applicable:
-        out["drift_positivity_g"] = Verdict.check(
-            p.alpha_tilde * v + p.beta_tilde * r * vr, r)
-    else:
-        out["drift_positivity_g"] = NOT_APPLICABLE
-    if p.alpha_tilde > 0.0:
-        out["monotone_decreasing"] = Verdict.check(-vr, r)
-    else:
-        out["monotone_decreasing"] = NOT_APPLICABLE
+        out["drift_positivity_g"] = Verdict.check(p.alpha_tilde + p.beta * u, profile.r)
     return out
 
 
@@ -363,44 +358,23 @@ class Shape:
     r_max: float | None = None
 
 
-def _shape_of_signs(sign, place) -> Shape:
-    """Shape from the sign of f_r in ascending f-radius order; place(i) is
-    the radius of a single maximum between entries i and i + 1."""
-    flips = np.nonzero(np.diff(sign) != 0.0)[0]
-    if len(flips) == 0:
-        return Shape("monotone-decreasing") if sign[0] < 0 else Shape("irregular")
-    if len(flips) == 1 and sign[0] > 0 and sign[-1] < 0:
-        return Shape("interior-maximum", r_max=float(place(flips[0])))
-    return Shape("irregular")
-
-
 def classify_shape(profile: Profile) -> Shape:
-    """Monotone decrease versus a single interior maximum, on the f-side."""
-    if profile.kind is ProfileKind.ORIGIN:
-        r, fr = profile.r, profile.vr
-        sign = np.sign(fr)
-        sign[sign == 0.0] = -1.0
-        # linear zero crossing of f_r between the bracketing nodes
-        return _shape_of_signs(
-            sign, lambda i: r[i] + (r[i + 1] - r[i]) * fr[i] / (fr[i] - fr[i + 1]))
-
-    # far-field chart: the mapped derivative sign at radius 1/s is
-    # -sign(k*g + s*g_r).  Where that combination is a small difference of
-    # like-size terms it sits below the trajectory's noise floor, so such
-    # nodes are excluded from flip counting instead of flipping spuriously.
-    p = profile.params
-    h = p.k * profile.v + profile.r * profile.vr
-    mag = p.k * profile.v + profile.r * np.abs(profile.vr)
-    band = max(1e-4, 1e5 * profile.tol)
-    keep = np.abs(h) > band * mag
-    if not keep.any():
-        return Shape("irregular")
-    s = profile.r[keep][::-1]            # ascending f-radius order
-    hk = h[keep][::-1]
-    # linear zero crossing of k g + s g_r, in s, between the bracketing nodes
-    return _shape_of_signs(
-        -np.sign(hk),
-        lambda i: 1.0 / (s[i + 1] + (s[i] - s[i + 1]) * hk[i + 1] / (hk[i + 1] - hk[i])))
+    """Monotone decrease versus a single interior maximum, on the f-side:
+    the sign changes of X = r f_r / f in ascending f-radius (a zero is a
+    decrease), with r_max at the linear zero of X in r."""
+    r, u, x_star = _fside_slope(profile)
+    X = x_star + u
+    if profile.kind is ProfileKind.FARFIELD:
+        r, X = r[::-1], X[::-1]
+    rising = X > 0.0
+    flips = np.flatnonzero(rising[1:] != rising[:-1])
+    if len(flips) == 0 and not rising[0]:
+        return Shape("monotone-decreasing")
+    if len(flips) == 1 and rising[0]:
+        i = flips[0]
+        return Shape("interior-maximum",
+                     r_max=float(r[i] + (r[i + 1] - r[i]) * X[i] / (X[i] - X[i + 1])))
+    return Shape("irregular")
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,8 @@ def cmd_verify(ns) -> int:
 
     profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
                       n_local=0, terminal=terminal, tol=ns.tol)
-    with np.errstate(all="ignore"):
-        residual = float(analysis.ode_residual(profile))
-        verdicts = analysis.verify_inequalities(profile)
+    residual = float(analysis.ode_residual(profile))
+    verdicts = analysis.verify_inequalities(profile)
     print(f"residual = {residual!r} (threshold {_residual_threshold(ns.tol)!r})")
     for name, verdict in verdicts.items():
         print(f"{name}: {verdict.status}")

@@ -88,7 +88,7 @@ def gap_order(tol: float) -> int:
     return min(ORDER, max(4, math.ceil(n) - 1))
 
 
-@np.errstate(divide="ignore")   # a bound over a zero sum is inf: it does not bind
+@np.errstate(divide="ignore", over="ignore")   # an inf bound does not bind
 def _node_taus(zu: np.ndarray, chart: Chart, tol: float,
                log_depth: float) -> np.ndarray:
     """ln z at the nodes, z = theta/theta_seam from 1 down to e^log_depth.
@@ -219,7 +219,11 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
             f"f-side image underflows (sigma={p.sigma:.3g})")
     z = np.exp(np.outer(tau[::-1], np.arange(len(seam.zu))))   # z^j at the nodes
     value = b * (z[:, :-1] @ seam.zy) ** (1.0 / one_m)
-    deriv = math.copysign(1.0, lam) * (z @ seam.zu) * value / grid
+    with np.errstate(over="ignore"):   # refused just below
+        deriv = math.copysign(1.0, lam) * (z @ seam.zu) * value / grid
+    if not np.all(np.isfinite(deriv)):
+        raise LocalStageFailed(f"{kind.value} series node slopes overflow at the "
+                               f"datum {b:.3g} (sigma={p.sigma:.3g})")
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
                          iterations=len(seam.zu) - 1)

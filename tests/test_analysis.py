@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from conftest import (RMAX, TOL, f_exact, fr_exact, g_exact, gr_exact,
                       manifold_series)
@@ -292,6 +293,41 @@ def test_shape_monotone_on_closed_form_farfield():
     assert classify_shape(prof).label == "monotone-decreasing"
 
 
+def _dense_maximum(prof):
+    """The f-side radius of the dense output's largest f, as the zero of the
+    dense f_r next to the largest f on a fine grid; None at a span end."""
+    r = np.geomspace(*prof.fside_span, 20001)
+    i = int(np.argmax(fside_samples(prof, r)[0]))
+    if i in (0, len(r) - 1):
+        return None
+    return brentq(lambda x: float(fside_samples(prof, x)[1]), r[i - 1], r[i + 1],
+                  xtol=1e-300, rtol=1e-13)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_shape_finds_a_shallow_farfield_maximum_at_loose_tol(tol):
+    """The maximum sits where X = r f_r / f crosses zero as a difference
+    -k + u of like-size terms; a noise band around that zero read the
+    profile as monotone at tol 1e-6."""
+    p = derive_params(4, 0.3333333333333333, 1.0, 0.05)
+    prof = solve_farfield_profile(p, 0.0044677437736606, RMAX, tol=tol)
+    s = classify_shape(prof)
+    assert s.label == "interior-maximum"
+    assert s.r_max == pytest.approx(_dense_maximum(prof), rel=1e-3)
+
+
+def test_shape_maxima_sit_at_the_dense_maxima(cache):
+    found = 0
+    for prof in cache.farfield_sweep():
+        s = classify_shape(prof)
+        dense = _dense_maximum(prof)
+        assert (s.label == "interior-maximum") == (dense is not None)
+        if dense is not None:
+            found += 1
+            assert s.r_max == pytest.approx(dense, rel=5e-4)
+    assert found == 17
+
+
 def test_l2_over_l1_matches_decay_exponent(cache):
     """L2 = -k L1 whenever the fast rate is attained; holds across the
     whole far-field sweep."""
@@ -556,6 +592,55 @@ def test_verdict_fails_at_a_nan_node():
     v = Verdict.check(np.array([1.0, np.nan, 2.0]), np.array([1.0, 2.0, 3.0]))
     assert v.status == "fails-at"
     assert v.at_r == 2.0
+
+
+def _checked_forms(monkeypatch, prof):
+    """{name: the node-wise form that verdict checked} for each applicable
+    verdict of verify_inequalities(prof)."""
+    calls = []
+    check = Verdict.check
+
+    def spy(lhs, r, tie_sign=0.0):
+        calls.append((check(lhs, r, tie_sign), np.asarray(lhs)))
+        return calls[-1][0]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Verdict, "check", staticmethod(spy))
+        verdicts = verify_inequalities(prof)
+    return {name: next(lhs for w, lhs in calls if w is v)
+            for name, v in verdicts.items() if v.status != "not-applicable"}
+
+
+def _chart_references(prof):
+    """The per-chart expressions the verdicts were once checked on, each
+    with the positive multiple of its verdict's form that it equals."""
+    p, r, v, vr = prof.params, prof.r, prof.v, prof.vr
+    cm = p.m / (p.n - 2.0)
+    with np.errstate(all="ignore"):
+        if prof.kind is ProfileKind.ORIGIN:
+            return {"mass_monotonicity": (v + cm * r * vr, cm * v),
+                    "drift_positivity_f": (p.alpha * v + p.beta * r * vr, v)}
+        sk = r ** p.k
+        return {"mass_monotonicity": (cm * sk * r * (-vr), cm * sk * v),
+                "drift_positivity_f": (sk * (p.alpha_tilde * v - p.beta * r * vr), sk * v),
+                "drift_positivity_g": (p.alpha_tilde * v + p.beta_tilde * r * vr, v)}
+
+
+def test_verdict_forms_hold_where_the_chart_expressions_are_positive(cache,
+                                                                     monkeypatch):
+    compared = 0
+    for prof in cache.origin_sweep() + cache.farfield_sweep():
+        forms = _checked_forms(monkeypatch, prof)
+        for name, (ref, multiple) in _chart_references(prof).items():
+            if name not in forms:
+                continue
+            known = np.isfinite(ref) & (ref != 0.0)
+            assert np.array_equal(forms[name][known] > 0.0, ref[known] > 0.0), name
+            known &= np.isfinite(multiple) & (multiple > 1e-300)
+            np.testing.assert_allclose(forms[name][known], ref[known] / multiple[known],
+                                       rtol=1e-9, atol=1e-9, err_msg=name)
+            compared += int(known.sum())
+    assert compared > 50000
 
 
 class TestBetaSearch:

@@ -889,6 +889,27 @@ def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
     assert why in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code, why", [
+    (["solve-origin", "--n", "5", "--m", "0.59", "--beta", "0", "--eta0", "1e300"], 3,
+     "origin series node slopes overflow at the datum 1e+300 (sigma=0.0847)"),
+    (["solve-origin", "--n", "4", "--m", "0.3615034666122926",
+      "--beta", "0.5445059310315912", "--eta0", "1.731361494211642e-288",
+      "--rmax", "4.429923276074354e-70", "--tol", "6.554047094026312e-11"], 3,
+     "ValueFloor"),
+    (["solve-farfield", "--n", "8", "--m", "0.59", "--beta=-0.27", "--eta", "3e-7",
+      "--rmax", "1e48"], 1, "the Kelvin image is not finite"),
+])
+def test_extreme_data_fail_on_one_line_without_warnings(argv, code, why, tmp_path,
+                                                        capsys):
+    # an overflowing series slope, an overflowing node-spacing bound and a
+    # far tail whose s^k overflows each used to print numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert got == code
+    assert why in err and err.count("\n") == 1
+
+
 def test_sweep_with_tiny_rmax_records_each_failure(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.31:2",
                            "--beta=0:0:1", "--rmax", "1e-300",
