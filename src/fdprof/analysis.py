@@ -150,24 +150,12 @@ def l3_reference(p: ProfileParams) -> float:
     return 2.0 * (p.n - 2.0 - p.n * p.m) / ((1.0 - p.m) * p.rho1)
 
 
-@np.errstate(all="ignore")   # a NaN node reads NaN
-def _fside_slope(profile: Profile):
-    """(r, u, X*) at the stored nodes, in their stored order: the f-side
-    radius (r, or 1/s in the far chart), the chart's own u = sign(lam) x v_x
-    / v and its fixed point X* (0 at the origin, -k in the far field), so
-    that X = r f_r / f = X* + u at every node."""
-    u = profile.chart.reduced(profile.r, profile.v, profile.vr)[0]
-    if profile.kind is ProfileKind.ORIGIN:
-        return profile.r, u, 0.0
-    return 1.0 / profile.r, u, -profile.params.k
-
-
 def _far_end(profile: Profile):
     """(ln r, X, Y) at the f-side far end of the profile: its last origin
     node, or the Kelvin image r = 1/s of its first far-field node."""
     p = profile.params
     one_m = 1.0 - p.m
-    _, u, x_star = _fside_slope(profile)
+    _, u, x_star = profile.fside_slope
     if profile.kind is ProfileKind.ORIGIN:
         r, f = profile.r[-1], profile.v[-1]
         return math.log(r), float(x_star + u[-1]), float(r * r * f ** one_m)
@@ -320,7 +308,7 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
                          RegimeFlags.lemma_applicable)
     monotone_decreasing: -v_r > 0 on the native samples
 
-    With X = X* + u from _fside_slope, the first, third and fourth are
+    With X = X* + u from Profile.fside_slope, the first, third and fourth are
     f + (m/(n-2)) r f_r, alpha f + beta r f_r and alpha~ g + beta~ s g_s
     over positive multiples of f or g; the f-side two are summed as
     (a + b X*) + b u, so that X* = -k never cancels against k.  Margins are
@@ -329,7 +317,7 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     """
     p = profile.params
     flags = classify_regime(p)
-    r, u, x_star = _fside_slope(profile)
+    r, u, x_star = profile.fside_slope
     origin = profile.kind is ProfileKind.ORIGIN
     out = dict.fromkeys(("mass_monotonicity", "eta_upper_bound", "drift_positivity_f",
                          "drift_positivity_g", "monotone_decreasing"), NOT_APPLICABLE)
@@ -362,7 +350,7 @@ def classify_shape(profile: Profile) -> Shape:
     """Monotone decrease versus a single interior maximum, on the f-side:
     the sign changes of X = r f_r / f in ascending f-radius (a zero is a
     decrease), with r_max at the linear zero of X in r."""
-    r, u, x_star = _fside_slope(profile)
+    r, u, x_star = profile.fside_slope
     X = x_star + u
     if profile.kind is ProfileKind.FARFIELD:
         r, X = r[::-1], X[::-1]

@@ -4,10 +4,10 @@ A solve starts from the seam state of the manifold series (localsolve) and
 keeps the series nodes below the seam.  Outward of it, kernels advances the
 series' own state (u, Z = ln Y) in tau = ln x by Taylor steps, with nodes
 at most kernels.HMAX apart in tau, and each node maps back to (v, v_x)
-through profile.Chart.native.  A touchdown ends on a last node where the
-f-side value meets kernels.VALUE_FLOOR, placed by the closed form of the
-pole once the Y terms are below tol.  Dense output is cubic Hermite of
-ln v in ln x (profile.Profile.dense).
+through profile.Chart.native; a node that does not fit a float ends the
+solve.  A touchdown ends on a last node where v has fallen by
+kernels.VALUE_FLOOR, placed by the closed form of the pole once the Y
+terms are below tol.  Dense output is cubic Hermite of ln v in ln x.
 
 section_Y, for the beta* gap, runs the same integration from the series'
 seam state to the section X = -2/(1-m), the nullcline of Y, whose
@@ -25,7 +25,7 @@ from . import kernels
 from .localsolve import (GAP_SEAM, LocalSolution, check_datum, gap_order,
                          picard_f_origin, picard_g_origin, series_seam)
 from .params import DomainError, ProfileParams
-from .profile import Chart, Profile, ProfileKind, TerminalEvent
+from .profile import Chart, Profile, ProfileKind, TerminalEvent, first_unrepresentable
 
 @dataclass(frozen=True)
 class OdeState:
@@ -48,11 +48,13 @@ class ContinuationFailed(RuntimeError):
     """Outward integration ended on an event before reaching r_max.
 
     Carries the terminal event and whatever profile was built up to the
-    stopping radius, so callers can still inspect the partial solution.
+    stopping radius, so callers can still inspect the partial solution.  A
+    node that does not fit a float raises it with a message and no partial.
     """
 
-    def __init__(self, terminal: TerminalEvent, partial: Profile | None = None):
-        super().__init__(f"integration terminated by {terminal.value}")
+    def __init__(self, terminal: TerminalEvent, partial: Profile | None = None,
+                 why: str | None = None):
+        super().__init__(why or f"integration terminated by {terminal.value}")
         self.terminal = terminal
         self.partial = partial
 
@@ -64,12 +66,20 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
             f"r_max={r_max} is below the start radius {x0} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
+    # the start state (u, Z): x v_x / v = sign(lam) u and Y = x^|lam| v^{1-m}
     x, u, Z, event = kernels.integrate_flux_system(
-        chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
-        *chart.reduced(x0, v0, vr0), r_max, tol)
-    v, vr = chart.native(x, u, Z)
+        chart.lam, chart.mu, chart.A, p.m, p.beta, x0, np.sign(chart.lam) * x0 * vr0 / v0,
+        abs(chart.lam) * np.log(x0) + (1.0 - p.m) * np.log(v0), r_max, tol)
+    with np.errstate(all="ignore"):   # refused just below
+        v, vr = chart.native(x, u, Z)
     # the first node is the start state as given, not its image through (u, Z)
     v[0], vr[0] = v0, vr0
+    i = first_unrepresentable(v, vr, u)
+    if i is not None:
+        what = "underflows" if np.isfinite([v[i], vr[i]]).all() else "overflows"
+        raise ContinuationFailed(event, why=(
+            f"{chart.kind.value} stepper node at x={x[i]:.3g} {what} "
+            f"(sigma={p.sigma:.3g})"))
     return Trajectory(x, v, vr, event)
 
 

@@ -34,8 +34,9 @@ def invert_pointwise(radii, values, derivs, p: ProfileParams):
     r_out = 1.0 / radii
     with np.errstate(over="ignore", invalid="ignore"):   # refused just below
         v_out, d_out = _kelvin(r_out, radii, values, derivs, p.k)
-    if not np.all(np.isfinite([r_out, v_out, d_out])):
-        raise DomainError(f"the Kelvin image is not finite (k={p.k:.6g})")
+    if not (np.all(np.isfinite([r_out, v_out, d_out]))
+            and np.all(v_out >= np.finfo(float).tiny)):
+        raise DomainError(f"the Kelvin image is not finite or underflows (k={p.k:.6g})")
     order = np.argsort(r_out)
     return r_out[order], v_out[order], d_out[order]
 

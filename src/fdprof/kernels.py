@@ -18,10 +18,13 @@ A zero of the profile (a touchdown) is a pole of u.  Without its Y terms
 the equation, u_tau = sgn u (mu - m u), is linear in 1/u, has its fixed
 point at u* = mu/m (x v_x / v = -k in both charts) and keeps v^m (u* - u)
 fixed.  Past u*, once the Y terms are below tol of the rest, a run is
-closed by that law instead of stepped into the pole: it places the node
-where the f-side value meets VALUE_FLOOR, or the node at x_max if that
-comes first.  A run ends on a profile.TerminalEvent; SECTION ends a beta*
-gap run where its step's polynomial first crosses a given u.
+closed by that law instead of stepped into the pole: its last node is
+where v has fallen by VALUE_FLOOR from the closing node, or at x_max if
+that comes first.  No test in the loop reads the size of v or v_x: (u, Y)
+and the steps are those of any image of the run under the profiles'
+scaling family, up to rounding.  A run ends on a profile.TerminalEvent;
+SECTION ends a beta* gap run where its step's polynomial first crosses a
+given u.
 """
 from __future__ import annotations
 
@@ -33,12 +36,9 @@ import numpy as np
 from .profile import TerminalEvent
 
 MAX_NODES = 250_000      # trajectory node capacity; a full store ends the run
-VALUE_FLOOR = 1e-30
-DERIV_CAP = 1e30
+VALUE_FLOOR = 1e-30      # a touchdown's last node: v fallen by this from the closure
 STEP_FLOOR = 1e-14       # least step in tau, relative to 1 + |tau|
 HMAX = 0.025             # largest node gap in tau: dense output, residual stencil
-_LN_FLOOR = math.log(VALUE_FLOOR)
-_LN_CAP = math.log(DERIV_CAP)
 _REACH = math.exp(-2.0)  # a step, as a fraction of the root-test radius
 
 # fdprof has one backend, this interpreted one; perfbench is the only reader
@@ -58,21 +58,20 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     and N, with scale 1 + |u| for u and 1 for y; a non-finite coefficient,
     or a step below STEP_FLOOR, ends the run on STEP_UNDERFLOW.  A solve's
     step emits nodes that split it evenly, at most HMAX apart, and every
-    test below runs at each emitted node.  The floor is on the f-side
-    value: v in the origin chart, s^k v in the far chart.  Past u*, the
-    first node with Y (|c| + |d u|) <= tol |u (a + b u)| places the floor
-    node by the closed form of the Y-free flow, or the x_max node by the
-    same law when the floor lies past x_max.  The test takes absolute
-    values because a signed Y term also passes where c + d u changes sign,
-    far from the pole.  A finite u_sec makes a gap run, one node per step,
-    which ends on SECTION where the step's polynomial first crosses
-    u = u_sec: Newton on that polynomial places the last node, with
-    u = u_sec; solves keep the default, never crossed.  A run with no room
-    left under MAX_NODES for two more nodes ends on NODE_OVERFLOW.  The
-    recursion is written out in the loop, as u_tau = u (a + b u) +
-    Y (c + d u) and Z_tau = e + g u: a call per Cauchy product would cost
-    the step 2-5%.  The name dates from the flux-form stepper this one
-    replaced; perfbench counts steps by len(x), which here counts nodes.
+    test below runs at each emitted node.  Past u*, the first node with
+    Y (|c| + |d u|) <= tol |u (a + b u)| closes the run by the Y-free
+    flow's closed form, on a last node where v has fallen by VALUE_FLOOR,
+    or at x_max if that comes first; the test takes absolute values because
+    a signed Y term also passes where c + d u changes sign, far from the
+    pole.  A finite u_sec makes a gap run, one node per step, which ends on
+    SECTION where the step's polynomial first crosses u = u_sec: Newton on
+    that polynomial places the last node, with u = u_sec; solves keep the
+    default, never crossed.  A run with no room left under MAX_NODES for
+    two more nodes ends on NODE_OVERFLOW.  The recursion is written out in
+    the loop, as u_tau = u (a + b u) + Y (c + d u) and Z_tau = e + g u: a
+    call per Cauchy product would cost the step 2-5%.  The name dates from
+    the flux-form stepper this one replaced; perfbench counts steps by
+    len(x), which here counts nodes.
     """
     # plain floats: numpy scalars would make the loop several times slower
     e, sgn = abs(lam), math.copysign(1.0, lam)
@@ -82,10 +81,9 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
     one_m = 1.0 - m
     a, b, c, d, g = sgn * mu, -sgn * m, -sgn * A, -sgn * beta, sgn * one_m
     # the Y-free flow u_tau = u (a + b u) has its fixed point at u* = -a/b;
-    # past it, w < a/m, it runs into the pole when a < 0 (both charts)
+    # past it, x v_x / v = sgn u < a/m, it runs into the pole when a < 0
+    # (both charts)
     u_fix, w_fix = -a / b, a / m if a < 0.0 else -math.inf
-    # the f-side value is ln v + kf tau: f(1/s) = s^k g(s) in the far chart
-    kf = u_fix if lam < 0.0 else 0.0
     # a solve's step truncation, e^{-2(N+1)} of its scale, is below tol e^{-8}:
     # on far tails, where the flux is nearly constant, the residual check
     # reads the kinks between steps amplified up to ~5e4.  A gap run keeps
@@ -159,43 +157,23 @@ def integrate_flux_system(lam, mu, A, m, beta, x0, u0, Z0, x_max, tol,
                 taus.append(tau + s); us.append(u_sec); Zs.append(Z + s * zz)
                 event = TerminalEvent.SECTION
                 break
-            lnv = (Zn - e * tn) / one_m
-            floor_hit = lnv + kf * tn <= _LN_FLOOR
-            w = sgn * un             # x v_x / v
-            closing = False
-            if w < w_fix and (math.exp(Zn) * (abs(c) + abs(d * un))
-                              <= tol * abs(un * (a + b * un))):
+            if sgn * un < w_fix and (math.exp(Zn) * (abs(c) + abs(d * un))
+                                     <= tol * abs(un * (a + b * un))):
                 # the Y terms are below tol: what is left is linear in 1/u and
-                # keeps v^m (u* - u) fixed, so ln v falls by L/m after
-                # a s = ln(1 + (u*/u) (e^{-L} - 1)); the floor moves with
-                # kf tau, which two passes settle
-                tf = tn
-                for _ in range(2):
-                    el = m * (lnv + kf * tf - _LN_FLOOR)
-                    tf = tn + math.log1p(u_fix / un * math.expm1(-el)) / a
-                floor = tf <= tau_max
-                if floor:
-                    lnf = _LN_FLOOR - kf * tf
-                else:   # the floor lies past x_max: the same law gives x_max
-                    tf = tau_max
+                # keeps v^m (u* - u) fixed, so ln v falls by L/m over
+                # a s = ln(1 + (u*/u) (e^{-L} - 1)); the last node is where v
+                # has fallen by VALUE_FLOOR, or at x_max if that comes first
+                event, el = TerminalEvent.VALUE_FLOOR, -m * math.log(VALUE_FLOOR)
+                tf = tn + math.log1p(u_fix / un * math.expm1(-el)) / a
+                if tf > tau_max:
+                    event, tf = TerminalEvent.REACHED_RMAX, tau_max
                     el = -math.log1p(un / u_fix * math.expm1(a * (tf - tn)))
-                    lnf = lnv - el / m
-                closing = tf > taus[-1]
-            # the closing node replaces this one when it lies inside the step
-            if not (closing and tf <= tn):
-                taus.append(tn); us.append(un); Zs.append(Zn)
-            if closing:
+                if tf > tn:   # else the closing node replaces this one
+                    taus.append(tn); us.append(un); Zs.append(Zn)
                 taus.append(tf); us.append(un * math.exp(el + a * (tf - tn)))
-                Zs.append(e * tf + one_m * lnf)
-                event = (TerminalEvent.VALUE_FLOOR if floor
-                         else TerminalEvent.REACHED_RMAX)
+                Zs.append(e * tf + one_m * ((Zn - e * tn) / one_m - el / m))
                 break
-            if floor_hit:
-                event = TerminalEvent.VALUE_FLOOR
-                break
-            if math.log(abs(un) + 1e-300) + lnv - tn >= _LN_CAP:
-                event = TerminalEvent.DERIV_BLOWUP
-                break
+            taus.append(tn); us.append(un); Zs.append(Zn)
             t_prev, u_prev = t, un
         tau, u, Z = tn, un, Zn
     x = np.exp(taus)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .params import (DomainError, ProfileParams, require_farfield_admissible,
                      require_origin_admissible)
-from .profile import Chart, ProfileKind
+from .profile import Chart, ProfileKind, first_unrepresentable
 
 ORDER = 60      # a solve's series terms; at its seam the tail is below 4^-ORDER
 GAP_SEAM = 0.4  # a gap's seam, as a fraction of the root-test radius
@@ -219,10 +219,14 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
             f"f-side image underflows (sigma={p.sigma:.3g})")
     z = np.exp(np.outer(tau[::-1], np.arange(len(seam.zu))))   # z^j at the nodes
     value = b * (z[:, :-1] @ seam.zy) ** (1.0 / one_m)
+    u = z @ seam.zu
     with np.errstate(over="ignore"):   # refused just below
-        deriv = math.copysign(1.0, lam) * (z @ seam.zu) * value / grid
+        deriv = math.copysign(1.0, lam) * u * value / grid
     if not np.all(np.isfinite(deriv)):
         raise LocalStageFailed(f"{kind.value} series node slopes overflow at the "
+                               f"datum {b:.3g} (sigma={p.sigma:.3g})")
+    if first_unrepresentable(value, deriv, u) is not None:
+        raise LocalStageFailed(f"{kind.value} series nodes underflow at the "
                                f"datum {b:.3g} (sigma={p.sigma:.3g})")
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,

@@ -25,9 +25,8 @@ class ProfileKind(enum.Enum):
 
 class TerminalEvent(enum.Enum):
     REACHED_RMAX = "ReachedRmax"
-    VALUE_FLOOR = "ValueFloor"
-    DERIV_BLOWUP = "DerivBlowup"
-    STEP_UNDERFLOW = "StepUnderflow"
+    VALUE_FLOOR = "ValueFloor"          # a touchdown, closed at its pole
+    STEP_UNDERFLOW = "StepUnderflow"    # a step below kernels.STEP_FLOOR
     NODE_OVERFLOW = "NodeOverflow"      # MAX_NODES nodes before r_max
     SECTION = "Section"                 # a gap run's crossing of X = -2/(1-m)
 
@@ -68,15 +67,18 @@ class Chart:
         """P' = -r^w (A v + B r v_r)."""
         return -r ** self.w * (self.A * v + self.B * r * vr)
 
-    def reduced(self, x, v, vr):
-        """(u, Z) at chart radius x from the value and the slope."""
-        return (np.sign(self.lam) * x * vr / v,
-                abs(self.lam) * np.log(x) + (1.0 - self.params.m) * np.log(v))
-
     def native(self, x, u, Z):
         """(v, v_x) at chart radius x from the reduced state (u, Z)."""
         v = np.exp((Z - abs(self.lam) * np.log(x)) / (1.0 - self.params.m))
         return v, np.sign(self.lam) * u * v / x
+
+
+def first_unrepresentable(v, vr, u) -> int | None:
+    """Index of the first node whose v is not a positive normal float, or whose
+    v_x is not finite or rounds to 0 where u does not; None if there is none."""
+    ok = ((v >= np.finfo(float).tiny) & (v < np.inf) & np.isfinite(vr)
+          & ((vr != 0.0) | (u == 0.0)))
+    return None if ok.all() else int(np.argmin(ok))
 
 
 def hermite(rs, ys, dys, x):
@@ -132,6 +134,17 @@ class Profile:
     def _log_nodes(self):
         """(ln x, ln v, x v_x / v) at the nodes: the dense output's knots."""
         return np.log(self.r), np.log(self.v), self.r * self.vr / self.v
+
+    @functools.cached_property
+    def fside_slope(self):
+        """(r, u, X*) at the nodes, in stored order: the f-side radius (r, or
+        1/s), the chart's own u = sign(lam) x v_x / v and its fixed point X*
+        (0, or -k in the far field), so that X = r f_r / f = X* + u."""
+        with np.errstate(all="ignore"):   # a NaN node reads NaN
+            u = np.sign(self.chart.lam) * (self.r * self.vr / self.v)
+        if self.kind is ProfileKind.ORIGIN:
+            return self.r, u, 0.0
+        return 1.0 / self.r, u, -self.params.k
 
     def dense(self, x):
         """(v, v_x) at chart radii x from one Hermite evaluation."""

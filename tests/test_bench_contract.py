@@ -54,6 +54,12 @@ def test_backend_flag_is_a_bool():
     assert isinstance(fdprof.NUMBA_ENABLED, bool)
 
 
+def test_sweep_check_reads_the_touchdown_event_by_its_name():
+    # workloads.Sweep.check compares summary.csv's terminal_event with this
+    # literal: a renamed event would make every sweep run outputs_incorrect
+    assert fdprof.TerminalEvent.VALUE_FLOOR.value == "ValueFloor"
+
+
 def test_traced_solve_counts_every_layer(tmp_path):
     from fdprof import analysis, cli, integrate, kernels
     tracer = spans.Tracer()

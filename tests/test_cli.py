@@ -895,19 +895,36 @@ def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
     (["solve-origin", "--n", "4", "--m", "0.3615034666122926",
       "--beta", "0.5445059310315912", "--eta0", "1.731361494211642e-288",
       "--rmax", "4.429923276074354e-70", "--tol", "6.554047094026312e-11"], 3,
-     "ValueFloor"),
+     "underflow"),
     (["solve-farfield", "--n", "8", "--m", "0.59", "--beta=-0.27", "--eta", "3e-7",
       "--rmax", "1e48"], 1, "the Kelvin image is not finite"),
+    (["solve-origin", "--n", "4", "--m", M13, "--beta", "0", "--eta0", "1e-200",
+      "--rmax", "1e60"], 3, "underflow"),
 ])
 def test_extreme_data_fail_on_one_line_without_warnings(argv, code, why, tmp_path,
                                                         capsys):
     # an overflowing series slope, an overflowing node-spacing bound and a
-    # far tail whose s^k overflows each used to print numpy RuntimeWarnings
+    # far tail whose s^k overflows each used to print numpy RuntimeWarnings;
+    # nodes whose f_r rounds to 0 ended on ValueFloor, or wrote f = 0 rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert got == code
     assert why in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eta0, r_max", [("1e40", "4.6e-12"), ("1e-40", "4.6e15")])
+def test_scaled_bubbles_solve(eta0, r_max, tmp_path, capsys):
+    # eta0 (1 + eta0^{2/3} r^2/16)^{-3}, the closed form's image under the
+    # scaling family, with f_r past 1e30 or f below 1e-30: no stop may read
+    # the absolute size of f or f_r
+    code, _, err = run_cli(capsys, "solve-origin", "--n", "4", "--m", M13,
+                           "--beta", "0", "--eta0", eta0, "--rmax", r_max,
+                           "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        l1 = json.load(fh)["limits"]["L1"]["value"]
+    assert l1 == pytest.approx(4096.0 / float(eta0), rel=1e-9)
 
 
 def test_sweep_with_tiny_rmax_records_each_failure(tmp_path, capsys):
@@ -936,14 +953,23 @@ def test_cli_returns_an_exit_code_and_never_raises(tmp_path_factory, command, n,
                                                    r_max):
     """Over admissible (n, m, beta), with the datum, tol and r_max anywhere
     in their float ranges, every solver command ends on an exit code: a
-    solver path never ends in a raw traceback."""
+    solver path never ends in a raw traceback.  A solve that exits 0 or 2
+    writes only finite, positive values."""
     m = m_frac * (n - 2) / n
     beta = -0.5 + beta_frac * (0.5 + fdprof.derive_params(n, m, 1.0, 0.0).beta_threshold)
+    out = tmp_path_factory.mktemp("fuzz")
     argv = [command, "--n", str(n), "--m", repr(m), "--tol", repr(tol),
-            "--out", str(tmp_path_factory.getbasetemp() / "fuzz")]
+            "--out", str(out)]
     if command == "beta-find":
         argv += ["--eta0", repr(b)]
     else:
         argv += ["--beta", repr(beta), "--rmax", repr(r_max),
                  "--eta0" if command == "solve-origin" else "--eta", repr(b)]
-    assert main(argv) in (0, 1, 2, 3)
+    code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if command != "beta-find" and code in (0, 2):
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == (1 if command == "solve-origin" else 2)
+        for path in csvs:
+            v = read_csv(path)[1][:, 1]
+            assert np.all(np.isfinite(v) & (v > 0.0)), path.name

@@ -281,18 +281,20 @@ class TestPoleClosure:
 
     def test_y_free_flow_lands_on_its_exact_floor(self):
         # A = beta = 0 leaves u_tau = u (mu - m u) alone (lam = 2, mu = -1,
-        # m = 1/3, u* = -3), closed at the first accepted step: from u0 = -4,
-        # v0 = 1 at tau = 0, v^m (u* - u) = 1 puts the floor at
-        # u_f = -3 - 1e10 and 1/u = -1/3 + (1/12) e^tau at tau_f = ln(4 + 12/u_f)
+        # m = 1/3, u* = -3), closed at the first node: from u0 = -4, v0 = 1
+        # at tau = 0 the whole run keeps v^m (u* - u) = 1 and 1/u = -1/3 +
+        # x/12, and its last node is where v has fallen by VALUE_FLOOR from
+        # the closing node's v1, at u_f = -3 - (VALUE_FLOOR v1)^{-1/3}
         x, u, Z, tag = kernels.integrate_flux_system(
             2.0, -1.0, 0.0, 1 / 3, 0.0, 1.0, -4.0, 0.0, 10.0, 1e-12)
-        u_f = -3.0 - 1e10
         assert tag == TerminalEvent.VALUE_FLOOR
         assert x.size == 3
-        assert x[-1] == pytest.approx(4.0 + 12.0 / u_f, rel=1e-12)
+        v = np.exp((Z - 2.0 * np.log(x)) / (1.0 - 1 / 3))
+        np.testing.assert_allclose(v[:2] ** (1 / 3) * (-3.0 - u[:2]), 1.0, rtol=1e-12)
+        assert v[-1] == pytest.approx(kernels.VALUE_FLOOR * v[1], rel=1e-12)
+        u_f = -3.0 - (kernels.VALUE_FLOOR * v[1]) ** (-1 / 3)
+        assert x[1] < x[-1] == pytest.approx(4.0 + 12.0 / u_f, rel=1e-12)
         assert u[-1] == pytest.approx(u_f, rel=1e-9)
-        lnv = (Z[-1] - 2.0 * np.log(x[-1])) / (1.0 - 1 / 3)
-        assert lnv == pytest.approx(np.log(kernels.VALUE_FLOOR), rel=1e-14)
 
     def test_floor_past_x_max_closes_at_x_max(self):
         x, u, Z, tag = kernels.integrate_flux_system(
