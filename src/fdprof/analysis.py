@@ -80,7 +80,7 @@ def ode_residual(profile: Profile) -> float:
     differentiating once the flux P = r^{n-1} v^{m-1} v_r of the stored
     (r, v, v_r) triples, which are exactly what a profile CSV holds; no value
     is ever second-differenced.  Nodes where every term vanishes are
-    skipped; a NaN defect at any other node makes the result NaN.
+    skipped; a NaN defect at any other node, or no node left, reads NaN.
     """
     r, v, vr = profile.r, profile.v, profile.vr
     N = len(r)
@@ -94,7 +94,7 @@ def ode_residual(profile: Profile) -> float:
     den = np.abs(dP_fd) + r ** w * (abs(A) * np.abs(v) + abs(B) * r * np.abs(vr))
     keep = den != 0.0
     defect = np.abs(dP_fd[keep] - rhs[keep]) / den[keep]
-    return float(np.max(defect, initial=0.0))
+    return float(np.max(defect)) if defect.size else math.nan
 
 
 # ---------------------------------------------------------------------------

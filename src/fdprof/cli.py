@@ -119,7 +119,7 @@ def _write_plots(out: str, stem: str, r, f, fr) -> None:
     """Two-column data files: profile, log-log decay, and log-slope."""
     views = {
         f"{stem}_profile.dat": (r, f),
-        f"{stem}_loglog.dat": (np.log10(r), np.log10(np.maximum(f, 1e-300))),
+        f"{stem}_loglog.dat": (np.log10(r), np.log10(f)),
         f"{stem}_slope.dat": (r, r * fr / f),
     }
     for name, (xs, ys) in views.items():

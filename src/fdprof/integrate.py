@@ -72,14 +72,14 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
         abs(chart.lam) * np.log(x0) + (1.0 - p.m) * np.log(v0), r_max, tol)
     with np.errstate(all="ignore"):   # refused just below
         v, vr = chart.native(x, u, Z)
-    # the first node is the start state as given, not its image through (u, Z)
-    v[0], vr[0] = v0, vr0
-    i = first_unrepresentable(v, vr, u)
+        v[0], vr[0] = v0, vr0   # the start state as given, not its image in (u, Z)
+        P = chart.flux(x, v, vr)
+    i = first_unrepresentable(v, vr, u, P)
     if i is not None:
-        what = "underflows" if np.isfinite([v[i], vr[i]]).all() else "overflows"
+        what = "underflows" if np.isfinite([v[i], vr[i], P[i]]).all() else "overflows"
         raise ContinuationFailed(event, why=(
             f"{chart.kind.value} stepper node at x={x[i]:.3g} {what} "
-            f"(sigma={p.sigma:.3g})"))
+            f"(flux {P[i]:.3g}, sigma={p.sigma:.3g})"))
     return Trajectory(x, v, vr, event)
 
 
@@ -148,7 +148,7 @@ def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
     return continue_profile(params, loc, r_max, tol=tol)
 
 
-SECTION_REACH = 8.0 ** 4   # a gap's reach, in units of a solve's seam cap b^{(m-1)/2}
+SECTION_REACH = 8.0 ** 4   # a gap's reach, in units of the datum's length
 
 
 def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
@@ -157,7 +157,7 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     In either chart that section is u = u_sec = -lam/(1-m), where
     Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  The
     series (localsolve.gap_order(tol) terms) has its seam at GAP_SEAM of its
-    root-test radius, capped only by the reach, SECTION_REACH times b^{(m-1)/2};
+    root-test radius, capped only by its reach, SECTION_REACH datum_length(b);
     the stepper runs from there to the reach and ends on a last node at the
     section's first crossing, where Y = e^Z.  Returns (Y, None), or
     (None, why no step crosses the section): the seam already lies on or
@@ -165,7 +165,7 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     """
     c = Chart.of(p, kind)
     check_datum(c, boundary)
-    reach = SECTION_REACH * boundary ** ((p.m - 1.0) / 2.0)
+    reach = SECTION_REACH * c.datum_length(boundary)
     _require_run_settings(reach, tol)
     seam = series_seam(c, boundary, reach, gap_order(tol), GAP_SEAM)
     u_sec = -c.lam / (1.0 - p.m)

@@ -18,13 +18,12 @@ the series there; on top of it _local places the nodes below the seam for
 the dense output's cubic Hermite of ln v in ln x.  kernels continues the
 same (u, ln Y) state outward from the seam, for a solve or for a beta* gap,
 which needs no nodes.  A solve sums ORDER terms at a quarter of the radius,
-capped at min(1, b^{(m-1)/2}, r_max) in x; a gap, which keeps no series
-node, sums gap_order(tol) terms at GAP_SEAM of the radius with no such cap,
-so its stepper starts farther out (order set by tol and step by the root
-test, as for Taylor methods; Jorba & Zou, Exp. Math. 14, 2005).  The
-coefficients and the seam sums are plain floats, as in the stepper; numpy
-takes over where an operation spans the nodes.  Each stage takes the
-profile.Chart its run built once, in place of (params, kind).
+capped in x at r_max and at the datum's length Chart.datum_length(b), where
+theta = 1; a gap sums gap_order(tol) terms at GAP_SEAM of the radius,
+capped only by its reach, so its stepper starts farther out (order set by
+tol and step by the root test, as for Taylor methods; Jorba & Zou, Exp.
+Math. 14, 2005).  Coefficients and seam sums are plain floats, as in the
+stepper; numpy takes over where an operation spans the nodes.
 """
 from __future__ import annotations
 
@@ -124,7 +123,8 @@ def _node_taus(zu: np.ndarray, chart: Chart, tol: float,
     d0 = (19.2 * tol / np.max(np.abs(z @ k_over_z))) ** 0.25
     gap = np.minimum(d0 * np.exp(-t / 4.0), (1400.0 * tol / (z @ c)) ** (1 / 6))
     count = np.concatenate([[0.0], np.cumsum((t[:-1] - t[1:]) / (e * gap[:-1]))])
-    return np.interp(np.linspace(0.0, count[-1], math.ceil(count[-1]) + 1), count, t)
+    nodes = max(7, math.ceil(count[-1]) + 1)   # the residual stencil's, at least
+    return np.interp(np.linspace(0.0, count[-1], nodes), count, t)
 
 
 @dataclass(frozen=True)
@@ -191,43 +191,41 @@ def series_seam(chart: Chart, b: float, x_cap: float, order: int,
                 np.array(zu), np.array(zy))
 
 
+@np.errstate(all="ignore")   # each node is checked below, in order
 def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     """Series nodes from below the seam up to it, graded in theta by tol.
 
-    The nodes reach down to theta_seam * 1e-7 at the origin; in the far
-    field to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in
-    k g + s g_r), and at least to s_seam * 4e-3.  No check needs that
-    floor; tests pin the depth, so it goes in a change of its own.
+    The nodes reach down to theta_seam * 1e-7 at the origin; in the far field
+    to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in k g + s g_r),
+    and at least to s_seam * 4e-3.  A LocalStageFailed refuses a seam term
+    u_1 theta, a node, its flux or its f-side image that is not a normal float.
     """
-    p, kind, lam = chart.params, chart.kind, chart.lam
+    p, kind, e = chart.params, chart.kind, abs(chart.lam)
     check_datum(chart, b)
-    # min(1, b^{(m-1)/2}) in this form keeps the seam's last bit
-    cap = math.exp(min(0.0, (p.m - 1.0) / 2.0 * math.log(b)))
-    seam = series_seam(chart, b, min(cap, r_max), ORDER, 0.25)
-    e, one_m = abs(lam), 1.0 - p.m
+    seam = series_seam(chart, b, min(chart.datum_length(b), r_max), ORDER, 0.25)
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
     if not depth > 0.0:
         raise LocalStageFailed(
             f"{kind.value} series node depth underflows (sigma={p.sigma:.3g})")
     tau = _node_taus(seam.zu, chart, tol, math.log(depth))
     grid = seam.eps * np.exp(tau[::-1] / e)
-    # a far-field node's Kelvin image carries s^{k+1}
-    image = grid[0] if kind is ProfileKind.ORIGIN else grid[0] ** (p.k + 1.0)
-    if not image > 1e-300:
-        raise LocalStageFailed(
-            f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose "
-            f"f-side image underflows (sigma={p.sigma:.3g})")
     z = np.exp(np.outer(tau[::-1], np.arange(len(seam.zu))))   # z^j at the nodes
-    value = b * (z[:, :-1] @ seam.zy) ** (1.0 / one_m)
+    value = b * (z[:, :-1] @ seam.zy) ** (1.0 / (1.0 - p.m))
     u = z @ seam.zu
-    with np.errstate(over="ignore"):   # refused just below
-        deriv = math.copysign(1.0, lam) * u * value / grid
-    if not np.all(np.isfinite(deriv)):
-        raise LocalStageFailed(f"{kind.value} series node slopes overflow at the "
-                               f"datum {b:.3g} (sigma={p.sigma:.3g})")
-    if first_unrepresentable(value, deriv, u) is not None:
-        raise LocalStageFailed(f"{kind.value} series nodes underflow at the "
-                               f"datum {b:.3g} (sigma={p.sigma:.3g})")
+    deriv = math.copysign(1.0, chart.lam) * u * value / grid
+    P = chart.flux(grid, value, deriv)
+    ln_f = p.k * np.log(grid) + np.log(value)   # f = s^k g, f_r = (u - k) s f
+    image = np.exp(ln_f), (u - p.k) * np.exp(ln_f + np.log(grid)), u - p.k
+    if not abs(seam.zu[1]) >= np.finfo(float).tiny or (
+            kind is ProfileKind.FARFIELD and first_unrepresentable(*image) is not None):
+        raise LocalStageFailed(
+            f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose f-side "
+            f"image underflows (u_1 theta={seam.zu[1]:.3g}, sigma={p.sigma:.3g})")
+    i = first_unrepresentable(value, deriv, u, P)
+    if i is not None:
+        what = "node slopes overflow" if np.isinf(deriv[i]) else "nodes leave the doubles"
+        raise LocalStageFailed(f"{kind.value} series {what} at the datum {b:.3g} (sigma="
+                               f"{p.sigma:.3g}): flux {P[i]:.3g} at x={grid[i]:.3g}")
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
                          iterations=len(seam.zu) - 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,9 @@ class Chart:
     residual checks.  The chart's datum is an invariant manifold of a fixed
     point X* of the reduced system in u = X - X*, Z = ln Y (see localsolve
     and kernels): lam is the fixed point's eigenvalue along the manifold, mu
-    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.  A run
-    builds its chart once, by Chart.of, and passes it to every stage.
+    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.  A datum
+    b has one length, datum_length(b), where theta = b^{1-m} x^|lam| is 1;
+    a run builds its chart once, by Chart.of, and passes it to every stage.
     """
     params: ProfileParams
     kind: ProfileKind
@@ -59,9 +61,14 @@ class Chart:
         return cls(p, kind, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
                    -p.sigma, p.n - 2.0)
 
+    def datum_length(self, b: float) -> float:
+        """x_b = b^{-(1-m)/|lam|}, or inf where that leaves the doubles."""
+        ln_x = -(1.0 - self.params.m) / abs(self.lam) * math.log(b)
+        return math.exp(ln_x) if ln_x < 709.78 else math.inf
+
     def flux(self, r, v, vr):
-        """P = r^{n-1} v^{m-1} v_r."""
-        return r ** (self.params.n - 1) * v ** (self.params.m - 1.0) * vr
+        """P = r^{n-2} v^m (r v_r / v); r^{n-1} v^{m-1} can overflow where P fits."""
+        return r ** (self.params.n - 2) * v ** self.params.m * (r * vr / v)
 
     def dflux(self, r, v, vr):
         """P' = -r^w (A v + B r v_r)."""
@@ -73,11 +80,12 @@ class Chart:
         return v, np.sign(self.lam) * u * v / x
 
 
-def first_unrepresentable(v, vr, u) -> int | None:
-    """Index of the first node whose v is not a positive normal float, or whose
-    v_x is not finite or rounds to 0 where u does not; None if there is none."""
-    ok = ((v >= np.finfo(float).tiny) & (v < np.inf) & np.isfinite(vr)
-          & ((vr != 0.0) | (u == 0.0)))
+def first_unrepresentable(v, vr, u, P=1.0) -> int | None:
+    """Index of the first node with v not a positive normal float, v_x not
+    finite or, where u is not 0, v_x = 0 or a flux P not normal; else None."""
+    tiny = np.finfo(float).tiny
+    ok = ((v >= tiny) & (v < np.inf) & np.isfinite(vr)
+          & ((vr != 0.0) & (abs(P) >= tiny) & (abs(P) < np.inf) | (u == 0.0)))
     return None if ok.all() else int(np.argmin(ok))
 
 

@@ -85,6 +85,28 @@ def test_traced_solve_counts_every_layer(tmp_path):
     assert rows == counts["profile.kept"] + counts["kernels.accepted_steps"] + 1
 
 
+@pytest.mark.parametrize("eta", ["0.0072833", "0.0018"])
+def test_traced_farfield_solve_counts_every_node(eta, tmp_path):
+    """The row count above on far-field solves like the solve workload's,
+    whose seam sits at the datum's length, not at s = 1."""
+    from fdprof import analysis, cli, integrate, kernels
+    tracer = spans.Tracer()
+    tracer.install({"cli": cli, "integrate": integrate, "kernels": kernels,
+                    "analysis": analysis})
+    try:
+        with tracer.operation("solve"):
+            rc = cli.main(["solve-farfield", "--n", "3", "--m", "0.2",
+                           "--beta", "0.25", "--eta", eta, "--rmax", "100",
+                           "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    counts = tracer.counts["solve"]
+    with open(tmp_path / "profile_g.csv", encoding="utf-8") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == counts["profile.kept"] + counts["kernels.accepted_steps"] + 1
+
+
 def test_traced_beta_find_steps_in_the_kernel(tmp_path):
     """A beta* search reaches the stepper through the traced kernel boundary."""
     from fdprof import analysis, cli, integrate, kernels

@@ -872,15 +872,16 @@ def test_small_sigma_seam_names_breakdown(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code, why", [
     (["solve-origin", "--rmax", "1e-300"], 3, "f-side image underflows"),
-    (["solve-origin", "--rmax", "1e-200"], 1, "residual needs at least 5"),
-    (["solve-origin", "--rmax", "1e-100"], 1, "residual needs at least 5"),
+    (["solve-origin", "--rmax", "1e-200"], 3, "f-side image underflows"),
+    (["solve-origin", "--rmax", "1e-100"], 3, "series nodes leave the doubles"),
     (["solve-farfield", "--eta", "1", "--rmax", "1e-300"], 3,
      "f-side image underflows"),
 ])
 def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
     # a seam capped at r_max ~ 1e-300 has theta ~ 0: its z-powers underflow,
     # which used to reach the node count as 0/0; at 1e-100 a bound with a
-    # zero sum warned.  One named line on stderr, no warning
+    # zero sum warned.  At 1e-200 the seam's theta underflows, at 1e-100 the
+    # nodes' flux r^3 f^{m-1} f_r.  One named line on stderr, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run_cli(capsys, argv[0], "--n", "4", "--m", "0.3",
@@ -898,8 +899,6 @@ def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
      "underflow"),
     (["solve-farfield", "--n", "8", "--m", "0.59", "--beta=-0.27", "--eta", "3e-7",
       "--rmax", "1e48"], 1, "the Kelvin image is not finite"),
-    (["solve-origin", "--n", "4", "--m", M13, "--beta", "0", "--eta0", "1e-200",
-      "--rmax", "1e60"], 3, "underflow"),
 ])
 def test_extreme_data_fail_on_one_line_without_warnings(argv, code, why, tmp_path,
                                                         capsys):
@@ -925,6 +924,48 @@ def test_scaled_bubbles_solve(eta0, r_max, tmp_path, capsys):
     with open(tmp_path / "report.json", encoding="utf-8") as fh:
         l1 = json.load(fh)["limits"]["L1"]["value"]
     assert l1 == pytest.approx(4096.0 / float(eta0), rel=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    # the image of --eta0 1 --rmax 2.2e-7 under the scaling family
+    ["solve-origin", "--n", "4", "--m", M13, "--beta", "0", "--eta0", "1e-200",
+     "--rmax", "1e60"],
+    # with the seam capped at s = 1 the flat g near it rounded above eta
+    ["solve-farfield", "--n", "4", "--m", M13, "--beta", "0", "--eta", "1e-29"],
+], ids=["origin-eta0-1e-200", "farfield-eta-1e-29"])
+def test_images_of_ordinary_data_pass(argv, tmp_path, capsys):
+    # the seam cap reads no absolute size: it is the datum's own length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (got, err) == (0, "")
+
+
+@pytest.mark.parametrize("rmax", ["1e-60", "1e-40"])
+def test_underflowing_flux_is_refused_by_name(rmax, tmp_path, capsys):
+    # P = r^7 f^{m-1} f_r rounds to 0 at every node, so the residual would
+    # skip them all: a pass (1e-60) or a residual of 1 (1e-40) read nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.3",
+                              "--beta", "0", "--rmax", rmax, "--out", str(tmp_path))
+    assert got == 3
+    assert "series nodes leave the doubles" in err and "flux -0" in err
+    assert err.count("\n") == 1
+
+
+def test_verify_of_a_profile_with_no_checkable_node_fails(tmp_path, capsys):
+    """A residual over no node is NaN, not a pass: verify exits 2."""
+    # P = r^7 f^{m-1} f_r and r^7 f both round to 0 on r ~ 1e-60
+    r = (1e-60 * (1.0 + np.arange(10) / 10.0)).tolist()
+    rows = "".join(f"{x!r},1.0,{-1e-3 * x!r}\n" for x in r)
+    (tmp_path / "profile.csv").write_text("r,f,f_r\n" + rows, encoding="utf-8")
+    report = {"params": {"n": 8, "m": 0.3, "rho1": 1.0, "beta": 0.0},
+              "terminal_event": "ReachedRmax"}
+    (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path / "profile.csv"))
+    assert code == 2
+    assert out.startswith("residual = nan")
 
 
 def test_sweep_with_tiny_rmax_records_each_failure(tmp_path, capsys):

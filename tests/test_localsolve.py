@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (advance_g, f_exact, fr_exact, g_exact, gr_exact,
-                      manifold_series)
+from conftest import (RMAX, SWEEP_TUPLES, advance_g, f_exact, fr_exact, g_exact,
+                      gr_exact, manifold_series)
 from fdprof import (DomainError, OdeState, ProfileKind, classify_regime,
                     derive_params, ode_residual, picard_f_origin,
                     picard_g_origin, singular_slope_limit,
@@ -379,23 +379,37 @@ def _chart_with(monkeypatch, **change):
 @pytest.mark.parametrize("change, b, why", [
     # u_2 carries m u_1^2 ~ 1e600
     ({"A": 1e300}, 1.0, "origin series coefficients overflow at sigma=2"),
-    # with A = 0 the series is u = 0, Y = theta: no tail, so the seam sits
-    # at the cap, where theta = b^{1-m} cap^{1/2} = 1e150 and theta^3 overflows
-    ({"A": 0.0, "lam": 0.5}, 1e300,
+    # with A = 0 the series is u = 0, Y = theta: no tail, so a gap's seam sits
+    # at its reach, where theta = 4096^|lam| = 2^48 and theta^22 overflows (a
+    # solve's seam, at theta <= 1, cannot reach this branch)
+    ({"A": 0.0, "lam": 4.0}, 1e300,
      "origin series terms overflow at the seam (sigma=2)"),
 ])
 def test_series_overflow_is_a_local_stage_failure(monkeypatch, capsys, tmp_path,
                                                   change, b, why):
-    """Both overflows of series_seam raise LocalStageFailed, never a float's
-    OverflowError, and solve-origin exits 3 on them."""
+    """Both overflows of series_seam raise LocalStageFailed in a beta* gap,
+    never a float's OverflowError, and beta-find exits 3 on them."""
     _chart_with(monkeypatch, **change)
     with pytest.raises(localsolve.LocalStageFailed, match=re.escape(why)):
-        picard_f_origin(CF, b)
-    code = main(["solve-origin", "--n", "4", "--m", "0.3333333333333333",
-                 "--beta", "0", "--eta0", repr(b), "--out", str(tmp_path)])
+        integrate.section_Y(CF, ProfileKind.ORIGIN, b, 1e-9)
+    code = main(["beta-find", "--n", "4", "--m", "0.3333333333333333",
+                 "--eta0", repr(b), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3
     assert why in err and "OverflowError" not in err
+
+
+@pytest.mark.parametrize("kind", [ProfileKind.ORIGIN, ProfileKind.FARFIELD])
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+def test_solve_seam_lies_where_theta_is_at_most_one(kind, b):
+    """A solve's seam is capped at the datum's length, where theta = 1, or
+    at r_max, on the standard tuples in both charts."""
+    local = picard_f_origin if kind is ProfileKind.ORIGIN else picard_g_origin
+    for n, m, beta in SWEEP_TUPLES:
+        p = derive_params(n, m, 1.0, beta)
+        eps = local(p, b, 1e-9, RMAX).eps
+        theta = b ** (1.0 - m) * eps ** abs(Chart.of(p, kind).lam)
+        assert theta <= 1.0 + 1e-12 or eps == RMAX, (n, m, beta)
 
 
 def test_f_rejects_nonpositive_eta():

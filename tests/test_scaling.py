@@ -4,12 +4,14 @@ An origin solve from eta0 = lam^{2/(1-m)} to r_max = R/lam is the image of
 the solve from eta0 = 1 to R, and a far-field solve from lam^{2/(1-m)-k} eta
 to lam R that of the solve from eta to R (g -> lam^{2/(1-m)-k} g(s/lam)).
 Each image must end on the same event with the same decay label, verdict
-statuses and shape, and L1 = lim r^k f must carry the factor
-lam^{2/(1-m)-k}.  The beta* gap depends on beta alone, so a search from any
-eta0 finds the same root.  No check may read an absolute size of f.
+statuses, shape and pass or fail, its residual within 1% of its base's, and
+L1 = lim r^k f must carry the factor lam^{2/(1-m)-k}.  The beta* gap
+depends on beta alone, so a search from any eta0 finds the same root.  No
+check may read an absolute size of f.
 """
 import pytest
 
+from fdprof import cli
 from fdprof import (ContinuationFailed, build_report, derive_params,
                     find_anomalous_beta, solve_farfield_profile,
                     solve_origin_profile)
@@ -18,16 +20,17 @@ from conftest import RMAX, SWEEP_TUPLES, TOL
 
 
 def _outcome(solve, p, datum, r_max):
-    """(terminal event, decay label, verdict statuses, shape label, L1) of a
-    solve; a run that ends early gives its event alone."""
+    """((terminal event, decay label, verdict statuses, shape label, passes),
+    L1, residual) of a solve; a run that ends early gives its event alone."""
     try:
         rep = build_report(solve(p, datum, r_max, tol=TOL))
     except ContinuationFailed as e:
-        return (e.terminal,), None
+        return (e.terminal,), None, None
     statuses = tuple(sorted((k, v.status) for k, v in rep.inequalities.items()))
     l1 = rep.limits.l1
     return ((rep.terminal_event, rep.decay.label, statuses, rep.shape.label,
-             l1 is None), None if l1 is None else l1.value)
+             l1 is None, cli._passes(rep.residual, rep.inequalities, TOL)),
+            None if l1 is None else l1.value, rep.residual)
 
 
 def _mismatches(solve, data, lam):
@@ -37,11 +40,13 @@ def _mismatches(solve, data, lam):
         p = derive_params(n, m, 1.0, beta)
         origin = solve is solve_origin_profile
         gain = lam ** (2.0 / (1.0 - m) - (0.0 if origin else p.k))
-        base, l1 = _outcome(solve, p, datum, RMAX)
-        image, l1_lam = _outcome(solve, p, gain * datum,
-                                 RMAX / lam if origin else RMAX * lam)
+        base, l1, res = _outcome(solve, p, datum, RMAX)
+        image, l1_lam, res_lam = _outcome(solve, p, gain * datum,
+                                          RMAX / lam if origin else RMAX * lam)
         if image != base:
             bad.append(((n, m, beta), base, image))
+        elif res is not None and not abs(res_lam / res - 1.0) <= 0.01:
+            bad.append(((n, m, beta), res, res_lam))
         elif l1 is not None:
             l1_back = l1_lam * lam ** (p.k - 2.0 / (1.0 - m))
             if not abs(l1_back / l1 - 1.0) <= 1e-9:
@@ -49,14 +54,13 @@ def _mismatches(solve, data, lam):
     return bad
 
 
-@pytest.mark.parametrize("lam", [1e-20, 1e-10, 1e10, 1e20, 1e40])
+@pytest.mark.parametrize("lam", [1e-40, 1e-20, 1e-10, 1e10, 1e20, 1e40])
 def test_origin_solves_scale(lam):
     assert _mismatches(solve_origin_profile, [1.0] * len(SWEEP_TUPLES), lam) == []
 
 
-@pytest.mark.parametrize("lam", [1e-20, 1e-10])
+@pytest.mark.parametrize("lam", [1e-40, 1e-20, 1e-10, 1e10, 1e20, 1e30, 1e40])
 def test_farfield_solves_scale(cache, lam):
-    # lam >= 1e10 needs a seam cap without its absolute 1 (see CHANGES.md)
     etas = [cache.farfield(*t).boundary for t in SWEEP_TUPLES]
     assert _mismatches(solve_farfield_profile, etas, lam) == []
 
