@@ -1,16 +1,16 @@
 """Verification and classification of solved profiles.
 
-Residual checks differentiate the nodal flux once (first derivative on
-scattered nodes, closed-form 7-point Lagrange weights); values are never
-second-differenced.  The far-field limits and the decay class are read off
-the state (X, Y) = (r f_r / f, r^2 f^{1-m}) at the profile's f-side far
-end: its distance from the fast point's stable manifold, whose series
-localsolve sums, and from the slow fixed point.  The inequality verdicts
-and the shape are sign conditions on X, read at every node.  The anomalous
-exponent is the beta at which the origin profile joins the fast-decay
-saddle: the root of the difference of Y = r^2 f^{1-m} between the origin
-and the far-field manifold where each first crosses X = -2/(1-m), each
-integrated from its series seam to that crossing and no farther.
+The residual check differentiates the nodal flux once, in the log nodes
+(first derivative on scattered nodes, closed-form 7-point Lagrange weights
+in ln x); values are never second-differenced.  The far-field limits and the
+decay class are read off the state (X, Y) = (r f_r / f, r^2 f^{1-m}) at the
+profile's f-side far end: its distance from the fast point's stable
+manifold, whose series localsolve sums, and from the slow fixed point.  The
+inequality verdicts and the shape are sign conditions on X, read at every
+node.  The anomalous exponent is the beta at which the origin profile joins
+the fast-decay saddle: the root of the difference of Y = r^2 f^{1-m} between
+the origin and the far-field manifold where each first crosses X = -2/(1-m),
+each integrated from its series seam to that crossing and no farther.
 """
 from __future__ import annotations
 
@@ -43,57 +43,59 @@ class RangeError(ValueError):
 # residual
 
 
-def flux_slope(r: np.ndarray, P: np.ndarray):
-    """P' at the interior nodes of strictly increasing radii r.
+def stencil(ln_x: np.ndarray):
+    """First-derivative stencil on nodes strictly increasing in ln x: the
+    slice of interior nodes i, the indices i + j of their neighbours and the
+    weights w_j, one row per offset j, with
+    x_i P'(x_i) = sum_j w_j (P_{i+j} - P_i).
 
-    Each interior node i gets the derivative of the Lagrange interpolant
-    through its 2h neighbours and itself, h = 3 (or 2 when there are fewer
-    than 7 nodes).  In offsets x_j = (r_{i+j} - r_i)/r_i, scaled by the centre
-    so that radii near 1e-60 do not underflow, the weight of neighbour j is
-    prod_{l != j} x_l/(x_l - x_j) / x_j and the centre weight is
-    -sum_j 1/x_j.  The sum is taken as sum_j w_j (P_{i+j} - P_i): the same
-    value, but its rounding scales with the differences, not with P, which
-    matters on far tails where P is nearly constant.  Returns the slice of
-    interior nodes and P' there.
+    Node i takes the slope of the Lagrange interpolant through itself and its
+    2h neighbours, h = 3 (2 below 7 nodes).  In the offsets
+    x_j = expm1(ln x_{i+j} - ln x_i), which form no radius,
+    w_j = prod_{l != j} x_l/(x_l - x_j) / x_j.  Summed over differences, the
+    rounding scales with them, not with P, which matters on far tails where
+    P is nearly constant.
     """
-    N = len(r)
+    N = len(ln_x)
     h = 3 if N >= 7 else 2
     inner = slice(h, N - h)
-    rc, Pc = r[inner], P[inner]
-    offsets = [j for j in range(-h, h + 1) if j]
-    x = {j: (r[h + j:N - h + j] - rc) / rc for j in offsets}
-    total = np.zeros_like(rc)
-    for j in offsets:
-        wj = 1.0 / x[j]
-        for l in offsets:
-            if l != j:
-                wj = wj * (x[l] / (x[l] - x[j]))
-        total += wj * (P[h + j:N - h + j] - Pc)
-    return inner, total / rc
+    nbr = np.arange(h, N - h) + np.array([*range(-h, 0), *range(1, h + 1)])[:, None]
+    x = np.expm1(ln_x[nbr] - ln_x[inner])
+    w = 1.0 / x
+    for l in range(2 * h):
+        d = x[l] - x
+        d[l] = x[l]   # the factor l = j reads x_j / x_j = 1
+        w *= x[l] / d
+    return inner, nbr, w
 
 
 @np.errstate(all="ignore")   # a NaN defect gives a NaN residual
 def ode_residual(profile: Profile) -> float:
     """Worst relative defect of the profile equation over interior nodes.
 
-    The flux form P' = -r^w (A v + B r v_r) is checked with P' recovered by
-    differentiating once the flux P = r^{n-1} v^{m-1} v_r of the stored
-    (r, v, v_r) triples, which are exactly what a profile CSV holds; no value
-    is ever second-differenced.  Nodes where every term vanishes are
-    skipped; a NaN defect at any other node, or no node left, reads NaN.
+    The chart's flux form P' = -x^w (A v + B x v_x), P = x^{n-1} v^{m-1} v_x,
+    w = n-3+|lam|, divided at each stencil centre i by Q_i/x_i, Q = x^{n-2} v^m,
+    reads only the log nodes (ln x, ln v, s = x v_x / v) and forms no power of
+    x: sum_j w_j (s_{i+j} e^{q_{i+j} - q_i} - s_i) = -Y_i (A + B s_i), with
+    q = ln Q and Y = x^|lam| v^{1-m}, the chart's own; the defect is taken over
+    |lhs| + Y_i (|A| + |B| |s_i|).  P is differentiated once (see stencil) on
+    the stored nodes, which a profile CSV holds; no value is second-differenced.
+    Nodes where every term vanishes are skipped; a NaN defect at any other
+    node, or no node left, reads NaN.
     """
-    r, v, vr = profile.r, profile.v, profile.vr
-    N = len(r)
+    N = len(profile.r)
     if N < 5:
         raise DomainError(f"profile has {N} nodes; residual needs at least 5")
-    chart = profile.chart
-    w, A, B = chart.w, chart.A, chart.B
-    inner, dP_fd = flux_slope(r, chart.flux(r, v, vr))
-    r, v, vr = r[inner], v[inner], vr[inner]
-    rhs = chart.dflux(r, v, vr)
-    den = np.abs(dP_fd) + r ** w * (abs(A) * np.abs(v) + abs(B) * r * np.abs(vr))
+    chart, p = profile.chart, profile.params
+    ln_x, ln_v, s = profile._log_nodes
+    q = (p.n - 2.0) * ln_x + p.m * ln_v
+    inner, nbr, w = stencil(ln_x)
+    qc, sc = q[inner], s[inner]
+    lhs = (w * (s[nbr] * np.exp(q[nbr] - qc) - sc)).sum(axis=0)
+    Y = np.exp(abs(chart.lam) * ln_x[inner] + (1.0 - p.m) * ln_v[inner])
+    den = np.abs(lhs) + Y * (abs(chart.A) + abs(chart.B) * np.abs(sc))
     keep = den != 0.0
-    defect = np.abs(dP_fd[keep] - rhs[keep]) / den[keep]
+    defect = np.abs(lhs + Y * (chart.A + chart.B * sc))[keep] / den[keep]
     return float(np.max(defect)) if defect.size else math.nan
 
 

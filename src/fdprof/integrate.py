@@ -73,13 +73,12 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
     with np.errstate(all="ignore"):   # refused just below
         v, vr = chart.native(x, u, Z)
         v[0], vr[0] = v0, vr0   # the start state as given, not its image in (u, Z)
-        P = chart.flux(x, v, vr)
-    i = first_unrepresentable(v, vr, u, P)
+    i = first_unrepresentable(v, vr, u)
     if i is not None:
-        what = "underflows" if np.isfinite([v[i], vr[i], P[i]]).all() else "overflows"
+        what = "underflows" if np.isfinite([v[i], vr[i]]).all() else "overflows"
         raise ContinuationFailed(event, why=(
             f"{chart.kind.value} stepper node at x={x[i]:.3g} {what} "
-            f"(flux {P[i]:.3g}, sigma={p.sigma:.3g})"))
+            f"(sigma={p.sigma:.3g})"))
     return Trajectory(x, v, vr, event)
 
 

@@ -12,10 +12,14 @@ from .params import DomainError, ProfileParams
 from .profile import Profile, ProfileKind
 
 
-def _kelvin(r, s, g, gs, k):
+def kelvin(r, s, g, gs, k):
     """(f, f_r) at r from (g, g_s) at s = 1/r: f = r^{-k} g and
-    f_r = -r^{-k-1} (k g + s g_s)."""
-    return r ** (-k) * g, -r ** (-k - 1.0) * (k * g + s * gs)
+    f_r = -(k + s g_s/g) f / r.  f is formed as (g r^{-k/2}) r^{-k/2}: the
+    middle term is the geometric mean of g and f, and r^{-k/2} that of 1
+    and f/g, so no factor leaves the doubles where g and f do not."""
+    half = r ** (-0.5 * k)
+    f = g * half * half
+    return f, -(k + s * gs / g) * f / r
 
 
 def invert_pointwise(radii, values, derivs, p: ProfileParams):
@@ -32,8 +36,8 @@ def invert_pointwise(radii, values, derivs, p: ProfileParams):
     if np.any(radii <= 0.0):
         raise DomainError("sample radii must satisfy r > 0")
     r_out = 1.0 / radii
-    with np.errstate(over="ignore", invalid="ignore"):   # refused just below
-        v_out, d_out = _kelvin(r_out, radii, values, derivs, p.k)
+    with np.errstate(all="ignore"):   # refused just below
+        v_out, d_out = kelvin(r_out, radii, values, derivs, p.k)
     if not (np.all(np.isfinite([r_out, v_out, d_out]))
             and np.all(v_out >= np.finfo(float).tiny)):
         raise DomainError(f"the Kelvin image is not finite or underflows (k={p.k:.6g})")
@@ -59,7 +63,7 @@ def fside_samples(profile: Profile, r):
     if profile.kind is ProfileKind.ORIGIN:
         return profile.dense(r)
     s = 1.0 / r
-    return _kelvin(r, s, *profile.dense(s), profile.params.k)
+    return kelvin(r, s, *profile.dense(s), profile.params.k)
 
 
 def fside_nodes(profile: Profile):

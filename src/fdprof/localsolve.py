@@ -33,6 +33,7 @@ from operator import mul
 
 import numpy as np
 
+from .inversion import kelvin
 from .params import (DomainError, ProfileParams, require_farfield_admissible,
                      require_origin_admissible)
 from .profile import Chart, ProfileKind, first_unrepresentable
@@ -198,7 +199,8 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     The nodes reach down to theta_seam * 1e-7 at the origin; in the far field
     to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in k g + s g_r),
     and at least to s_seam * 4e-3.  A LocalStageFailed refuses a seam term
-    u_1 theta, a node, its flux or its f-side image that is not a normal float.
+    u_1 theta, a node or its f-side image (inversion.kelvin, the map the
+    f-side output takes) that is not a normal float.
     """
     p, kind, e = chart.params, chart.kind, abs(chart.lam)
     check_datum(chart, b)
@@ -213,19 +215,17 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     value = b * (z[:, :-1] @ seam.zy) ** (1.0 / (1.0 - p.m))
     u = z @ seam.zu
     deriv = math.copysign(1.0, chart.lam) * u * value / grid
-    P = chart.flux(grid, value, deriv)
-    ln_f = p.k * np.log(grid) + np.log(value)   # f = s^k g, f_r = (u - k) s f
-    image = np.exp(ln_f), (u - p.k) * np.exp(ln_f + np.log(grid)), u - p.k
     if not abs(seam.zu[1]) >= np.finfo(float).tiny or (
-            kind is ProfileKind.FARFIELD and first_unrepresentable(*image) is not None):
+            kind is ProfileKind.FARFIELD and first_unrepresentable(
+                *kelvin(1.0 / grid, grid, value, deriv, p.k), u - p.k) is not None):
         raise LocalStageFailed(
             f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose f-side "
             f"image underflows (u_1 theta={seam.zu[1]:.3g}, sigma={p.sigma:.3g})")
-    i = first_unrepresentable(value, deriv, u, P)
+    i = first_unrepresentable(value, deriv, u)
     if i is not None:
         what = "node slopes overflow" if np.isinf(deriv[i]) else "nodes leave the doubles"
         raise LocalStageFailed(f"{kind.value} series {what} at the datum {b:.3g} (sigma="
-                               f"{p.sigma:.3g}): flux {P[i]:.3g} at x={grid[i]:.3g}")
+                               f"{p.sigma:.3g}) at x={grid[i]:.3g}")
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,
                          deriv=deriv, boundary_value=b, kind=kind,
                          iterations=len(seam.zu) - 1)

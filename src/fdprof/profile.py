@@ -2,10 +2,10 @@
 
 A Profile concatenates the local nodes of the manifold series (spaced by
 tol, widest deep below the seam) with the nodes of the outward
-integration.  A node is (r, v, v_r); the flux P = r^{n-1} v^{m-1} v_r and
-its slope come from Chart when a check needs them.  Dense evaluation is C1
-cubic Hermite of ln v in ln x with the nodal log-slopes x v_x / v, the
-chart's own variables, and never re-differences values.
+integration.  A node is (r, v, v_r); the checks and the dense output read
+it as (ln x, ln v, x v_x / v), the chart's own variables.  Dense evaluation
+is C1 cubic Hermite of ln v in ln x with the nodal log-slopes, and never
+re-differences values.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ class Chart:
     """Everything that differs between the origin and the far-field chart.
 
     In the native variable x of its chart each profile equation has the flux
-    form P' = -x^w (A v + B x v_x), P = x^{n-1} v^{m-1} v_x, which the
-    residual checks.  The chart's datum is an invariant manifold of a fixed
+    form P' = -x^{n-3+|lam|} (A v + B x v_x), P = x^{n-1} v^{m-1} v_x, which
+    the residual checks.  The chart's datum is an invariant manifold of a fixed
     point X* of the reduced system in u = X - X*, Z = ln Y (see localsolve
     and kernels): lam is the fixed point's eigenvalue along the manifold, mu
     the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.  A datum
@@ -47,7 +47,6 @@ class Chart:
     """
     params: ProfileParams
     kind: ProfileKind
-    w: float
     A: float
     B: float
     lam: float
@@ -57,22 +56,13 @@ class Chart:
     def of(cls, params: ProfileParams, kind: ProfileKind) -> Chart:
         p = params
         if kind is ProfileKind.ORIGIN:
-            return cls(p, kind, p.n - 1.0, p.alpha, p.beta, 2.0, 2.0 - p.n)
-        return cls(p, kind, p.n + p.sigma - 3.0, p.alpha_tilde, p.beta_tilde,
-                   -p.sigma, p.n - 2.0)
+            return cls(p, kind, p.alpha, p.beta, 2.0, 2.0 - p.n)
+        return cls(p, kind, p.alpha_tilde, p.beta_tilde, -p.sigma, p.n - 2.0)
 
     def datum_length(self, b: float) -> float:
         """x_b = b^{-(1-m)/|lam|}, or inf where that leaves the doubles."""
         ln_x = -(1.0 - self.params.m) / abs(self.lam) * math.log(b)
         return math.exp(ln_x) if ln_x < 709.78 else math.inf
-
-    def flux(self, r, v, vr):
-        """P = r^{n-2} v^m (r v_r / v); r^{n-1} v^{m-1} can overflow where P fits."""
-        return r ** (self.params.n - 2) * v ** self.params.m * (r * vr / v)
-
-    def dflux(self, r, v, vr):
-        """P' = -r^w (A v + B r v_r)."""
-        return -r ** self.w * (self.A * v + self.B * r * vr)
 
     def native(self, x, u, Z):
         """(v, v_x) at chart radius x from the reduced state (u, Z)."""
@@ -80,12 +70,11 @@ class Chart:
         return v, np.sign(self.lam) * u * v / x
 
 
-def first_unrepresentable(v, vr, u, P=1.0) -> int | None:
+def first_unrepresentable(v, vr, u) -> int | None:
     """Index of the first node with v not a positive normal float, v_x not
-    finite or, where u is not 0, v_x = 0 or a flux P not normal; else None."""
-    tiny = np.finfo(float).tiny
-    ok = ((v >= tiny) & (v < np.inf) & np.isfinite(vr)
-          & ((vr != 0.0) & (abs(P) >= tiny) & (abs(P) < np.inf) | (u == 0.0)))
+    finite or, where u is not 0, v_x = 0; else None."""
+    ok = ((v >= np.finfo(float).tiny) & (v < np.inf) & np.isfinite(vr)
+          & ((vr != 0.0) | (u == 0.0)))
     return None if ok.all() else int(np.argmin(ok))
 
 

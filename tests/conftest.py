@@ -11,6 +11,7 @@ import pytest
 
 from fdprof import (ContinuationFailed, ProfileKind, derive_params, integrate,
                     solve_farfield_profile, solve_origin_profile)
+from fdprof.analysis import stencil
 from fdprof.localsolve import manifold_coefficients
 from fdprof.profile import Chart
 
@@ -81,6 +82,21 @@ def _flux(p, r):
 
 def _gflux(p, s):
     return float(s ** (p.n - 1) * g_exact(s) ** (p.m - 1.0) * gr_exact(s))
+
+
+def flux(chart, r, v, vr):
+    """The chart's flux P = r^{n-1} v^{m-1} v_r and its slope
+    P' = -r^w (A v + B r v_r), w = n - 3 + |lam|, formed as powers of r."""
+    p = chart.params
+    w = p.n - 3.0 + abs(chart.lam)
+    return (r ** (p.n - 1) * v ** (p.m - 1.0) * vr,
+            -r ** w * (chart.A * v + chart.B * r * vr))
+
+
+def stencil_slope(r, P):
+    """(inner, P' at the interior nodes) by analysis.stencil on ln r."""
+    inner, nbr, w = stencil(np.log(r))
+    return inner, (w * (P[nbr] - P[inner])).sum(axis=0) / r[inner]
 
 
 def advance_g(p, state, r_max, tol=1e-9):

@@ -10,8 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from conftest import (RMAX, TOL, f_exact, fr_exact, g_exact, gr_exact,
-                      manifold_series)
+from conftest import (RMAX, SWEEP_TUPLES, TOL, f_exact, flux, fr_exact, g_exact,
+                      gr_exact, manifold_series, stencil_slope)
 from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     ProfileKind, ProfileParams, RangeError,
                     TerminalEvent, Verdict, asymptotic_limits, build_report,
@@ -20,11 +20,11 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
                     selfsimilar_eval, solve_farfield_profile,
                     solve_origin_profile, verify_inequalities)
 from fdprof import analysis, integrate, kernels
-from fdprof.analysis import flux_slope, l3_reference, saddle_gap
+from fdprof.analysis import l3_reference, saddle_gap
 from fdprof.integrate import section_Y
 from fdprof.inversion import fside_nodes, fside_samples
 from fdprof.kernels import integrate_flux_system
-from fdprof.profile import Profile
+from fdprof.profile import Profile, first_unrepresentable
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -46,7 +46,7 @@ def test_stencil_differentiates_polynomials_exactly():
     for N, degree in ((7, 6), (6, 4), (5, 4)):
         r = x[:N]
         for k in range(degree + 1):
-            inner, d = flux_slope(r, r ** k)
+            inner, d = stencil_slope(r, r ** k)
             assert len(d) == N - 2 * (3 if N == 7 else 2)
             assert np.max(np.abs(d - k * r[inner] ** (k - 1))) <= 1e-10
 
@@ -87,8 +87,8 @@ def test_stencil_matches_mpmath_on_solved_nodes(solve, n, m, beta, boundary):
     there."""
     p = derive_params(n, m, 1.0, beta)
     prof = solve(p, boundary, RMAX, tol=TOL)
-    P = prof.chart.flux(prof.r, prof.v, prof.vr)
-    inner, d = flux_slope(prof.r, P)
+    P = flux(prof.chart, prof.r, prof.v, prof.vr)[0]
+    inner, d = stencil_slope(prof.r, P)
     exact = _lagrange_slope_mp(prof.r, P, inner)
     assert np.max(np.abs(d - exact) / np.abs(exact)) <= 1e-12
 
@@ -120,6 +120,36 @@ def test_ode_residual_needs_five_nodes():
     prof = synthetic_origin(CF, np.geomspace(0.5, 1.0, 4), f_exact, fr_exact)
     with pytest.raises(DomainError, match="at least 5"):
         ode_residual(prof)
+
+
+def test_residual_of_scaled_node_sets(cache):
+    """The family f -> lam^{2/(1-m)} f(lam r) maps a node set to one of
+    another solution: ln x moves by d, ln v by -|lam| d/(1-m) (Y is fixed),
+    s = x v_x / v not at all.  Formed in logs at d = ln 1e+-20, 1e+-75 and
+    1e+-150, wherever every image node is a normal double, the image's
+    residual is its base's within 2%: forming the image moves each node by a
+    few ulps, and the residual reads rounding on the far tails.  Every
+    fourth standard tuple, both charts; no image is solved."""
+    tiny, bad, checked = np.finfo(float).tiny, [], set()
+    for kind in ("origin", "farfield"):
+        for t in SWEEP_TUPLES[::4]:
+            prof = getattr(cache, kind)(*t)
+            base = ode_residual(prof)
+            ln_x, ln_v, s = prof._log_nodes
+            e = abs(prof.chart.lam) / (1.0 - prof.params.m)
+            for decades in (20, 75, 150, -20, -75, -150):
+                d = decades * math.log(10.0)
+                with np.errstate(over="ignore", under="ignore"):
+                    x, v = np.exp(ln_x + d), np.exp(ln_v - e * d)
+                    vr = s * v / x
+                if (np.any((x < tiny) | (x == np.inf))
+                        or first_unrepresentable(v, vr, s) is not None):
+                    continue
+                checked.add(decades)
+                image = dataclasses.replace(prof, r=x, v=v, vr=vr)
+                if not abs(ode_residual(image) / base - 1.0) <= 0.02:
+                    bad.append((kind, t, decades, base, ode_residual(image)))
+    assert bad == [] and checked == {20, 75, 150, -20, -75, -150}
 
 
 def test_limits_on_closed_form_farfield():

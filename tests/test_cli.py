@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import f_exact, fr_exact
+from conftest import RMAX, f_exact, fr_exact
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -873,15 +873,16 @@ def test_small_sigma_seam_names_breakdown(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, why", [
     (["solve-origin", "--rmax", "1e-300"], 3, "f-side image underflows"),
     (["solve-origin", "--rmax", "1e-200"], 3, "f-side image underflows"),
-    (["solve-origin", "--rmax", "1e-100"], 3, "series nodes leave the doubles"),
+    (["solve-farfield", "--eta", "1", "--rmax", "1e-100"], 3,
+     "f-side image underflows"),
     (["solve-farfield", "--eta", "1", "--rmax", "1e-300"], 3,
      "f-side image underflows"),
 ])
 def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
     # a seam capped at r_max ~ 1e-300 has theta ~ 0: its z-powers underflow,
-    # which used to reach the node count as 0/0; at 1e-100 a bound with a
-    # zero sum warned.  At 1e-200 the seam's theta underflows, at 1e-100 the
-    # nodes' flux r^3 f^{m-1} f_r.  One named line on stderr, no warning
+    # which used to reach the node count as 0/0.  At 1e-200 the seam's theta
+    # underflows; at 1e-100 in the far field theta does not, but the series
+    # nodes' f-side image s^k g does.  One named line on stderr, no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run_cli(capsys, argv[0], "--n", "4", "--m", "0.3",
@@ -897,14 +898,12 @@ def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
       "--beta", "0.5445059310315912", "--eta0", "1.731361494211642e-288",
       "--rmax", "4.429923276074354e-70", "--tol", "6.554047094026312e-11"], 3,
      "underflow"),
-    (["solve-farfield", "--n", "8", "--m", "0.59", "--beta=-0.27", "--eta", "3e-7",
-      "--rmax", "1e48"], 1, "the Kelvin image is not finite"),
 ])
 def test_extreme_data_fail_on_one_line_without_warnings(argv, code, why, tmp_path,
                                                         capsys):
-    # an overflowing series slope, an overflowing node-spacing bound and a
-    # far tail whose s^k overflows each used to print numpy RuntimeWarnings;
-    # nodes whose f_r rounds to 0 ended on ValueFloor, or wrote f = 0 rows
+    # an overflowing series slope and an overflowing node-spacing bound each
+    # used to print numpy RuntimeWarnings; nodes whose f_r rounds to 0 ended
+    # on ValueFloor, or wrote f = 0 rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -941,29 +940,71 @@ def test_images_of_ordinary_data_pass(argv, tmp_path, capsys):
     assert (got, err) == (0, "")
 
 
-@pytest.mark.parametrize("rmax", ["1e-60", "1e-40"])
-def test_underflowing_flux_is_refused_by_name(rmax, tmp_path, capsys):
-    # P = r^7 f^{m-1} f_r rounds to 0 at every node, so the residual would
-    # skip them all: a pass (1e-60) or a residual of 1 (1e-40) read nothing
+def _solves_cleanly(capsys, tmp_path, *argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, _, err = run_cli(capsys, "solve-origin", "--n", "8", "--m", "0.3",
-                              "--beta", "0", "--rmax", rmax, "--out", str(tmp_path))
-    assert got == 3
-    assert "series nodes leave the doubles" in err and "flux -0" in err
-    assert err.count("\n") == 1
+        got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert (got, err) == (0, "")
 
 
-def test_verify_of_a_profile_with_no_checkable_node_fails(tmp_path, capsys):
-    """A residual over no node is NaN, not a pass: verify exits 2."""
-    # P = r^7 f^{m-1} f_r and r^7 f both round to 0 on r ~ 1e-60
-    r = (1e-60 * (1.0 + np.arange(10) / 10.0)).tolist()
-    rows = "".join(f"{x!r},1.0,{-1e-3 * x!r}\n" for x in r)
+@pytest.mark.parametrize("n, rmax", [("8", "1e-60"), ("8", "1e-40"), ("4", "1e-100")])
+def test_nodes_whose_flux_underflows_solve(n, rmax, tmp_path, capsys):
+    # P = r^{n-1} f^{m-1} f_r rounds to 0 at every node: the residual, which
+    # reads the log nodes, checks them (these runs exited 3 on the flux)
+    _solves_cleanly(capsys, tmp_path, "solve-origin", "--n", n, "--m", "0.3",
+                    "--beta", "0", "--rmax", rmax)
+
+
+@pytest.mark.parametrize("argv", [
+    # r^4 = 1.9e308 at x = 1.18e77, where P is about 1e261 (exited 3)
+    ["solve-origin", "--n", "6", "--m", "0.23357918074825476",
+     "--tol", "3.4805021776160904e-06", "--beta", "0.02352314803300859",
+     "--rmax", "1.5212176381082032e+81", "--eta0", "5.152254419685331e-21"],
+    # r^4 rounds to 0 where P' does not (a residual of 1.0, exit 2)
+    ["solve-origin", "--n", "5", "--m", "0.515380791688484",
+     "--tol", "2.2995371438946087e-15", "--beta", "1.121295690558988",
+     "--rmax", "4.602851113308237e-90", "--eta0", "3.091923793471735e+237"],
+    # s^k overflows on the far tail, where f and f_r fit (exited 1)
+    ["solve-farfield", "--n", "8", "--m", "0.59", "--beta=-0.27", "--eta", "3e-7",
+     "--rmax", "1e48"],
+], ids=["flux-overflows", "dflux-underflows", "kelvin-power-overflows"])
+def test_checks_form_no_power_of_r(argv, tmp_path, capsys):
+    _solves_cleanly(capsys, tmp_path, *argv)
+
+
+@pytest.mark.parametrize("beta", [0.18, 0.27, 0.36, 0.45, 0.54])
+def test_farfield_images_map_to_the_fside(cache, beta, tmp_path, capsys):
+    """The lam = 1e40 images of the (5, 0.45) far-field solves, generated as
+    tests/test_scaling.py does: r^{-k} leaves the doubles on them, f does
+    not (each exited 1 on "the Kelvin image is not finite")."""
+    p = fdprof.derive_params(5, 0.45, 1.0, beta)
+    lam = 1e40
+    eta = lam ** (2.0 / (1.0 - p.m) - p.k) * cache.farfield(5, 0.45, beta).boundary
+    _solves_cleanly(capsys, tmp_path, "solve-farfield", "--n", "5", "--m", "0.45",
+                    "--beta", repr(beta), "--eta", repr(eta), "--rmax", repr(RMAX * lam))
+
+
+def _verify_rows(tmp_path, capsys, r, f, fr):
+    rows = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in zip(r.tolist(), f.tolist(),
+                                                           fr.tolist()))
     (tmp_path / "profile.csv").write_text("r,f,f_r\n" + rows, encoding="utf-8")
     report = {"params": {"n": 8, "m": 0.3, "rho1": 1.0, "beta": 0.0},
               "terminal_event": "ReachedRmax"}
     (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify", str(tmp_path / "profile.csv"))
+    return run_cli(capsys, "verify", str(tmp_path / "profile.csv"))[:2]
+
+
+def test_verify_of_a_profile_with_no_checkable_node_fails(tmp_path, capsys):
+    """A residual over no node is NaN, not a pass: verify exits 2."""
+    # f = 1, f_r = -1e-3 r on r ~ 1e-60 is no solution, read in logs
+    r = 1e-60 * (1.0 + np.arange(10) / 10.0)
+    code, out = _verify_rows(tmp_path, capsys, r, np.ones(10), -1e-3 * r)
+    assert code == 2
+    assert float(out.split()[2]) > 0.5
+    # with f_r = 0 at r ~ 1e-200 the slope term is 0 and Y = r^2 underflows:
+    # every term of the defect vanishes at every node
+    code, out = _verify_rows(tmp_path, capsys, 1e-200 * (1.0 + np.arange(10) / 10.0),
+                             np.ones(10), np.zeros(10))
     assert code == 2
     assert out.startswith("residual = nan")
 

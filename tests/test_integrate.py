@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import (RMAX, SWEEP_TUPLES, TOL, _flux, _gflux, advance_g,
-                      f_exact, farfield_eta, fr_exact, g_exact, rk4_oracle)
+                      f_exact, farfield_eta, flux, fr_exact, g_exact, rk4_oracle)
 from fdprof import (ContinuationFailed, DomainError, OdeState, Profile,
                     ProfileKind, TerminalEvent, advance_f, continue_profile,
                     derive_params, kernels, picard_f_origin, picard_g_origin,
@@ -85,7 +85,7 @@ def test_against_fixed_step_rk4_f_side():
     vs, Ps = rk4_oracle(CF, 3.0, CF.alpha, CF.beta, 0.5, st.v, st.flux,
                         tr.r[1:])
     assert np.max(np.abs(tr.v[1:] - vs)) <= 1e-8
-    assert np.max(np.abs(CF_CHART.flux(tr.r, tr.v, tr.vr)[1:] - Ps)) <= 1e-7
+    assert np.max(np.abs(flux(CF_CHART, tr.r, tr.v, tr.vr)[0][1:] - Ps)) <= 1e-7
 
 
 def test_against_fixed_step_rk4_g_side():
@@ -96,7 +96,7 @@ def test_against_fixed_step_rk4_g_side():
     vs, Ps = rk4_oracle(p, w, p.alpha_tilde, p.beta_tilde, 0.5, 1.0, -0.05,
                         tr.r[1:])
     assert np.max(np.abs(tr.v[1:] - vs)) <= 1e-8
-    P = Chart.of(p, ProfileKind.FARFIELD).flux(tr.r, tr.v, tr.vr)
+    P = flux(Chart.of(p, ProfileKind.FARFIELD), tr.r, tr.v, tr.vr)[0]
     assert np.max(np.abs(P[1:] - Ps)) <= 1e-7
 
 
@@ -165,8 +165,7 @@ def test_flux_integral_form():
     dense = _hermite_refine(prof.r, K=64)
     v = prof.dense(dense)[0]
     chart = prof.chart
-    P = hermite(prof.r, chart.flux(prof.r, prof.v, prof.vr),
-                chart.dflux(prof.r, prof.v, prof.vr), dense)[0]
+    P = hermite(prof.r, *flux(chart, prof.r, prof.v, prof.vr), dense)[0]
     vr = v ** (1.0 - p.m) * P / dense ** 3
     integ = dense ** 3 * (p.alpha * v + p.beta * dense * vr)
     T = np.concatenate([[0.0],
@@ -217,7 +216,7 @@ class TestExtinction:
         I = np.trapezoid(dense ** q * g, dense)
         I += part.v[0] * dense[0] ** (q + 1.0) / (q + 1.0)
         c = p.beta_tilde * (p.n + p.sigma - 2.0) - p.alpha_tilde
-        P = part.chart.flux(part.r[-1], part.v[-1], part.vr[-1])
+        P = flux(part.chart, part.r[-1], part.v[-1], part.vr[-1])[0]
         assert abs(P - c * I) <= 1e-6 * abs(c * I)
 
     def test_contact_exponent(self, touched):
@@ -351,9 +350,9 @@ def test_stepper_nodes_honour_tol(solve, n, m, beta, tol):
 
     def rhs(r, y):
         vr = y[0] ** (1.0 - p.m) * y[1] / r ** (p.n - 1)
-        return [vr, -r ** chart.w * (chart.A * y[0] + chart.B * r * vr)]
+        return [vr, flux(chart, r, y[0], vr)[1]]
 
-    P = chart.flux(prof.r[i], prof.v[i], prof.vr[i])
+    P = flux(chart, prof.r[i], prof.v[i], prof.vr[i])[0]
     ref = solve_ivp(rhs, (x[0], x[-1]), [prof.v[i], P],
                     method="DOP853", rtol=1e-13, atol=1e-300, t_eval=x).y[0]
     assert x.size > 100

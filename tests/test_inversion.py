@@ -4,11 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import f_exact, fr_exact, g_exact, gr_exact
+from conftest import f_exact, fr_exact, g_exact, gr_exact, stencil_slope
 from fdprof import (DomainError, ProfileKind, derive_params, fside_nodes,
                     fside_samples, invert_pointwise, roundtrip,
                     solve_farfield_profile, solve_origin_profile)
-from fdprof.analysis import flux_slope
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 
@@ -111,7 +110,7 @@ def test_transported_samples_satisfy_the_direct_equation():
     r, f, fr = invert_pointwise(s, g_exact(s), gr_exact(s), CF)
     P = r ** 3 * f ** (CF.m - 1.0) * fr
     rhs = -(r ** 3) * (CF.alpha * f + CF.beta * r * fr)
-    inner, dP = flux_slope(r, P)
+    inner, dP = stencil_slope(r, P)
     defect = np.abs(dP - rhs[inner]) / (np.abs(rhs[inner]) + 1.0)
     assert np.max(defect) <= 1e-8
 
