@@ -25,7 +25,7 @@ import numpy as np
 # check calls it
 from .integrate import section_Y, solve_origin_profile
 from .inversion import fside_samples
-from .localsolve import gap_order, manifold_coefficients
+from .localsolve import series_order, series_terms
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
 from .profile import Chart, Profile, ProfileKind, TerminalEvent
@@ -155,39 +155,26 @@ def l3_reference(p: ProfileParams) -> float:
 def _far_end(profile: Profile):
     """(ln r, X, Y) at the f-side far end of the profile: its last origin
     node, or the Kelvin image r = 1/s of its first far-field node."""
-    p = profile.params
-    one_m = 1.0 - p.m
+    chart, i = profile.chart, -1 if profile.kind is ProfileKind.ORIGIN else 0
+    ln_x, ln_v, _ = profile._log_nodes
     _, u, x_star = profile.fside_slope
-    if profile.kind is ProfileKind.ORIGIN:
-        r, f = profile.r[-1], profile.v[-1]
-        return math.log(r), float(x_star + u[-1]), float(r * r * f ** one_m)
-    s, g = profile.r[0], profile.v[0]
-    return -math.log(s), float(x_star + u[0]), float(s ** p.sigma * g ** one_m)
-
-
-def _series(c: list, x: float):
-    """sum_j c_j x^j and its derivative at x, by Horner."""
-    s = ds = 0.0
-    for a in reversed(c):
-        ds = ds * x + s
-        s = s * x + a
-    return s, ds
+    return (float(math.copysign(1.0, chart.lam) * ln_x[i]), float(x_star + u[i]),
+            math.exp(abs(chart.lam) * ln_x[i] + (1.0 - profile.params.m) * ln_v[i]))
 
 
 def _manifold_theta(y: list, Y: float) -> float | None:
-    """theta > 0 with sum_j y_j theta^j = Y, by Newton from theta = Y
-    (y_1 = 1), or None where Newton leaves theta > 0 or does not settle."""
+    """theta > 0 with theta sum_j y_{j+1} theta^j = Y, by Newton from theta = Y
+    (y_1 = 1); None where Newton leaves theta > 0 or does not settle."""
     theta = Y
     for _ in range(50):
-        P, dP = _series(y, theta)
-        if not dP:
-            return None
-        step = (P - Y) / dP
+        zy = series_terms(y, y, theta)[1]
+        dP = sum(j * t for j, t in enumerate(zy, 1)) or math.nan   # flat: no theta
+        step = (theta * sum(zy) - Y) / dP
         theta -= step
         if not 0.0 < theta < math.inf:
             return None
         if abs(step) <= 1e-13 * theta:
-            return float(theta)
+            return theta
     return None
 
 
@@ -197,8 +184,8 @@ def _read(p: ProfileParams, tol: float, X: float, Y: float):
     asymptotic_limits and classify_decay on one profile sum the series once.
 
     theta is the coordinate of the fast point's stable manifold (the
-    far-field chart's series, gap_order(tol) terms) at the state's Y, and
-    du = X + k - U(theta) the state's distance from the manifold along X
+    far-field chart's series, to the order series_order sets there) at the
+    state's Y, and du = X + k - U(theta) the state's distance from it along X
     (inf where theta is None).  Fast when |du| <= (n-2) sqrt(tol), where
     L1 is known to about half the digits the solve was asked for.  Slow
     when the slow point (-2/(1-m), Y*) attracts, which its Jacobian's
@@ -206,9 +193,9 @@ def _read(p: ProfileParams, tol: float, X: float, Y: float):
     is positive), and the state lies nearer to it than to (-k, 0).
     Undetermined otherwise.
     """
-    u, y = manifold_coefficients(Chart.of(p, ProfileKind.FARFIELD), gap_order(tol))
-    theta = _manifold_theta(y, Y)
-    du = math.inf if theta is None else X + p.k - _series(u, theta)[0]
+    _, _, theta, terms = series_order(Chart.of(p, ProfileKind.FARFIELD), tol,
+                                      lambda u, y: _manifold_theta(y, Y))
+    du = math.inf if theta is None else X + p.k - sum(terms[0])
     y_slow = l3_reference(p)
     trace = -(p.n - 2.0) + 4.0 * p.m / (1.0 - p.m) - p.beta * y_slow
     if abs(du) <= (p.n - 2.0) * math.sqrt(tol):

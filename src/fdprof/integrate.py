@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .localsolve import (GAP_SEAM, LocalSolution, check_datum, gap_order,
-                         picard_f_origin, picard_g_origin, series_seam)
+from .localsolve import (GAP_SEAM, LocalSolution, check_datum, picard_f_origin,
+                         picard_g_origin, series_seam)
 from .params import DomainError, ProfileParams
 from .profile import Chart, Profile, ProfileKind, TerminalEvent, first_unrepresentable
 
@@ -155,18 +155,17 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
 
     In either chart that section is u = u_sec = -lam/(1-m), where
     Z_tau = |lam| + sign(lam) (1-m) u vanishes, so Y peaks there.  The
-    series (localsolve.gap_order(tol) terms) has its seam at GAP_SEAM of its
-    root-test radius, capped only by its reach, SECTION_REACH datum_length(b);
-    the stepper runs from there to the reach and ends on a last node at the
-    section's first crossing, where Y = e^Z.  Returns (Y, None), or
-    (None, why no step crosses the section): the seam already lies on or
-    past it, or the run ends on an event.
+    series seam sits at GAP_SEAM of the root-test radius, capped only by the
+    reach SECTION_REACH datum_length(b); the stepper runs from there to the
+    reach and ends on a last node at the section's first crossing, where
+    Y = e^Z.  Returns (Y, None), or (None, why no step crosses the section):
+    the seam already lies on or past it, or the run ends on an event.
     """
     c = Chart.of(p, kind)
     check_datum(c, boundary)
     reach = SECTION_REACH * c.datum_length(boundary)
     _require_run_settings(reach, tol)
-    seam = series_seam(c, boundary, reach, gap_order(tol), GAP_SEAM)
+    seam = series_seam(c, boundary, reach, GAP_SEAM, tol)
     u_sec = -c.lam / (1.0 - p.m)
     if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0
         return None, f"its series seam at x={seam.eps:.6g} already lies on or past it"

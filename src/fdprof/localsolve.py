@@ -13,17 +13,15 @@ J. 52, 2003)
 
 In the chart radius x (r, or s = 1/r) and for the datum b: theta =
 b^{1-m} x^|lam|, v = b (Y/theta)^{1/(1-m)} and x v_x / v = sign(lam) u.
-series_seam places the seam at a fraction of the root-test radius and sums
-the series there; on top of it _local places the nodes below the seam for
-the dense output's cubic Hermite of ln v in ln x.  kernels continues the
-same (u, ln Y) state outward from the seam, for a solve or for a beta* gap,
-which needs no nodes.  A solve sums ORDER terms at a quarter of the radius,
-capped in x at r_max and at the datum's length Chart.datum_length(b), where
-theta = 1; a gap sums gap_order(tol) terms at GAP_SEAM of the radius,
-capped only by its reach, so its stepper starts farther out (order set by
-tol and step by the root test, as for Taylor methods; Jorba & Zou, Exp.
-Math. 14, 2005).  Coefficients and seam sums are plain floats, as in the
-stepper; numpy takes over where an operation spans the nodes.
+series_seam places the seam at a fraction of the root-test radius, a quarter
+for a solve (capped at r_max and at the datum's length Chart.datum_length(b),
+where theta = 1) and GAP_SEAM for a beta* gap (capped only by its reach, so
+its stepper starts farther out), and sums the series there to the order
+series_order sets from tol, on the size of the last terms it sums.  _local
+places the nodes below the seam for the dense output's cubic Hermite of ln v
+in ln x; kernels continues the same (u, ln Y) state outward.  Coefficients
+and seam sums are plain floats, as in the stepper: on at most ORDER + 1
+terms a numpy call per product costs more than the product.
 """
 from __future__ import annotations
 
@@ -38,7 +36,7 @@ from .params import (DomainError, ProfileParams, require_farfield_admissible,
                      require_origin_admissible)
 from .profile import Chart, ProfileKind, first_unrepresentable
 
-ORDER = 60      # a solve's series terms; at its seam the tail is below 4^-ORDER
+ORDER = 60      # the ceiling of every series order
 GAP_SEAM = 0.4  # a gap's seam, as a fraction of the root-test radius
 
 
@@ -57,35 +55,47 @@ class LocalSolution:
     iterations: int           # series order
 
 
-def manifold_coefficients(chart: Chart, order: int | None = None) -> tuple[list, list]:
-    """Coefficients (u_j, y_j), j = 0..order (default ORDER), of the chart's
-    manifold, as lists of floats.
+def series_terms(u: list, y: list, theta: float) -> tuple[list, list]:
+    """The terms u_j theta^j of u and y_{j+1} theta^j of Y/theta."""
+    try:   # a float's ** raises OverflowError where numpy's gave inf
+        powers = [theta ** j for j in range(len(u))]
+    except OverflowError:
+        powers = [math.inf] * len(u)
+    return list(map(mul, u, powers)), list(map(mul, y[1:], powers))
 
-    The recursion runs on plain floats, as the stepper's does: on at most
-    ORDER + 1 terms a numpy call per product costs more than the product.
+
+def _settled(zu: list, zy: list, tol: float) -> bool:
+    """Whether the last two terms of u and of Y/theta are each below tol/100
+    of 1 + |u| and of Y/theta; NaN terms are not."""
+    return (max(map(abs, zu[-2:])) <= 0.01 * tol * (1.0 + abs(sum(zu)))
+            and max(map(abs, zy[-2:])) <= 0.01 * tol * abs(sum(zy)))
+
+
+def series_order(chart: Chart, tol: float, theta_at, start: int = 4):
+    """(u, y, theta, (zu, zy)): the chart's manifold coefficients (u_j),
+    (y_j), j = 0..N, theta = theta_at(u, y), where the caller sums them, and
+    their terms there (series_terms; None where theta is).
+
+    N is the least order >= start, in steps of 4 up to the ceiling ORDER, at
+    which the last two terms of u and of Y/theta there are below tol/100 of
+    what they enter, as Taylor methods stop (Jorba & Zou, Exp. Math. 14,
+    2005); a theta of None does not settle.  At the ceiling the caller decides.
     """
-    order = ORDER if order is None else order
     p = chart.params
     m, beta, A, lam, mu = (float(x) for x in (p.m, p.beta, chart.A, chart.lam, chart.mu))
     us, ys = [], []   # u_1.., y_1..; each holds j - 1 terms at step j
-    for j in range(1, order + 1):
-        uy = sum(map(mul, us, reversed(ys)))
-        y_j = (1.0 - m) * uy / (lam * (j - 1)) if j > 1 else 1.0
-        us.append(-(m * sum(map(mul, us, reversed(us))) + A * y_j + beta * uy)
-                  / (lam * j - mu))
-        ys.append(y_j)
-    return [0.0, *us], [0.0, *ys]
-
-
-def gap_order(tol: float) -> int:
-    """Series order of a gap: the least N in [4, ORDER] whose root-test tail
-    at the seam, sum_{j>N} GAP_SEAM^j, is below tol/100.
-
-    The target is tol/10 with a tenfold margin: at low order the root test
-    can overrate the radius, where |c_j|^{1/j} still grows past j = N (the
-    far-field series at small sigma)."""
-    n = math.log(0.01 * tol * (1.0 - GAP_SEAM)) / math.log(GAP_SEAM)
-    return min(ORDER, max(4, math.ceil(n) - 1))
+    for order in range(max(4, min(start, ORDER)), ORDER + 1, 4):
+        for j in range(len(us) + 1, order + 1):
+            uy = sum(map(mul, us, reversed(ys)))
+            ys.append((1.0 - m) * uy / (lam * (j - 1)) if j > 1 else 1.0)
+            us.append(-(m * sum(map(mul, us, reversed(us))) + A * ys[-1] + beta * uy)
+                      / (lam * j - mu))
+        u, y = [0.0, *us], [0.0, *ys]
+        theta = theta_at(u, y)
+        terms = None if theta is None else series_terms(u, y, theta)
+        if terms and _settled(*terms, tol):
+            break
+    return u, y, theta, terms
 
 
 @np.errstate(divide="ignore", over="ignore")   # an inf bound does not bind
@@ -112,9 +122,9 @@ def _node_taus(zu: np.ndarray, chart: Chart, tol: float,
     j = np.arange(order + 1)
     k_over_z = ((e * j) ** 3 * zu)[1:]
     # P ~ x^{n-2+|lam|} R(z) U(z)/z with R = (v/b)^m, so D R = m R D ln v; R keeps
-    # order/2 terms, as the seam's quarter radius puts later ones below 4^{-order/2}
-    dl, r = math.copysign(p.m, lam) * zu[1:] / e, np.ones(order // 2)
-    for i in range(1, order // 2):
+    # as many terms as u: they share v's radius, so they settle at the seam with u's
+    dl, r = math.copysign(p.m, lam) * zu[1:] / e, np.ones(order)
+    for i in range(1, order):
         r[i] = dl[:i] @ r[i - 1::-1] / i
     g = p.n - 2.0 + e * (1.0 + j[:-1])
     c = np.abs((g - 1.0) * (g - 2.0) * (g - 3.0) * (g - 4.0) * (g - 5.0) * (g - 6.0)
@@ -151,45 +161,49 @@ def check_datum(chart: Chart, b: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {b}")
 
 
-def series_seam(chart: Chart, b: float, x_cap: float, order: int,
-                fraction: float) -> Seam:
-    """The seam of the chart's order-term manifold series for a datum b that
-    check_datum admits.
+@np.errstate(over="ignore")   # theta past the doubles is inf, its terms inf or NaN
+def series_seam(chart: Chart, b: float, x_cap: float, fraction: float,
+                tol: float) -> Seam:
+    """The chart's manifold series for a datum b that check_datum admits,
+    summed at its seam to the order series_order sets from tol.
 
-    The seam sits at fraction of the root-test radius in theta, the least
-    |c_j|^{-1/j} over the upper half of the coefficients, and never beyond
-    x_cap in the chart radius x.  A seam radius that under- or overflows a
-    float is a LocalStageFailed.
+    At each order the seam sits at fraction of the root-test radius in
+    theta, 1/rho with rho the greatest |c_j|^{1/j} of u and y over the last
+    quarter of the coefficients, and never beyond x_cap in the chart radius
+    x; the order starts where fraction^N is below tol/100.  Where the last
+    terms have not settled at the ceiling, the seam moves in, halving the
+    last term per step.  A coefficient or term that overflows, or a seam
+    radius that under- or overflows a float, is a LocalStageFailed.
     """
-    p, kind = chart.params, chart.kind
-    u, y = manifold_coefficients(chart, order)
-    if not all(map(math.isfinite, u + y)):
-        raise LocalStageFailed(
-            f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
-    half = order // 2
-    inv = [1.0 / j for j in range(half, order + 1)]
-    rho = max(map(pow, map(abs, u[half:] + y[half:]), inv + inv))
-    theta = fraction / rho if rho > 0.0 else math.inf
-    e, one_m = abs(chart.lam), 1.0 - p.m
-    ln_eps = (math.log(theta) - one_m * math.log(b)) / e
-    # exp overflows past e^709.78, where the cap binds anyway
-    eps = min(math.exp(ln_eps), x_cap) if ln_eps < 709.0 else x_cap
-    if not 0.0 < eps < math.inf:
-        raise LocalStageFailed(f"{kind.value} series seam radius {eps:.3g} "
-                               f"underflows or overflows (sigma={p.sigma:.3g})")
-    try:   # a float's ** raises OverflowError where numpy's gave inf
-        q = b ** one_m * eps ** e
-        powers = [q ** j for j in range(order + 1)]
-    except OverflowError:
-        powers = [math.inf] * (order + 1)
-    zu, zy = list(map(mul, u, powers)), list(map(mul, y[1:], powers))
+    p, kind, e = chart.params, chart.kind, abs(chart.lam)
+    one_m, eps = 1.0 - p.m, x_cap
+
+    def seam_theta(u: list, y: list) -> float:
+        nonlocal eps
+        if not all(map(math.isfinite, u + y)):
+            raise LocalStageFailed(
+                f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
+        n = len(u)
+        rho = max(abs(c) ** (1.0 / j) for j in range(3 * n // 4, n) for c in (u[j], y[j]))
+        ln_eps = (math.log(fraction / rho) - one_m * math.log(b)) / e if rho else math.inf
+        # exp overflows past e^709.78, where the cap binds anyway
+        eps = min(math.exp(ln_eps), x_cap) if ln_eps < 709.0 else x_cap
+        if not 0.0 < eps < math.inf:
+            raise LocalStageFailed(f"{kind.value} series seam radius {eps:.3g} "
+                                   f"underflows or overflows (sigma={p.sigma:.3g})")
+        return float(b ** one_m * np.float64(eps) ** e)
+
+    u, y, _, (zu, zy) = series_order(
+        chart, tol, seam_theta, math.ceil(math.log(0.01 * tol) / math.log(fraction)))
     if not all(map(math.isfinite, zu + zy)):
         raise LocalStageFailed(
             f"{kind.value} series terms overflow at the seam (sigma={p.sigma:.3g})")
-    # the terms fall off with j: summed from the last one, they round least
-    return Seam(eps, sum(reversed(zu)),
-                one_m * math.log(b) + e * math.log(eps) + math.log(sum(reversed(zy))),
-                np.array(zu), np.array(zy))
+    while not _settled(zu, zy, tol):   # the ceiling: halve the last term per step
+        eps *= 0.5 ** (1.0 / (e * (len(u) - 1)))
+        zu, zy = series_terms(u, y, b ** one_m * eps ** e)
+    # fsum: the correctly rounded sum of the terms
+    return Seam(eps, math.fsum(zu), one_m * math.log(b) + e * math.log(eps)
+                + math.log(math.fsum(zy)), np.array(zu), np.array(zy))
 
 
 @np.errstate(all="ignore")   # each node is checked below, in order
@@ -204,7 +218,7 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     """
     p, kind, e = chart.params, chart.kind, abs(chart.lam)
     check_datum(chart, b)
-    seam = series_seam(chart, b, min(chart.datum_length(b), r_max), ORDER, 0.25)
+    seam = series_seam(chart, b, min(chart.datum_length(b), r_max), 0.25, tol)
     depth = 1e-7 if kind is ProfileKind.ORIGIN else min(5e-5, 4e-3 ** e)
     if not depth > 0.0:
         raise LocalStageFailed(

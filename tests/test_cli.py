@@ -16,6 +16,7 @@ import threading
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_solve_origin_writes_closed_form_profile(origin_run):
 
 
 def test_origin_report_contents(origin_run):
-    rep = json.load(open(os.path.join(origin_run, "report.json")))
+    rep = json.loads(Path(origin_run, "report.json").read_text())
     assert rep["terminal_event"] == "ReachedRmax"
     assert rep["residual"] < 1e-6
     assert rep["params"]["k"] == pytest.approx(6.0, rel=1e-9)
@@ -120,7 +121,7 @@ def test_written_floats_round_trip(origin_run):
         for line in fh.read().splitlines()[1:]:
             for tok in line.split(","):
                 assert repr(float(tok)) == tok
-    raw = open(os.path.join(origin_run, "report.json")).read()
+    raw = Path(origin_run, "report.json").read_text()
     assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
 
 
@@ -158,13 +159,13 @@ def test_solve_farfield_writes_both_charts(farfield_run):
 
 
 def test_farfield_report_limits(farfield_run):
-    rep = json.load(open(os.path.join(farfield_run, "report.json")))
+    rep = json.loads(Path(farfield_run, "report.json").read_text())
     assert rep["limits"]["L1"]["value"] == pytest.approx(4096.0, rel=1e-6)
     assert rep["limits"]["L2"]["value"] == pytest.approx(-24576.0, rel=1e-6)
 
 
 def test_verify_accepts_own_output(origin_run, capsys):
-    rep = json.load(open(os.path.join(origin_run, "report.json")))
+    rep = json.loads(Path(origin_run, "report.json").read_text())
     code, out, _ = run_cli(capsys, "verify",
                            os.path.join(origin_run, "profile.csv"))
     assert code == 0
@@ -274,7 +275,7 @@ def test_beta_find_defaults(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "beta-find", "--n", "4", "--m", M13,
                            "--out", str(tmp_path))
     assert code == 0
-    payload = json.load(open(tmp_path / "beta.json"))
+    payload = json.loads((tmp_path / "beta.json").read_text())
     star, probes = payload["beta_star"], payload["probes"]
     assert out == f"beta_star = {star!r} after {probes} probes\n"
     # (4, 1/3) is Sobolev-critical, so beta* = 0

@@ -53,8 +53,24 @@ def test_f_stays_in_ball():
 
 
 def test_f_diagnostics():
+    """iterations is the order series_order sets, and it grows as tol
+    shrinks.  The closed form's series converges for theta < 16, so its seam
+    sits at the cap theta = 1, where each term is its coefficient: the last
+    two it sums lie below tol/100 of 1 + |u| and of Y/theta."""
+    u, y = manifold_series(CF, ProfileKind.ORIGIN)
+    orders = []
+    for tol in (1e-6, 1e-9, 1e-12):
+        sol = picard_f_origin(CF, 1.0, tol)
+        N = sol.iterations
+        assert sol.eps == 1.0
+        assert np.max(np.abs(u[N - 1:N + 1])) <= tol / 100 * (1.0 + abs(u[:N + 1].sum()))
+        assert np.max(np.abs(y[N - 1:N + 1])) <= tol / 100 * y[1:N + 1].sum()
+        seam = localsolve.series_seam(Chart.of(CF, ProfileKind.ORIGIN), 1.0, 1.0,
+                                      0.25, tol)
+        assert N == len(seam.zu) - 1
+        orders.append(N)
+    assert orders == sorted(set(orders)) and orders[-1] < localsolve.ORDER
     sol = picard_f_origin(CF, 1.0)
-    assert sol.iterations == localsolve.ORDER
     assert sol.eps == sol.grid[-1] <= 1.0
     gaps = np.diff(np.log(sol.grid))
     # the log-radius gaps shrink toward the seam
@@ -122,19 +138,21 @@ def test_series_nodes_pass_the_residual_check(solve, n, m, beta, tol):
     assert ode_residual(prof) <= 10.0 * tol
 
 
-def test_f_order_refinement_consistency(monkeypatch):
-    """Halving the series order moves node values by rounding only.
+def test_f_order_refinement_consistency():
+    """Orders past the rule's move node values by rounding only.
 
-    The closed form's series converges for theta < 16, so at either order
-    the seam sits at the cap and the tail is below 16^-30 there.
+    At the closed form's seam, theta = 1, the terms fall like 16^-j: the
+    ORDER-term series, summed by Horner at the solve's own nodes, differs
+    from the solve's values and slopes by rounding.
     """
-    a = picard_f_origin(CF, 1.0)
-    monkeypatch.setattr(localsolve, "ORDER", localsolve.ORDER // 2)
-    b = picard_f_origin(CF, 1.0)
-    assert b.iterations == a.iterations // 2
-    assert np.array_equal(a.grid, b.grid)
-    assert np.max(np.abs(a.value - b.value)) <= 1e-15
-    assert np.max(np.abs(a.deriv - b.deriv)) <= 1e-15
+    sol = picard_f_origin(CF, 1.0)
+    assert sol.iterations < localsolve.ORDER
+    u, y = manifold_series(CF, ProfileKind.ORIGIN)
+    theta = sol.grid ** 2
+    value = np.polynomial.polynomial.polyval(theta, y[1:]) ** 1.5
+    deriv = np.polynomial.polynomial.polyval(theta, u) * value / sol.grid
+    assert np.max(np.abs(sol.value - value)) <= 1e-15
+    assert np.max(np.abs(sol.deriv - deriv)) <= 1e-15
 
 
 # the admissible grid: m over (0.05..0.95)(n-2)/n, beta from -0.4 up to
@@ -146,29 +164,42 @@ ADMISSIBLE = [(n, float(m), float(beta))
                   derive_params(n, m, 1.0, 0.0).beta_threshold, 0.5), 10)]
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-11])
-def test_gap_series_order_from_the_root_test(monkeypatch, tol):
-    """A gap sums localsolve.gap_order(tol) terms at the seam its own root
-    test places; the 60-term series' terms past that order sum below tol/10
-    there, in u and in Y relative, in both charts over the admissible grid."""
+class _Recorded(Exception):
+    """Ends a solve once its seam is recorded: its nodes are not needed."""
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+def test_series_order_sums_below_tol(monkeypatch, tol):
+    """A solve's seam and a gap's each sum the order series_order sets; the
+    60-term series' terms past that order sum below tol/10 at the seam, in u
+    and in Y/theta relative, in both charts over the admissible grid."""
     seams = []
+    series_seam = localsolve.series_seam
 
-    def recorded(chart, b, *rest):
-        seam = localsolve.series_seam(chart, b, *rest)
-        seams.append((chart.params, chart.kind, b, seam))
-        return seam
+    def recorded(stop):
+        def seam_of(chart, b, *rest):
+            seam = series_seam(chart, b, *rest)
+            seams.append((chart.params, chart.kind, b, seam))
+            if stop:
+                raise _Recorded
+            return seam
+        return seam_of
 
-    monkeypatch.setattr(integrate, "series_seam", recorded)
-    for n, m, beta in ADMISSIBLE:
+    monkeypatch.setattr(integrate, "series_seam", recorded(False))
+    monkeypatch.setattr(localsolve, "series_seam", recorded(True))
+    for n, m, beta in ADMISSIBLE + [(3, 0.323, 0.0)]:
         p = derive_params(n, m, 1.0, beta)
-        for kind in ProfileKind:
+        for kind, local in ((ProfileKind.ORIGIN, picard_f_origin),
+                            (ProfileKind.FARFIELD, picard_g_origin)):
             integrate.section_Y(p, kind, 1.0, tol)
-    assert len(seams) == 2 * len(ADMISSIBLE)
+            with pytest.raises(_Recorded):
+                local(p, 1.0, tol)
+    assert len(seams) == 4 * (len(ADMISSIBLE) + 1)
     worst = 0.0
     for p, kind, b, seam in seams:
         order = len(seam.zu) - 1
-        assert order == localsolve.gap_order(tol) < 60
-        u, y = manifold_series(p, kind, 60)
+        assert order < 60
+        u, y = manifold_series(p, kind)
         e = abs(Chart.of(p, kind).lam)
         ln_theta = (1.0 - p.m) * np.log(b) + e * np.log(seam.eps)
         j = np.arange(order + 1, 61)
@@ -177,6 +208,20 @@ def test_gap_series_order_from_the_root_test(monkeypatch, tol):
             tail_y = np.exp(np.log(np.abs(y[j])) + (j - 1) * ln_theta).sum()
         worst = max(worst, tail_u, tail_y / seam.zy.sum())
     assert worst < tol / 10
+
+
+def test_the_ceiling_pulls_the_seam_in(monkeypatch):
+    """Where the last terms have not settled at the ceiling ORDER, the seam
+    moves in until they do, and the solve goes on from there."""
+    p = derive_params(3, 0.323, 1.0, 0.0)
+    chart = Chart.of(p, ProfileKind.FARFIELD)
+    free = localsolve.series_seam(chart, 1.0, 1.0, 0.25, 1e-11)
+    monkeypatch.setattr(localsolve, "ORDER", 8)
+    seam = localsolve.series_seam(chart, 1.0, 1.0, 0.25, 1e-11)
+    assert len(seam.zu) == 9 and seam.eps < free.eps
+    assert np.max(np.abs(seam.zu[-2:])) <= 1e-13 * (1.0 + abs(seam.u))
+    assert np.max(np.abs(seam.zy[-2:])) <= 1e-13 * seam.zy.sum()
+    assert picard_g_origin(p, 1.0, 1e-11).eps == seam.eps
 
 
 def test_a_gap_builds_each_chart_once(monkeypatch):
@@ -349,11 +394,10 @@ def test_gap_seam_against_mpmath(kind, n, m, beta, b, tol):
     same eps: within 2 ulps of the scale of its rounded pieces (summed in
     index order, they read up to 3.5 ulps)."""
     p = derive_params(n, m, 1.0, beta)
-    order = localsolve.gap_order(tol)
-    reach = integrate.SECTION_REACH * b ** ((m - 1.0) / 2.0)
-    seam = localsolve.series_seam(Chart.of(p, kind), b, reach, order,
-                                  localsolve.GAP_SEAM)
-    assert len(seam.zu) == order + 1
+    chart = Chart.of(p, kind)
+    reach = integrate.SECTION_REACH * chart.datum_length(b)
+    seam = localsolve.series_seam(chart, b, reach, localsolve.GAP_SEAM, tol)
+    order = len(seam.zu) - 1
     with mpmath.workdps(30):
         xs, ys = _mp_series(p, kind, order)
         e = abs(mpmath.mpf(Chart.of(p, kind).lam))
