@@ -162,10 +162,9 @@ def _far_end(profile: Profile):
             math.exp(abs(chart.lam) * ln_x[i] + (1.0 - profile.params.m) * ln_v[i]))
 
 
-def _manifold_theta(y: list, Y: float) -> float | None:
-    """theta > 0 with theta sum_j y_{j+1} theta^j = Y, by Newton from theta = Y
-    (y_1 = 1); None where Newton leaves theta > 0 or does not settle."""
-    theta = Y
+def _manifold_theta(y: list, Y: float, theta: float) -> float | None:
+    """theta > 0 with theta sum_j y_{j+1} theta^j = Y, by Newton from the given
+    theta; None where Newton leaves theta > 0 or does not settle."""
     for _ in range(50):
         zy = series_terms(y, y, theta)[1]
         dP = sum(j * t for j, t in enumerate(zy, 1)) or math.nan   # flat: no theta
@@ -193,8 +192,9 @@ def _read(p: ProfileParams, tol: float, X: float, Y: float):
     is positive), and the state lies nearer to it than to (-k, 0).
     Undetermined otherwise.
     """
-    _, _, theta, terms = series_order(Chart.of(p, ProfileKind.FARFIELD), tol,
-                                      lambda u, y: _manifold_theta(y, Y))
+    roots = [Y]   # each order's Newton starts from the last order's root, or Y (y_1 = 1)
+    _, _, theta, terms = series_order(Chart.of(p, ProfileKind.FARFIELD), tol, lambda u, y: (
+        roots.append(_manifold_theta(y, Y, roots[-1] or Y)) or roots[-1]))
     du = math.inf if theta is None else X + p.k - sum(terms[0])
     y_slow = l3_reference(p)
     trace = -(p.n - 2.0) + 4.0 * p.m / (1.0 - p.m) - p.beta * y_slow

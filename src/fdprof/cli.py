@@ -218,7 +218,8 @@ def cmd_verify(ns) -> int:
         raise DomainError(f"report {report_path} is missing usable params: {e}")
 
     stored_kind = str(sidecar.get("regime", {}).get("profile_kind", kind.value))
-    if kind is ProfileKind.ORIGIN and stored_kind == ProfileKind.FARFIELD.value:
+    flipped = kind is ProfileKind.ORIGIN and stored_kind == ProfileKind.FARFIELD.value
+    if flipped:
         # Kelvin image of a far-field solve: transport back and verify in the
         # native chart, where the flux stencil is well conditioned (the image
         # direction amplifies tail noise by the node spacing)
@@ -227,6 +228,9 @@ def cmd_verify(ns) -> int:
 
     profile = Profile(kind=kind, params=p, boundary=boundary, r=r, v=v, vr=vr,
                       n_local=0, terminal=terminal, tol=ns.tol)
+    if bad := profile.chart.first_unstorable(r, v, vr, profile.fside_slope[1]):
+        row = len(r) + 1 - bad[0] if flipped else bad[0] + 2   # inverting flips the rows
+        raise DomainError(f"{ns.profile_csv}: row {row}: {bad[1]}")
     residual = float(analysis.ode_residual(profile))
     verdicts = analysis.verify_inequalities(profile)
     print(f"residual = {residual!r} (threshold {_residual_threshold(ns.tol)!r})")

@@ -4,8 +4,8 @@ A solve starts from the seam state of the manifold series (localsolve) and
 keeps the series nodes below the seam.  Outward of it, kernels advances the
 series' own state (u, Z = ln Y) in tau = ln x by Taylor steps, with nodes
 at most kernels.HMAX apart in tau, and each node maps back to (v, v_x)
-through profile.Chart.native; a node that does not fit a float ends the
-solve.  A touchdown ends on a last node where v has fallen by
+through profile.Chart.native; a node that Chart.first_unstorable refuses
+ends the solve.  A touchdown ends on a last node where v has fallen by
 kernels.VALUE_FLOOR, placed by the closed form of the pole once the Y
 terms are below tol.  Dense output is cubic Hermite of ln v in ln x.
 
@@ -25,7 +25,7 @@ from . import kernels
 from .localsolve import (GAP_SEAM, LocalSolution, check_datum, picard_f_origin,
                          picard_g_origin, series_seam)
 from .params import DomainError, ProfileParams
-from .profile import Chart, Profile, ProfileKind, TerminalEvent, first_unrepresentable
+from .profile import Chart, Profile, ProfileKind, TerminalEvent
 
 @dataclass(frozen=True)
 class OdeState:
@@ -73,12 +73,9 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
     with np.errstate(all="ignore"):   # refused just below
         v, vr = chart.native(x, u, Z)
         v[0], vr[0] = v0, vr0   # the start state as given, not its image in (u, Z)
-    i = first_unrepresentable(v, vr, u)
-    if i is not None:
-        what = "underflows" if np.isfinite([v[i], vr[i]]).all() else "overflows"
-        raise ContinuationFailed(event, why=(
-            f"{chart.kind.value} stepper node at x={x[i]:.3g} {what} "
-            f"(sigma={p.sigma:.3g})"))
+    if bad := chart.first_unstorable(x, v, vr, u):
+        raise ContinuationFailed(event, why=f"{chart.kind.value} stepper {bad[1]} at "
+                                 f"x={x[bad[0]]:.3g} (sigma={p.sigma:.3g})")
     return Trajectory(x, v, vr, event)
 
 

@@ -9,17 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import DomainError, ProfileParams
-from .profile import Profile, ProfileKind
-
-
-def kelvin(r, s, g, gs, k):
-    """(f, f_r) at r from (g, g_s) at s = 1/r: f = r^{-k} g and
-    f_r = -(k + s g_s/g) f / r.  f is formed as (g r^{-k/2}) r^{-k/2}: the
-    middle term is the geometric mean of g and f, and r^{-k/2} that of 1
-    and f/g, so no factor leaves the doubles where g and f do not."""
-    half = r ** (-0.5 * k)
-    f = g * half * half
-    return f, -(k + s * gs / g) * f / r
+from .profile import Profile, ProfileKind, first_unrepresentable, kelvin
 
 
 def invert_pointwise(radii, values, derivs, p: ProfileParams):
@@ -38,9 +28,8 @@ def invert_pointwise(radii, values, derivs, p: ProfileParams):
     r_out = 1.0 / radii
     with np.errstate(all="ignore"):   # refused just below
         v_out, d_out = kelvin(r_out, radii, values, derivs, p.k)
-    if not (np.all(np.isfinite([r_out, v_out, d_out]))
-            and np.all(v_out >= np.finfo(float).tiny)):
-        raise DomainError(f"the Kelvin image is not finite or underflows (k={p.k:.6g})")
+    if (i := first_unrepresentable(v_out, d_out, 0.0)) is not None:   # f = 0 at r_out = inf
+        raise DomainError(f"the Kelvin image of sample {i} is not finite or underflows")
     order = np.argsort(r_out)
     return r_out[order], v_out[order], d_out[order]
 

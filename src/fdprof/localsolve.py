@@ -31,10 +31,9 @@ from operator import mul
 
 import numpy as np
 
-from .inversion import kelvin
 from .params import (DomainError, ProfileParams, require_farfield_admissible,
                      require_origin_admissible)
-from .profile import Chart, ProfileKind, first_unrepresentable
+from .profile import Chart, ProfileKind
 
 ORDER = 60      # the ceiling of every series order
 GAP_SEAM = 0.4  # a gap's seam, as a fraction of the root-test radius
@@ -211,10 +210,10 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     """Series nodes from below the seam up to it, graded in theta by tol.
 
     The nodes reach down to theta_seam * 1e-7 at the origin; in the far field
-    to theta_seam * 5e-5 (the Kelvin map loses about 1/theta in k g + s g_r),
-    and at least to s_seam * 4e-3.  A LocalStageFailed refuses a seam term
-    u_1 theta, a node or its f-side image (inversion.kelvin, the map the
-    f-side output takes) that is not a normal float.
+    to theta_seam * 5e-5 and at least to s_seam * 4e-3, where criterion 7's
+    ladder and test_g_singular_kind_and_slope read g_r ~ c s^{-delta1}.  A
+    LocalStageFailed refuses a seam term u_1 theta that is not a normal
+    float, and the first node Chart.first_unstorable refuses.
     """
     p, kind, e = chart.params, chart.kind, abs(chart.lam)
     check_datum(chart, b)
@@ -229,15 +228,9 @@ def _local(chart: Chart, b: float, tol: float, r_max: float) -> LocalSolution:
     value = b * (z[:, :-1] @ seam.zy) ** (1.0 / (1.0 - p.m))
     u = z @ seam.zu
     deriv = math.copysign(1.0, chart.lam) * u * value / grid
-    if not abs(seam.zu[1]) >= np.finfo(float).tiny or (
-            kind is ProfileKind.FARFIELD and first_unrepresentable(
-                *kelvin(1.0 / grid, grid, value, deriv, p.k), u - p.k) is not None):
-        raise LocalStageFailed(
-            f"{kind.value} series nodes reach radius {grid[0]:.3g}, whose f-side "
-            f"image underflows (u_1 theta={seam.zu[1]:.3g}, sigma={p.sigma:.3g})")
-    i = first_unrepresentable(value, deriv, u)
-    if i is not None:
-        what = "node slopes overflow" if np.isinf(deriv[i]) else "nodes leave the doubles"
+    bad = chart.first_unstorable(grid, value, deriv, u)
+    if bad or not abs(seam.zu[1]) >= np.finfo(float).tiny:   # X's first term underflows
+        i, what = bad or (0, "nodes' f-side image underflows")
         raise LocalStageFailed(f"{kind.value} series {what} at the datum {b:.3g} (sigma="
                                f"{p.sigma:.3g}) at x={grid[i]:.3g}")
     return LocalSolution(eps=float(grid[-1]), grid=grid, value=value,

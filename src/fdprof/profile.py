@@ -1,11 +1,11 @@
 """Stitched profile representation shared by the solvers and the checks.
 
 A Profile concatenates the local nodes of the manifold series (spaced by
-tol, widest deep below the seam) with the nodes of the outward
-integration.  A node is (r, v, v_r); the checks and the dense output read
-it as (ln x, ln v, x v_x / v), the chart's own variables.  Dense evaluation
-is C1 cubic Hermite of ln v in ln x with the nodal log-slopes, and never
-re-differences values.
+tol, widest deep below the seam) with the nodes of the outward integration,
+each one that Chart.first_unstorable admits.  A node is (r, v, v_r); the
+checks and the dense output read it as (ln x, ln v, x v_x / v), the chart's
+own variables.  Dense evaluation is C1 cubic Hermite of ln v in ln x with
+the nodal log-slopes, and never re-differences values.
 """
 from __future__ import annotations
 
@@ -68,6 +68,29 @@ class Chart:
         """(v, v_x) at chart radius x from the reduced state (u, Z)."""
         v = np.exp((Z - abs(self.lam) * np.log(x)) / (1.0 - self.params.m))
         return v, np.sign(self.lam) * u * v / x
+
+    @np.errstate(all="ignore")   # a refused node's image is formed too
+    def first_unstorable(self, x, v, vr, u) -> tuple[int, str] | None:
+        """(index, what fails) of the first node (x, v, v_x), u = sign(lam) x v_x / v,
+        refused by first_unrepresentable in the chart or, named first, in its kelvin image."""
+        i = first_unrepresentable(v, vr, u)
+        if self.kind is ProfileKind.FARFIELD:
+            f, fr = kelvin(1.0 / x, x, v, vr, self.params.k)
+            j = first_unrepresentable(f, fr, u - self.params.k)
+            if j is not None and (i is None or j <= i):
+                fault = "overflows" if np.isinf([f[j], fr[j]]).any() else "underflows"
+                return j, f"nodes' f-side image {'is negative' if f[j] < 0 else fault}"
+        return None if i is None else (i, "node slopes overflow" if np.isinf(vr[i])
+                                       else "nodes leave the positive normal floats")
+
+
+def kelvin(r, s, g, gs, k):
+    """(f, f_r) at r from (g, g_s) at s = 1/r: f = r^{-k} g, f_r = -(k + s g_s/g) f / r.
+    f is (g r^{-k/2}) r^{-k/2}: the middle term is the geometric mean of g and f, and
+    r^{-k/2} that of 1 and f/g, so no factor leaves the doubles where g and f do not."""
+    half = r ** (-0.5 * k)
+    f = g * half * half
+    return f, -(k + s * gs / g) * f / r
 
 
 def first_unrepresentable(v, vr, u) -> int | None:

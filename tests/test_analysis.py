@@ -312,6 +312,16 @@ def test_shape_monotone_on_origin(closed_form_origin):
     assert s.r_max is None
 
 
+@pytest.mark.parametrize("value, deriv", [
+    (lambda r: 2.0 + np.sin(r), np.cos),   # X changes sign twice, at pi/2 and 3 pi/2
+    (lambda r: 1.0 + (r - 2.0) ** 2, lambda r: 2.0 * (r - 2.0)),   # rises after falling
+], ids=["two-sign-changes", "rises-after-falling"])
+def test_shape_irregular_on_node_sets(value, deriv):
+    s = classify_shape(synthetic_origin(CF, np.linspace(0.5, 7.0, 40), value, deriv))
+    assert s.label == "irregular"
+    assert s.r_max is None
+
+
 def test_shape_interior_maximum_on_small_eta_farfield(cache):
     s = classify_shape(cache.farfield(4, 1 / 3, 0.05))
     assert s.label == "interior-maximum"

@@ -223,6 +223,27 @@ def test_verify_rejects_non_finite_field(origin_run, tmp_path, capsys,
     assert "row 18 is not finite" in err
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0], ids=["negated", "zeroed"])
+@pytest.mark.parametrize("name", ["profile.csv", "profile_g.csv"])
+def test_verify_refuses_a_node_no_solve_stores(origin_run, farfield_run, tmp_path,
+                                               capsys, name, scale):
+    """A negated or zeroed value is refused by the rule each solve stores its
+    nodes by, in the chart or in the f-side image: exit 1 naming the row.  A
+    negated f read mass_monotonicity as holding, since X = r f_r / f flips."""
+    run = origin_run if name == "profile.csv" else farfield_run
+    with open(os.path.join(run, name)) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[17].split(",")
+    fields[1] = repr(scale * float(fields[1]))
+    lines[17] = ",".join(fields)
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", str(bad), "--report",
+                             os.path.join(run, "report.json"))
+    assert (code, out) == (1, "")
+    assert f"{name}: row 18: " in err and err.count("\n") == 1
+
+
 _FIELD = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                    st.text(max_size=8))
 _ROW = st.one_of(st.text(max_size=30),
@@ -899,12 +920,27 @@ def test_tiny_rmax_names_its_failure(argv, code, why, tmp_path, capsys):
       "--beta", "0.5445059310315912", "--eta0", "1.731361494211642e-288",
       "--rmax", "4.429923276074354e-70", "--tol", "6.554047094026312e-11"], 3,
      "underflow"),
+    (["solve-farfield", "--n", "7", "--m", "0.664143274827661",
+      "--beta=0.6411217792902975", "--eta", "5.425477566263422e-09",
+      "--rmax", "7.293894937355169e+57", "--tol", "2.1187453593671582e-12"], 3,
+     "farfield stepper nodes' f-side image overflows at x=1.2e+44"),
+    (["solve-farfield", "--n", "7", "--m", "0.6861430869472268",
+      "--beta=-0.4831455902077526", "--eta", "5768.524007554788",
+      "--rmax", "2.5569161526664544e+46", "--tol", "2.2751243988067142e-07"], 3,
+     "farfield stepper nodes' f-side image overflows"),
+    (["solve-farfield", "--n", "8", "--m", "0.6555708278767365",
+      "--beta=-0.2765730577539808", "--eta", "1.2055639776565557e-33",
+      "--rmax", "2.8500095699142938e+54", "--tol", "1.8259006147079036e-08"], 3,
+     "farfield stepper nodes' f-side image overflows"),
 ])
 def test_extreme_data_fail_on_one_line_without_warnings(argv, code, why, tmp_path,
                                                         capsys):
     # an overflowing series slope and an overflowing node-spacing bound each
     # used to print numpy RuntimeWarnings; nodes whose f_r rounds to 0 ended
-    # on ValueFloor, or wrote f = 0 rows
+    # on ValueFloor, or wrote f = 0 rows.  At a far stepper node g and f fit
+    # a double and f_r = -(k + s g_s/g) f / r does not (n = 7, s = 1.2e44:
+    # g = 3.9e-69, f = 2.7e263); those three exited 1 on "the Kelvin image
+    # is not finite" when the CLI wrote profile_f.csv
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -1037,7 +1073,8 @@ def test_cli_returns_an_exit_code_and_never_raises(tmp_path_factory, command, n,
     """Over admissible (n, m, beta), with the datum, tol and r_max anywhere
     in their float ranges, every solver command ends on an exit code: a
     solver path never ends in a raw traceback.  A solve that exits 0 or 2
-    writes only finite, positive values."""
+    writes only finite, positive values, and verify reads each CSV it
+    writes back with exit 0 or 2, never 1."""
     m = m_frac * (n - 2) / n
     beta = -0.5 + beta_frac * (0.5 + fdprof.derive_params(n, m, 1.0, 0.0).beta_threshold)
     out = tmp_path_factory.mktemp("fuzz")
@@ -1056,3 +1093,5 @@ def test_cli_returns_an_exit_code_and_never_raises(tmp_path_factory, command, n,
         for path in csvs:
             v = read_csv(path)[1][:, 1]
             assert np.all(np.isfinite(v) & (v > 0.0)), path.name
+            # a node written is a node read back: verify passes or fails it
+            assert main(["verify", str(path), "--tol", repr(tol)]) in (0, 2), path.name

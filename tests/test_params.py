@@ -86,6 +86,11 @@ def test_farfield_gate():
     with pytest.raises(DomainError) as exc:
         require_farfield_admissible(derive_params(4, 1 / 3, 1.0, 0.7))
     assert "far-field threshold" in str(exc.value)
+    # one ulp below the threshold alpha_tilde rounds to 0 for about a
+    # quarter of sampled (n, m); this beta is one
+    with pytest.raises(DomainError, match="alpha_tilde = 0 must be positive"):
+        require_farfield_admissible(derive_params(8, 0.698131980601447, 1.0,
+                                                  1.6824721396170255))
 
 
 def _random_tuples(count, seed=20240817):
