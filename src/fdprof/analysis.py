@@ -8,8 +8,8 @@ profile's f-side far end: its distance from the fast point's stable
 manifold, whose series localsolve sums, and from the slow fixed point.  The
 inequality verdicts and the shape are sign conditions on X, read at every
 node.  The anomalous exponent is the beta at which the origin profile joins
-the fast-decay saddle: the root of the difference of Y = r^2 f^{1-m} between
-the origin and the far-field manifold where each first crosses X = -2/(1-m),
+the fast-decay saddle: the root of the gap in 1/Y, Y = r^2 f^{1-m}, between
+the far-field and the origin manifold where each first crosses X = -2/(1-m),
 each integrated from its series seam to that crossing and no farther.
 """
 from __future__ import annotations
@@ -370,18 +370,20 @@ class BetaSearchResult:
 
 
 def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
-    """D = Y_origin - Y_fast on the section X = -2/(1-m).
+    """G = 1/Y_fast - 1/Y_origin on the section X = -2/(1-m).
 
     Y_origin is read on the origin manifold (from eta0), Y_fast on the
     stable manifold of the fast-decay point (-k, 0) (the far-field chart
     from eta = 1), each by integrate.section_Y: one integration from the
     series seam, stopped on its first step across the section, the
     nullcline of Y.  The scaling symmetry moves a datum along its manifold,
-    so D depends on beta alone; it vanishes where the manifolds join, at
+    so G depends on beta alone; it vanishes where the manifolds join, at
     the anomalous exponent, and is positive below it, where the origin
-    profile vanishes at finite radius, after it crosses the section.  tol
-    bounds each Y relative to its own size, so D carries an absolute error
-    of about tol Y; below that, the sign of D is noise of the step sequence.
+    profile vanishes at finite radius, after it crosses the section.  G has
+    the sign of Y_origin - Y_fast but is nearly linear in beta (at (5, 0.45)
+    its chord slopes on [-0.45, 0.45] span 1.43x, those of Y_o - Y_f 7.8x).
+    tol bounds each Y relative to its own size, so each term of G is off by
+    about tol/Y; below that, the sign of G is noise of the step sequence.
     """
     ys = []
     for kind, boundary in ((ProfileKind.ORIGIN, eta0), (ProfileKind.FARFIELD, 1.0)):
@@ -390,7 +392,14 @@ def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
             raise BadBracket(f"the {kind.value} solve at beta={p.beta:g} never "
                              f"reaches the section X = -2/(1-m) ({why})")
         ys.append(y)
-    return ys[0] - ys[1]
+    return 1.0 / ys[1] - 1.0 / ys[0]
+
+
+def _zero_through(rows) -> float:
+    """Zero of the Lagrange polynomial beta(gap) through (beta, gap) rows of
+    distinct gaps: the secant for two rows, the inverse quadratic for three."""
+    return sum(beta * math.prod(h / (h - g) for _, h in rows if h != g)
+               for beta, g in rows)
 
 
 def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
@@ -398,15 +407,20 @@ def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
                         tol: float = 1e-9) -> BetaSearchResult:
     """Root of saddle_gap in beta, bracketed to tol_beta.
 
-    Illinois false position (Dowell & Jarratt, BIT 11, 1971): an end that
-    stays put for a second step running has its gap halved.  A step that
-    did not halve the bracket, to within tol_beta/2, is followed by a
-    bisection, and every trial point stays tol_beta/2 inside the bracket, so
-    a trial next to the root lands across it.  The slack keeps a trial that
-    lands next to both the root and the midpoint, as the first one does
-    where the gap is odd in beta, from costing a bisection on the side the
-    gap's noise reads it.  The sign of the gap at each point is its side: -1
-    (D > 0, the origin profile vanishes) below the root, +1 above.
+    Brent-Dekker steps (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4, after T. J. Dekker, 1969).  From the bracket
+    end of least |gap|, each step takes the inverse quadratic through the
+    last three probes (the secant through two where their gaps are not
+    three distinct values) where it heads into the bracket and stops short
+    of 3/4 of it, else a bisection.  In place of Brent's test on the step
+    before last, a step that halves neither the bracket (to within
+    tol_beta/2) nor the least |gap| eightfold, as a bisection does at a
+    triple root, is followed by a bisection.  Each trial lies at least
+    tol_beta/2 inside the bracket, so one next to the root, or on an exact
+    zero, is followed by one across it.  beta* is the inverse quadratic
+    through the three probes of least |gap| where it lands in the bracket,
+    else the secant of its ends.  The sign of the gap at each point is its
+    side: -1 (G > 0, the origin profile vanishes) below the root, +1 above.
     """
     lo, hi = (float(min(bracket)), float(max(bracket)))
     if lo == hi:
@@ -425,28 +439,37 @@ def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
         history.append((b, d, -1 if d > 0.0 else 1))
         return d
 
-    d_lo, d_hi = gap(lo), gap(hi)
-    if not d_lo > 0.0 >= d_hi:
-        how = "the same side" if (d_lo > 0.0) == (d_hi > 0.0) else "swapped sides"
+    fb, fc = gap(lo), gap(hi)
+    if not fb > 0.0 >= fc:
+        how = "the same side" if (fb > 0.0) == (fc > 0.0) else "swapped sides"
         raise BadBracket(f"both bracket ends classify to {how} "
                          f"at beta={lo:g} and beta={hi:g}")
-    moved, bisect = None, False
-    while hi - lo > tol_beta:
-        width = hi - lo
-        b = 0.5 * (lo + hi) if bisect else lo - d_lo * width / (d_hi - d_lo)
-        b = min(max(b, lo + 0.5 * tol_beta), hi - 0.5 * tol_beta)
-        d = gap(b)
-        if d > 0.0:
-            d_hi *= 0.5 if moved == "lo" else 1.0
-            lo, d_lo, moved = b, d, "lo"
-        else:
-            d_lo *= 0.5 if moved == "hi" else 1.0
-            hi, d_hi, moved = b, d, "hi"
-        bisect = not bisect and hi - lo > 0.5 * (width + tol_beta)
-    # the secant root of the true end gaps lies in the bracket, and on a
-    # nearly linear gap far closer to beta* than the midpoint
-    d_of = {b: d for b, d, _ in history}
-    beta_star = lo - d_of[lo] * (hi - lo) / (d_of[hi] - d_of[lo])
+    # b: the bracket end of least |gap|, c: the other end, a: the probe before b
+    t = 0.5 * tol_beta
+    a, fa, b, c = hi, fc, lo, hi
+    bisect = False
+    while abs(c - b) > tol_beta:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        width, least, half = abs(c - b), abs(fb), 0.5 * (c - b)
+        s = half
+        if not bisect and abs(fa) > abs(fb):
+            # taken where it heads for c and stops short of 3/4 of the way
+            x = _zero_through([(a, fa), (b, fb)] + [(c, fc)] * (a != c and fa != fc))
+            s = x - b if 0.0 <= (x - b) / half < 1.5 - 0.5 * t / abs(half) else s
+        a, fa = b, fb
+        b = b + (s if abs(s) > t else math.copysign(t, half))
+        fb = gap(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+        bisect = (abs(c - b) > 0.5 * (width + tol_beta)
+                  and min(abs(fb), abs(fc)) > 0.125 * least)
+    lo, hi = min(b, c), max(b, c)
+    beta_star = b - fb * (c - b) / (fc - fb)
+    near = sorted(history, key=lambda row: abs(row[1]))[:3]
+    if len({g for _, g, _ in near}) == 3:
+        x = _zero_through([row[:2] for row in near])
+        beta_star = x if lo <= x <= hi else beta_star
     return BetaSearchResult(beta_star=beta_star, bracket=(lo, hi),
                             probes=len(history), history=tuple(history))
 

@@ -214,10 +214,12 @@ def cmd_verify(ns) -> int:
         p = derive_params(int(pd["n"]), pd["m"], pd["rho1"], pd["beta"])
         boundary = float(pd.get("boundary", v[0]))
         terminal = TerminalEvent(sidecar["terminal_event"])
+        regime = sidecar.get("regime", {})
+        stored_kind = str(regime.get("profile_kind", kind.value))
+    except AttributeError:
+        raise DomainError(f"report {report_path}: regime is not an object: {regime!r}")
     except (KeyError, TypeError, ValueError) as e:
         raise DomainError(f"report {report_path} is missing usable params: {e}")
-
-    stored_kind = str(sidecar.get("regime", {}).get("profile_kind", kind.value))
     flipped = kind is ProfileKind.ORIGIN and stored_kind == ProfileKind.FARFIELD.value
     if flipped:
         # Kelvin image of a far-field solve: transport back and verify in the

@@ -455,9 +455,10 @@ ORACLE_GAPS = [(5, 0.45, 0.1), (5, 0.45, 0.2), (4, 1 / 3, 0.1), (3, 0.2, -0.2),
 
 
 def oracle_gap(n, m, beta):
+    """The reciprocal gap G = 1/Y_fast - 1/Y_origin that saddle_gap reads."""
     p = derive_params(n, m, 1.0, beta)
-    return p, (oracle_section_Y(p, ProfileKind.ORIGIN)
-               - oracle_section_Y(p, ProfileKind.FARFIELD))
+    return p, (1.0 / oracle_section_Y(p, ProfileKind.FARFIELD)
+               - 1.0 / oracle_section_Y(p, ProfileKind.ORIGIN))
 
 
 @pytest.mark.parametrize("n, m, beta", ORACLE_GAPS)
@@ -573,23 +574,64 @@ def test_off_critical_exponent():
     for eta0 in (0.5, 1.0, 2.0):
         r = find_anomalous_beta(5, 0.45, 1.0, eta0, (-0.4, 0.4), tol_beta=1e-9)
         assert r.beta_star == pytest.approx(0.1189038, abs=1e-6)
-        assert r.probes <= 12   # 17 without both Illinois and bisection
+        assert r.probes <= 12
         stars.append(r.beta_star)
     assert max(stars) - min(stars) <= 1e-8
     assert find_anomalous_beta(5, 0.45, 1.0, 1.0, (-0.4, 0.4)).probes <= 12
 
 
 @pytest.mark.parametrize("n, m, probes, star", [(4, 1 / 3, 4, 0.0),
-                                                (5, 0.45, 8, 0.1189037960)])
+                                                (5, 0.45, 5, 0.1189037960)])
 def test_beta_search_probe_counts(n, m, probes, star):
     """The searches perfbench's beta-search times (bracket (-0.45, 0.45),
-    tol_beta 1e-3) take at most 4 probes at (4, 1/3) and 8 at (5, 0.45),
-    and land within 1e-9 of the root, at each eta0: their cost is these
-    probes' gap evaluations."""
+    tol_beta 1e-3) take at most 4 probes at (4, 1/3) and 5 at (5, 0.45)
+    (8 by Illinois false position), and land within 1e-9 of the root, at
+    each eta0: their cost is these probes' gap evaluations."""
     for eta0 in (0.5, 1.0, 2.0):
         r = find_anomalous_beta(n, m, 1.0, eta0, (-0.45, 0.45), tol_beta=1e-3)
         assert r.probes <= probes
         assert abs(r.beta_star - star) <= 1e-9
+
+
+# The probe census: (n, m) at m = f (n-2)/n for f in 0.3, 0.5, 0.7, 0.85,
+# and three pinned points, each over the brackets
+# (-0.45, min(0.45, 0.95 beta_threshold)) and (-0.4, min(0.4, 0.9 beta_threshold)),
+# with the most probes each search may take (None where the ends do not
+# straddle beta*; no f = 0.3 pair straddles it).  The comments give the
+# counts of Illinois false position, which this search replaced: 228 in all,
+# now 167.
+PROBE_CENSUS = [(3, 0.5, (6, 6)),       # 8, 8
+                (3, 0.7, (5, 5)),       # 8, 7
+                (4, 0.5, (7, 6)),       # 8, 8
+                (4, 0.7, (5, 5)),       # 9, 9
+                (5, 0.5, (6, 5)),       # 8, 8
+                (5, 0.7, (4, 5)),       # 9, 9
+                (6, 0.5, (6, None)),    # 8
+                (6, 0.7, (7, 6)),       # 7, 7
+                (7, 0.5, (6, None)),    # 8
+                (7, 0.7, (7, 6)),       # 8, 8
+                (7, 0.85, (5, 5)),      # 6, 7
+                (8, 0.5, (5, None)),    # 9
+                (8, 0.7, (7, 6)),       # 8, 8
+                (8, 0.85, (5, 5)),      # 6, 7
+                (4, None, (4, 4)),      # 4, 4  (m = 1/3)
+                (5, None, (5, 5)),      # 8, 8  (m = 0.45)
+                (3, None, (4, 4))]      # 4, 4  (m = 0.2)
+
+
+@pytest.mark.parametrize("n, f, pins", PROBE_CENSUS)
+def test_probe_census(n, f, pins):
+    m = {4: 1 / 3, 5: 0.45, 3: 0.2}[n] if f is None else f * (n - 2) / n
+    threshold = derive_params(n, m, 1.0, 0.0).beta_threshold
+    for (a, c), most in zip(((0.45, 0.95), (0.4, 0.9)), pins):
+        bracket = (-a, min(a, c * threshold))
+        if most is None:
+            with pytest.raises(BadBracket, match="same side"):
+                find_anomalous_beta(n, m, 1.0, 1.0, bracket)
+            continue
+        r = find_anomalous_beta(n, m, 1.0, 1.0, bracket, tol_beta=1e-3)
+        lo, hi = r.bracket
+        assert r.probes <= most and hi - lo <= 1e-3 and lo <= r.beta_star <= hi
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -720,8 +762,9 @@ class TestBetaSearch:
             find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (0.1, 0.4))
 
     def test_flat_root_still_brackets_quickly(self, monkeypatch):
-        # at a triple root false position crawls; the bisection after a step
-        # that did not halve the bracket keeps the count at 11 (22 without)
+        # at a triple root interpolation crawls; the bisection after a step
+        # that halves neither the bracket nor the gap eightfold keeps the
+        # count at 9 (28 with Brent's own test in its place)
         monkeypatch.setattr(analysis, "saddle_gap",
                             lambda p, eta0, tol: (0.1234 - p.beta) ** 3)
         r = find_anomalous_beta(4, 1 / 3, 1.0, 1.0, (-0.4, 0.4))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import RMAX, f_exact, fr_exact
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdprof
@@ -1095,3 +1095,52 @@ def test_cli_returns_an_exit_code_and_never_raises(tmp_path_factory, command, n,
             assert np.all(np.isfinite(v) & (v > 0.0)), path.name
             # a node written is a node read back: verify passes or fails it
             assert main(["verify", str(path), "--tol", repr(tol)]) in (0, 2), path.name
+
+
+@pytest.mark.parametrize("regime", [5, []])
+def test_verify_names_a_regime_that_is_not_an_object(origin_run, tmp_path, capsys,
+                                                     regime):
+    report = json.loads(Path(origin_run, "report.json").read_text())
+    report["regime"] = regime
+    (tmp_path / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", os.path.join(origin_run, "profile.csv"),
+                             "--report", str(tmp_path / "report.json"))
+    assert (code, out) == (1, "")
+    assert "regime" in err and err.count("\n") == 1
+
+
+_FRAC = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(3, 8), m_frac=st.floats(0.001, 0.999), lo=_FRAC, hi=_FRAC,
+       tol_frac=_FRAC)
+# (4, 1/3) from (0.4, -0.4): tol_beta past the width (two probes, no step),
+# a few ulps (the gap's noise decides each side), and below the floor
+@example(n=4, m_frac=2 / 3, lo=0.9, hi=0.1, tol_frac=1.0)
+@example(n=4, m_frac=2 / 3, lo=0.9, hi=0.1, tol_frac=0.03)
+@example(n=4, m_frac=2 / 3, lo=0.9, hi=0.1, tol_frac=0.0)
+def test_beta_find_certifies_any_bracket_and_tol_beta(tmp_path_factory, n, m_frac,
+                                                      lo, hi, tol_frac):
+    """Bracket ends anywhere in the origin window (its edges, which are
+    refused, included), in either order, and tol_beta from half the ulp
+    floor to twice the bracket width: beta-find ends on an exit code, and
+    on exit 0 its beta.json certifies the bracket."""
+    m = m_frac * (n - 2) / n
+    span = 0.5 + fdprof.derive_params(n, m, 1.0, 0.0).beta_threshold
+    lo, hi = -0.5 + lo * span, -0.5 + hi * span
+    floor = 4.0 * math.ulp(max(abs(lo), abs(hi)))
+    top = 2.0 * max(abs(hi - lo), floor)
+    tol_beta = 0.5 * floor * (top / (0.5 * floor)) ** tol_frac
+    out = tmp_path_factory.mktemp("bracket")
+    code = main(["beta-find", "--n", str(n), "--m", repr(m), f"--beta-lo={lo!r}",
+                 f"--beta-hi={hi!r}", "--tol-beta", repr(tol_beta), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        payload = json.loads((out / "beta.json").read_text())
+        (b_lo, b_hi), history = payload["bracket"], payload["history"]
+        assert b_hi - b_lo <= tol_beta
+        assert max(b for b, _, side in history if side == -1) < min(
+            b for b, _, side in history if side == 1)
+        assert b_lo <= payload["beta_star"] <= b_hi
+        assert payload["probes"] == len(history)
