@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -365,9 +365,6 @@ class BetaSearchResult:
     probes: int
     history: tuple = field(default=())   # (beta, gap, side) per gap evaluation
 
-    def __float__(self) -> float:
-        return self.beta_star
-
 
 def saddle_gap(p: ProfileParams, eta0: float, tol: float = 1e-9) -> float:
     """G = 1/Y_fast - 1/Y_origin on the section X = -2/(1-m).
@@ -528,19 +525,6 @@ def pde_residual_V(profile: Profile, T: float, space_grid, time_grid,
 # report assembly
 
 
-def _estimate_dict(e: Estimate | None):
-    return None if e is None else {"value": e.value, "error": e.error}
-
-
-def _verdict_dict(v: Verdict):
-    d = {"status": v.status}
-    if v.margin is not None:
-        d["margin"] = v.margin
-    if v.at_r is not None:
-        d["at_r"] = v.at_r
-    return d
-
-
 @dataclass(frozen=True)
 class SolveReport:
     params: ProfileParams
@@ -554,40 +538,21 @@ class SolveReport:
     shape: Shape
 
     def to_dict(self) -> dict:
-        p = self.params
-        flags = classify_regime(p)
+        """report.json.  A block whose keys are a result type's fields holds
+        them in declared order; a verdict leaves out a None margin or at_r."""
+        p, d = self.params, self.decay
         return {
-            "params": {
-                "n": p.n, "m": p.m, "rho1": p.rho1, "beta": p.beta,
-                "alpha": p.alpha, "alpha_tilde": p.alpha_tilde,
-                "beta_tilde": p.beta_tilde, "delta0": p.delta0,
-                "delta1": p.delta1, "beta_threshold": p.beta_threshold,
-                "k": p.k, "sigma": p.sigma, "boundary": self.boundary,
-            },
-            "regime": {
-                "profile_kind": self.kind.value,
-                "origin_admissible": flags.origin_admissible,
-                "farfield_admissible": flags.farfield_admissible,
-                "singular_g_origin": flags.singular_g_origin,
-                "lemma_applicable": flags.lemma_applicable,
-            },
+            "params": {**asdict(p), "k": p.k, "sigma": p.sigma, "boundary": self.boundary},
+            "regime": {"profile_kind": self.kind.value, **asdict(classify_regime(p))},
             "terminal_event": self.terminal_event.value,
             "residual": self.residual,
-            "limits": {
-                "L1": _estimate_dict(self.limits.l1),
-                "L2": _estimate_dict(self.limits.l2),
-                "L3": _estimate_dict(self.limits.l3),
-                "slope_far": _estimate_dict(self.limits.slope_far),
-                "slope_origin": _estimate_dict(self.limits.slope_origin),
-            },
-            "inequalities": {k: _verdict_dict(v) for k, v in self.inequalities.items()},
-            "decay_class": {
-                "class": self.decay.label.value,
-                "measured_slope": self.decay.measured_slope,
-                "target_fast": self.decay.target_fast,
-                "target_slow": self.decay.target_slow,
-            },
-            "shape": {"label": self.shape.label, "r_max": self.shape.r_max},
+            "limits": {(key.upper() if key[1:].isdigit() else key): est   # l1 -> L1
+                       for key, est in asdict(self.limits).items()},
+            "inequalities": {name: {key: x for key, x in asdict(v).items() if x is not None}
+                             for name, v in self.inequalities.items()},
+            "decay_class": {"class": d.label.value, "measured_slope": d.measured_slope,
+                            "target_fast": d.target_fast, "target_slow": d.target_slow},
+            "shape": asdict(self.shape),
         }
 
 

@@ -102,17 +102,20 @@ def _sanitize(obj):
     return obj
 
 
+def _write(path: str, lines) -> None:
+    """A file's lines, each ending in its newline, joined and written in one call."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+
+
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:   # one write
-        fh.write(json.dumps(_sanitize(payload), indent=2) + "\n")
+    _write(path, [json.dumps(_sanitize(payload), indent=2), "\n"])
 
 
 def write_profile_csv(path: str, header: str, r, v, vr) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        # repr of the Python floats: no numpy scalar per value
-        fh.writelines(f"{a!r},{b!r},{c!r}\n"
-                      for a, b, c in zip(r.tolist(), v.tolist(), vr.tolist()))
+    # repr of the Python floats: no numpy scalar per value
+    rows = zip(r.tolist(), v.tolist(), vr.tolist())
+    _write(path, [f"{header}\n", *[f"{a!r},{b!r},{c!r}\n" for a, b, c in rows]])
 
 
 def _write_plots(out: str, stem: str, r, f, fr) -> None:
@@ -123,8 +126,8 @@ def _write_plots(out: str, stem: str, r, f, fr) -> None:
         f"{stem}_slope.dat": (r, r * fr / f),
     }
     for name, (xs, ys) in views.items():
-        with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-            fh.writelines("%r %r\n" % xy for xy in zip(xs.tolist(), ys.tolist()))
+        _write(os.path.join(out, name),
+               [f"{x!r} {y!r}\n" for x, y in zip(xs.tolist(), ys.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +319,8 @@ def cmd_sweep(ns) -> int:
             enumerate(tuples)))
 
     summary = os.path.join(ns.out, "summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row[col].replace(",", ";") for col in COLUMNS) + "\n")
+    _write(summary, [",".join(COLUMNS) + "\n", *[
+        ",".join(row[col].replace(",", ";") for col in COLUMNS) + "\n" for row in rows]])
     print(f"{len(rows)} tuples -> {summary}")
     return 0
 

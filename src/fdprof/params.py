@@ -17,8 +17,8 @@ class ProfileParams:
     """Dimension, diffusion exponent, scaling constants, and derived exponents.
 
     alpha solves alpha*(1-m) = 2*beta + rho1.  The tilde pair (alpha_tilde,
-    beta_tilde) parameterizes the inverted (far-field) problem.  delta1 and
-    delta0 govern the derivative singularity of g at the origin when
+    beta_tilde) parameterizes the inverted (far-field) problem.  delta0 and
+    delta1 govern the derivative singularity of g at the origin when
     (n-2)/(n+1) <= m < (n-2)/n.
     """
 
@@ -29,8 +29,8 @@ class ProfileParams:
     alpha: float
     alpha_tilde: float
     beta_tilde: float
-    delta1: float
     delta0: float
+    delta1: float
     beta_threshold: float
 
     @property
@@ -78,8 +78,8 @@ def derive_params(n: int, m: float, rho1: float, beta: float) -> ProfileParams:
         alpha=alpha,
         alpha_tilde=alpha - ((n - 2) / m) * beta,
         beta_tilde=-beta,
-        delta1=1.0 - sigma,
         delta0=sigma / 2.0,
+        delta1=1.0 - sigma,
         beta_threshold=m * rho1 / (n - 2 - n * m),
     )
 

@@ -5,6 +5,7 @@ exit codes, stdout and file side effects are all observable without spawning
 a subprocess.  The anchor point n=4, m=1/3, beta=0 keeps the closed form
 available for value checks on whatever the CLI writes to disk.
 """
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fdprof
-from fdprof import DomainError, cli, integrate, kernels
+from fdprof import DomainError, ProfileParams, RegimeFlags, cli, integrate, kernels
 from fdprof.cli import (_parse_axis, _read_profile_csv, build_parser,
                         load_config, main)
 
@@ -98,6 +99,25 @@ def test_origin_report_contents(origin_run):
     assert rep["shape"]["label"] == "monotone-decreasing"
     assert set(rep["limits"]) == {"L1", "L2", "L3", "slope_far",
                                   "slope_origin"}
+
+
+def test_report_blocks_are_the_result_types_fields(origin_run, farfield_run):
+    """report.json's params are the ProfileParams fields, then k, sigma and
+    boundary; its regime is profile_kind, then the RegimeFlags fields; no
+    verdict stores a null margin or at_r."""
+    params = [f.name for f in dataclasses.fields(ProfileParams)]
+    flags = [f.name for f in dataclasses.fields(RegimeFlags)]
+    statuses = set()
+    for out in (origin_run, farfield_run):
+        rep = json.loads(Path(out, "report.json").read_text())
+        assert list(rep["params"]) == params + ["k", "sigma", "boundary"]
+        assert list(rep["regime"]) == ["profile_kind"] + flags
+        for name, verdict in rep["inequalities"].items():
+            assert set(verdict) <= {"status", "margin", "at_r"}, name
+            assert None not in verdict.values(), name
+            statuses.add(verdict["status"])
+    # eta_upper_bound on the origin profile: neither margin nor at_r is stored
+    assert "not-applicable" in statuses
 
 
 def test_plot_files(origin_run):
