@@ -4,13 +4,15 @@ The residual check differentiates the nodal flux once, in the log nodes
 (first derivative on scattered nodes, closed-form 7-point Lagrange weights
 in ln x); values are never second-differenced.  The far-field limits and the
 decay class are read off the state (X, Y) = (r f_r / f, r^2 f^{1-m}) at the
-profile's f-side far end: its distance from the fast point's stable
-manifold, whose series localsolve sums, and from the slow fixed point.  The
-inequality verdicts and the shape are sign conditions on X, read at every
-node.  The anomalous exponent is the beta at which the origin profile joins
-the fast-decay saddle: the root of the gap in 1/Y, Y = r^2 f^{1-m}, between
-the far-field and the origin manifold where each first crosses X = -2/(1-m),
-each integrated from its series seam to that crossing and no farther.
+profile's f-side far end, formed by profile.Chart, which maps both ways
+between a node and its reduced state: its distance from the fast point's
+stable manifold, whose series localsolve sums, and from the slow fixed
+point.  The inequality verdicts and the shape are sign conditions on X,
+read at every node.  The anomalous exponent is the beta at which the
+origin profile joins the fast-decay saddle: the root of the gap in 1/Y,
+Y = r^2 f^{1-m}, between the far-field and the origin manifold where each
+first crosses X = -2/(1-m), each integrated from its series seam to that
+crossing and no farther.
 """
 from __future__ import annotations
 
@@ -92,7 +94,7 @@ def ode_residual(profile: Profile) -> float:
     inner, nbr, w = stencil(ln_x)
     qc, sc = q[inner], s[inner]
     lhs = (w * (s[nbr] * np.exp(q[nbr] - qc) - sc)).sum(axis=0)
-    Y = np.exp(abs(chart.lam) * ln_x[inner] + (1.0 - p.m) * ln_v[inner])
+    Y = np.exp(chart.reduced(ln_x, ln_v, s)[1][inner])
     den = np.abs(lhs) + Y * (abs(chart.A) + abs(chart.B) * np.abs(sc))
     keep = den != 0.0
     defect = np.abs(lhs + Y * (chart.A + chart.B * sc))[keep] / den[keep]
@@ -156,10 +158,10 @@ def _far_end(profile: Profile):
     """(ln r, X, Y) at the f-side far end of the profile: its last origin
     node, or the Kelvin image r = 1/s of its first far-field node."""
     chart, i = profile.chart, -1 if profile.kind is ProfileKind.ORIGIN else 0
-    ln_x, ln_v, _ = profile._log_nodes
-    _, u, x_star = profile.fside_slope
-    return (float(math.copysign(1.0, chart.lam) * ln_x[i]), float(x_star + u[i]),
-            math.exp(abs(chart.lam) * ln_x[i] + (1.0 - profile.params.m) * ln_v[i]))
+    ln_x, ln_v, s = (a[i] for a in profile._log_nodes)
+    u, Z = chart.reduced(ln_x, ln_v, s)
+    return (float(math.copysign(1.0, chart.lam) * ln_x), float(profile.fside_slope[2] + u),
+            math.exp(Z))
 
 
 def _manifold_theta(y: list, Y: float, theta: float) -> float | None:
@@ -240,8 +242,7 @@ def asymptotic_limits(profile: Profile) -> LimitEstimates:
     bar = math.hypot(X - x_lim, Y - y_lim)
     slope_origin = None
     if profile.kind is ProfileKind.ORIGIN:
-        x0 = profile.r[0] * profile.vr[0] / profile.v[0]
-        slope_origin = Estimate(0.0, abs(float(x0)))
+        slope_origin = Estimate(0.0, abs(float(profile._log_nodes[2][0])))
     return LimitEstimates(l1=l1, l2=l2, l3=Estimate(y_lim, bar),
                           slope_far=Estimate(x_lim, bar), slope_origin=slope_origin)
 
@@ -300,9 +301,11 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     With X = X* + u from Profile.fside_slope, the first, third and fourth are
     f + (m/(n-2)) r f_r, alpha f + beta r f_r and alpha~ g + beta~ s g_s
     over positive multiples of f or g; the f-side two are summed as
-    (a + b X*) + b u, so that X* = -k never cancels against k.  Margins are
-    the least values of these forms; at_r is an f-side radius, except for
-    drift_positivity_g and monotone_decreasing, which report native ones.
+    (a + b X*) + b u, so that X* = -k never cancels against k.  In the far
+    field alpha - k beta is alpha~, so the two drift verdicts check one
+    form, at f-side and at native radii.  Margins are the least values of
+    these forms; at_r is an f-side radius, except for drift_positivity_g
+    and monotone_decreasing, which report native ones.
     """
     p = profile.params
     flags = classify_regime(p)
@@ -310,10 +313,10 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     origin = profile.kind is ProfileKind.ORIGIN
     out = dict.fromkeys(("mass_monotonicity", "eta_upper_bound", "drift_positivity_f",
                          "drift_positivity_g", "monotone_decreasing"), NOT_APPLICABLE)
+    drift = (p.alpha + p.beta * x_star) + p.beta * u
     out["mass_monotonicity"] = Verdict.check((p.k + x_star) + u, r)
     if p.beta > 0.0:
-        out["drift_positivity_f"] = Verdict.check(
-            (p.alpha + p.beta * x_star) + p.beta * u, r)
+        out["drift_positivity_f"] = Verdict.check(drift, r)
     if (flags.origin_admissible if origin else p.alpha_tilde > 0.0):
         out["monotone_decreasing"] = Verdict.check(-profile.vr, profile.r)
     if origin:
@@ -321,7 +324,7 @@ def verify_inequalities(profile: Profile) -> dict[str, Verdict]:
     out["eta_upper_bound"] = Verdict.check(profile.boundary - profile.v, r,
                                            tie_sign=-profile.vr)
     if flags.lemma_applicable:
-        out["drift_positivity_g"] = Verdict.check(p.alpha_tilde + p.beta * u, profile.r)
+        out["drift_positivity_g"] = Verdict.check(drift, profile.r)
     return out
 
 
@@ -475,50 +478,47 @@ def find_anomalous_beta(n: int, m: float, rho1: float, eta0: float,
 # space-time solution
 
 
-def selfsimilar_eval(profile: Profile, T: float, x_norm: float, t: float) -> float:
-    """V(x, t) = (T-t)^alpha f((T-t)^beta |x|), f by dense interpolation."""
-    if not t < T:
-        raise DomainError(f"t={t} violates t < T={T}")
+def selfsimilar_eval(profile: Profile, T: float, x_norm, t):
+    """V(x, t) = (T-t)^alpha f((T-t)^beta |x|), f by dense interpolation.
+    x_norm and t broadcast, a scalar pair gives a float, and a refusal names
+    the first point that breaks t < T or leaves the stored range."""
+    t = np.asarray(t, dtype=float)
+    if (late := ~(t < T)).any():
+        raise DomainError(f"t={t[late][0]} violates t < T={T}")
     p = profile.params
     tau = T - t
-    rr = tau ** p.beta * x_norm
-    lo, hi = profile.fside_span
-    if not (lo <= rr <= hi):
+    rr = tau ** p.beta * np.asarray(x_norm, dtype=float)
+    lo, hi = sorted(profile.fside_slope[0][[0, -1]])
+    if (out := ~((lo <= rr) & (rr <= hi))).any():
         raise RangeError(
-            f"rescaled radius {rr:g} outside the stored range [{lo:g}, {hi:g}]")
+            f"rescaled radius {rr[out][0]:g} outside the stored range [{lo:g}, {hi:g}]")
     f, _ = fside_samples(profile, rr)
-    return float(tau ** p.alpha * f)
+    V = tau ** p.alpha * f
+    return float(V) if V.ndim == 0 else V
 
 
 def pde_residual_V(profile: Profile, T: float, space_grid, time_grid,
                    h: float) -> float:
     """Max relative defect of u_t = Laplacian(u^m/m) on the sampled grid.
 
-    Second-order central differences in t and in the radial direction; the
-    defect is scaled by the magnitudes of the terms entering the equation.
+    Second-order central differences in t and in the radial direction, on
+    the whole (x, t) grid at once; the defect is scaled by the magnitudes
+    of the terms entering the equation.  A NaN defect (every term zero) is
+    skipped, and no point left reads 0.0.
     """
     p = profile.params
-    m = p.m
-    n1 = p.n - 1.0
-    worst = 0.0
-    for x in np.asarray(space_grid, dtype=float):
-        if x - h <= 0.0:
-            raise RangeError(f"radial stencil at x={x:g} reaches r <= 0 with h={h:g}")
-        for t in np.asarray(time_grid, dtype=float):
-            Vt = (selfsimilar_eval(profile, T, x, t + h)
-                  - selfsimilar_eval(profile, T, x, t - h)) / (2.0 * h)
-            w0 = selfsimilar_eval(profile, T, x, t) ** m / m
-            wp = selfsimilar_eval(profile, T, x + h, t) ** m / m
-            wm = selfsimilar_eval(profile, T, x - h, t) ** m / m
-            wxx = (wp - 2.0 * w0 + wm) / h ** 2
-            wx1 = n1 / x * (wp - wm) / (2.0 * h)
-            den = abs(Vt) + abs(wxx) + abs(wx1)
-            if den == 0.0:
-                continue
-            defect = abs(Vt - wxx - wx1) / den
-            if defect > worst:
-                worst = defect
-    return worst
+    x = np.asarray(space_grid, dtype=float)[:, None]
+    t = np.asarray(time_grid, dtype=float)
+    if (near := x - h <= 0.0).any():
+        raise RangeError(f"radial stencil at x={x[near][0]:g} reaches r <= 0 with h={h:g}")
+    Vt = (selfsimilar_eval(profile, T, x, t + h)
+          - selfsimilar_eval(profile, T, x, t - h)) / (2.0 * h)
+    w0, wp, wm = (selfsimilar_eval(profile, T, y, t) ** p.m / p.m for y in (x, x + h, x - h))
+    wxx = (wp - 2.0 * w0 + wm) / h ** 2
+    wx1 = (p.n - 1.0) / x * (wp - wm) / (2.0 * h)
+    with np.errstate(invalid="ignore"):   # 0/0 where every term vanishes
+        defect = np.abs(Vt - wxx - wx1) / (np.abs(Vt) + np.abs(wxx) + np.abs(wx1))
+    return float(np.fmax.reduce(defect, axis=None, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,8 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return x if math.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

@@ -11,8 +11,8 @@ terms are below tol.  Dense output is cubic Hermite of ln v in ln x.
 
 section_Y, for the beta* gap, runs the same integration from the series'
 seam state to the section X = -2/(1-m), the nullcline of Y, whose
-crossing is the run's last node, and reads Y there; it builds no Profile.
-Each builds its chart once and passes it down.
+crossing is the run's last node, and reads Y there; it builds no Profile
+and builds its chart once (a solve builds one per stage).
 """
 from __future__ import annotations
 
@@ -66,10 +66,9 @@ def _advance(chart: Chart, x0: float, v0: float, vr0: float, r_max: float,
             f"r_max={r_max} is below the start radius {x0} "
             f"(a solve starts at the series seam eps)")
     p = chart.params
-    # the start state (u, Z): x v_x / v = sign(lam) u and Y = x^|lam| v^{1-m}
     x, u, Z, event = kernels.integrate_flux_system(
-        chart.lam, chart.mu, chart.A, p.m, p.beta, x0, np.sign(chart.lam) * x0 * vr0 / v0,
-        abs(chart.lam) * np.log(x0) + (1.0 - p.m) * np.log(v0), r_max, tol)
+        chart.lam, chart.mu, chart.A, p.m, p.beta, x0,
+        *chart.reduced(np.log(x0), np.log(v0), x0 * vr0 / v0), r_max, tol)
     with np.errstate(all="ignore"):   # refused just below
         v, vr = chart.native(x, u, Z)
         v[0], vr[0] = v0, vr0   # the start state as given, not its image in (u, Z)

@@ -4,8 +4,9 @@ A Profile concatenates the local nodes of the manifold series (spaced by
 tol, widest deep below the seam) with the nodes of the outward integration,
 each one that Chart.first_unstorable admits.  A node is (r, v, v_r); the
 checks and the dense output read it as (ln x, ln v, x v_x / v), the chart's
-own variables.  Dense evaluation is C1 cubic Hermite of ln v in ln x with
-the nodal log-slopes, and never re-differences values.
+own variables, which Chart maps both ways to the reduced state (u, ln Y).
+Dense evaluation is C1 cubic Hermite of ln v in ln x with the nodal
+log-slopes, and never re-differences values.
 """
 from __future__ import annotations
 
@@ -41,9 +42,11 @@ class Chart:
     the residual checks.  The chart's datum is an invariant manifold of a fixed
     point X* of the reduced system in u = X - X*, Z = ln Y (see localsolve
     and kernels): lam is the fixed point's eigenvalue along the manifold, mu
-    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u.  A datum
-    b has one length, datum_length(b), where theta = b^{1-m} x^|lam| is 1;
-    a run builds its chart once, by Chart.of, and passes it to every stage.
+    the other one, and Y = x^|lam| v^{1-m}, x v_x / v = sign(lam) u: reduced
+    maps a node to (u, Z = ln Y), native maps back.  A datum b has one
+    length, datum_length(b), where theta = b^{1-m} x^|lam| is 1.  section_Y
+    builds its chart once; a solve builds one in picard_*, one in
+    continue_profile and one on its Profile, the decay read a far-field one.
     """
     params: ProfileParams
     kind: ProfileKind
@@ -63,6 +66,10 @@ class Chart:
         """x_b = b^{-(1-m)/|lam|}, or inf where that leaves the doubles."""
         ln_x = -(1.0 - self.params.m) / abs(self.lam) * math.log(b)
         return math.exp(ln_x) if ln_x < 709.78 else math.inf
+
+    def reduced(self, ln_x, ln_v, s):
+        """The reduced state (u, Z) of nodes (ln x, ln v, s = x v_x / v)."""
+        return np.sign(self.lam) * s, abs(self.lam) * ln_x + (1.0 - self.params.m) * ln_v
 
     def native(self, x, u, Z):
         """(v, v_x) at chart radius x from the reduced state (u, Z)."""
@@ -143,14 +150,8 @@ class Profile:
     def chart(self) -> Chart:
         return Chart.of(self.params, self.kind)
 
-    @property
-    def fside_span(self) -> tuple[float, float]:
-        """(lowest, highest) f-side radius the stored nodes represent."""
-        if self.kind is ProfileKind.ORIGIN:
-            return float(self.r[0]), self.r_end
-        return 1.0 / self.r_end, 1.0 / float(self.r[0])
-
     @functools.cached_property
+    @np.errstate(all="ignore")   # a NaN node reads NaN
     def _log_nodes(self):
         """(ln x, ln v, x v_x / v) at the nodes: the dense output's knots."""
         return np.log(self.r), np.log(self.v), self.r * self.vr / self.v
@@ -160,8 +161,7 @@ class Profile:
         """(r, u, X*) at the nodes, in stored order: the f-side radius (r, or
         1/s), the chart's own u = sign(lam) x v_x / v and its fixed point X*
         (0, or -k in the far field), so that X = r f_r / f = X* + u."""
-        with np.errstate(all="ignore"):   # a NaN node reads NaN
-            u = np.sign(self.chart.lam) * (self.r * self.vr / self.v)
+        u, _ = self.chart.reduced(*self._log_nodes)
         if self.kind is ProfileKind.ORIGIN:
             return self.r, u, 0.0
         return 1.0 / self.r, u, -self.params.k

@@ -340,7 +340,7 @@ def test_shape_monotone_on_closed_form_farfield():
 def _dense_maximum(prof):
     """The f-side radius of the dense output's largest f, as the zero of the
     dense f_r next to the largest f on a fine grid; None at a span end."""
-    r = np.geomspace(*prof.fside_span, 20001)
+    r = np.geomspace(*sorted(prof.fside_slope[0][[0, -1]]), 20001)
     i = int(np.argmax(fside_samples(prof, r)[0]))
     if i in (0, len(r) - 1):
         return None
@@ -851,6 +851,21 @@ class TestSelfSimilarEval:
         with pytest.raises(RangeError, match="outside the stored range"):
             selfsimilar_eval(closed_form_origin, 2.0, 1000.0, 1.0)
 
+    def test_arrays_broadcast_to_the_scalar_values(self, closed_form_origin):
+        xs, ts = np.array([[0.25], [7.0], [60.0]]), np.array([0.5, 1.0, 1.5])
+        got = selfsimilar_eval(closed_form_origin, 2.0, xs, ts)
+        assert got.shape == (3, 3)
+        for (i, j), v in np.ndenumerate(got):
+            assert v == pytest.approx(
+                selfsimilar_eval(closed_form_origin, 2.0, float(xs[i, 0]), float(ts[j])),
+                rel=1e-14)
+
+    def test_array_refusals_name_the_first_bad_point(self, closed_form_origin):
+        with pytest.raises(DomainError, match=r"^t=2.5 violates t < T=2.0$"):
+            selfsimilar_eval(closed_form_origin, 2.0, 1.0, [1.0, 2.5, 3.0])
+        with pytest.raises(RangeError, match="rescaled radius 1000 outside"):
+            selfsimilar_eval(closed_form_origin, 2.0, [1.0, 1000.0, 2000.0], 1.0)
+
 
 class TestPdeResidual:
     def test_static_params_reduce_to_the_stationary_defect(self):
@@ -882,6 +897,29 @@ class TestPdeResidual:
         resid = pde_residual_V(prof, 2.0, np.linspace(1.0, 2.0, 4),
                                np.linspace(1.2, 1.8, 3), 1e-3)
         assert resid <= 1e-4
+
+    @pytest.mark.parametrize("kind, n, m, beta", [("origin", 5, 0.45, 0.2),
+                                                  ("farfield", 4, 1 / 3, 0.1)])
+    def test_grid_defect_is_the_pointwise_loops(self, cache, kind, n, m, beta):
+        """The whole-grid defect against the loop over single points it
+        replaced.  The arithmetic is the same up to the rounding of each
+        power, which the second difference scales by 1/h^2."""
+        prof = getattr(cache, kind)(n, m, beta)
+        h, xs, ts = 1e-3, np.linspace(1.0, 2.0, 5), np.linspace(1.2, 1.8, 4)
+        V = functools.partial(selfsimilar_eval, prof, 2.0)
+        worst = 0.0
+        for x in xs:
+            for t in ts:
+                Vt = (V(x, t + h) - V(x, t - h)) / (2.0 * h)
+                w0, wp, wm = (V(y, t) ** m / m for y in (x, x + h, x - h))
+                wxx = (wp - 2.0 * w0 + wm) / h ** 2
+                wx1 = (n - 1.0) / x * (wp - wm) / (2.0 * h)
+                den = abs(Vt) + abs(wxx) + abs(wx1)
+                if den != 0.0:
+                    worst = max(worst, abs(Vt - wxx - wx1) / den)
+        assert worst > 0.0
+        assert pde_residual_V(prof, 2.0, xs, ts, h) == pytest.approx(
+            worst, rel=0.0, abs=100.0 * np.finfo(float).eps / h ** 2)
 
     def test_stencil_must_stay_positive(self, closed_form_origin):
         with pytest.raises(RangeError, match="reaches r <= 0"):

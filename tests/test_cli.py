@@ -264,6 +264,40 @@ def test_verify_refuses_a_node_no_solve_stores(origin_run, farfield_run, tmp_pat
     assert f"{name}: row 18: " in err and err.count("\n") == 1
 
 
+def _drop_terminal_event(text):
+    report = json.loads(text)
+    del report["terminal_event"]
+    return json.dumps(report)
+
+
+@pytest.mark.parametrize("header, report, fragment", [
+    ("r,v,v_r", str, "header must be r,f,f_r or r,g,g_r"),
+    ("r,f,f_r", None, "cannot read report"),
+    ("r,f,f_r", lambda text: text[:-3], "cannot read report"),
+    ("r,f,f_r", _drop_terminal_event, "is missing usable params"),
+], ids=["unknown-header", "no-report", "report-not-json", "no-terminal-event"])
+def test_verify_refuses_input_it_cannot_read(origin_run, tmp_path, capsys, header,
+                                             report, fragment):
+    """verify reads the report next to the CSV; a CSV of unknown columns, a
+    missing or cut report and one without a terminal event are refused."""
+    lines = Path(origin_run, "profile.csv").read_text().splitlines()
+    (tmp_path / "profile.csv").write_text("\n".join([header, *lines[1:]]) + "\n")
+    if report is not None:
+        text = Path(origin_run, "report.json").read_text()
+        (tmp_path / "report.json").write_text(report(text))
+    code, out, err = run_cli(capsys, "verify", str(tmp_path / "profile.csv"))
+    assert (code, out) == (1, "")
+    assert fragment in err and err.count("\n") == 1
+
+
+def test_solve_into_a_regular_file_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    code, out, err = run_cli(capsys, "solve-origin", "--n", "4", "--m", M13,
+                             "--beta", "0.0", "--out", str(tmp_path / "taken"))
+    assert (code, out) == (1, "")
+    assert err.startswith("io error: ") and err.count("\n") == 1
+
+
 _FIELD = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                    st.text(max_size=8))
 _ROW = st.one_of(st.text(max_size=30),
@@ -467,6 +501,7 @@ def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
     ("--rmax", "nan", "r_max=nan violates 0 < r_max < inf"),
     ("--eta0", "-1", "eta0=-1.0 violates 0 < eta0 < inf"),
     ("--rho1", "0", "rho1=0.0 violates 0 < rho1 < inf"),
+    ("--n", ",", "n axis is empty"),
 ])
 def test_sweep_settings_fail_fast(flag, value, fragment, tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "4", "--m", "0.3:0.35:2",
