@@ -16,14 +16,14 @@ from .analysis import (BadBracket, BetaSearchResult, DecayClass, DecayLabel,
 from .integrate import (ContinuationFailed, OdeState, Trajectory, advance_f,
                         continue_profile, solve_farfield_profile,
                         solve_origin_profile)
-from .inversion import fside_nodes, fside_samples, invert_pointwise, roundtrip
 from .kernels import NUMBA_ENABLED
 from .localsolve import (LocalSolution, LocalStageFailed, picard_f_origin,
                          picard_g_origin, singular_slope_limit)
 from .params import (DomainError, ProfileParams, RegimeFlags, classify_regime,
                      derive_params, require_farfield_admissible,
                      require_origin_admissible)
-from .profile import Profile, ProfileKind, TerminalEvent
+from .profile import (Profile, ProfileKind, TerminalEvent, fside_nodes,
+                      fside_samples, invert_pointwise, roundtrip)
 
 __version__ = "0.1.0"
 

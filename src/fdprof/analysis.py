@@ -26,11 +26,10 @@ import numpy as np
 # perfbench traces solve_origin_profile here (integrate.probe), though no
 # check calls it
 from .integrate import section_Y, solve_origin_profile
-from .inversion import fside_samples
-from .localsolve import series_order, series_terms
+from .localsolve import _settled, manifold_orders, series_terms
 from .params import (DomainError, ProfileParams, classify_regime, derive_params,
                      require_origin_admissible)
-from .profile import Chart, Profile, ProfileKind, TerminalEvent
+from .profile import Chart, Profile, ProfileKind, TerminalEvent, fside_samples
 
 
 class BadBracket(RuntimeError):
@@ -185,18 +184,21 @@ def _read(p: ProfileParams, tol: float, X: float, Y: float):
     asymptotic_limits and classify_decay on one profile sum the series once.
 
     theta is the coordinate of the fast point's stable manifold (the
-    far-field chart's series, to the order series_order sets there) at the
-    state's Y, and du = X + k - U(theta) the state's distance from it along X
-    (inf where theta is None).  Fast when |du| <= (n-2) sqrt(tol), where
+    far-field chart's series, at the least order manifold_orders yields that
+    settles there) at the state's Y, each order's Newton starting from the
+    last order's root, and du = X + k - U(theta) the state's distance from it
+    along X (inf where theta is None).  Fast when |du| <= (n-2) sqrt(tol), where
     L1 is known to about half the digits the solve was asked for.  Slow
     when the slow point (-2/(1-m), Y*) attracts, which its Jacobian's
     trace -(n-2) + 4m/(1-m) - beta Y* < 0 decides (its determinant rho1 Y*
     is positive), and the state lies nearer to it than to (-k, 0).
     Undetermined otherwise.
     """
-    roots = [Y]   # each order's Newton starts from the last order's root, or Y (y_1 = 1)
-    _, _, theta, terms = series_order(Chart.of(p, ProfileKind.FARFIELD), tol, lambda u, y: (
-        roots.append(_manifold_theta(y, Y, roots[-1] or Y)) or roots[-1]))
+    theta = None   # no root yet: Newton starts from Y (y_1 = 1)
+    for u, y in manifold_orders(Chart.of(p, ProfileKind.FARFIELD)):
+        theta = _manifold_theta(y, Y, theta or Y)
+        if theta and _settled(*(terms := series_terms(u, y, theta)), tol):
+            break
     du = math.inf if theta is None else X + p.k - sum(terms[0])
     y_slow = l3_reference(p)
     trace = -(p.n - 2.0) + 4.0 * p.m / (1.0 - p.m) - p.beta * y_slow
@@ -503,8 +505,9 @@ def pde_residual_V(profile: Profile, T: float, space_grid, time_grid,
 
     Second-order central differences in t and in the radial direction, on
     the whole (x, t) grid at once; the defect is scaled by the magnitudes
-    of the terms entering the equation.  A NaN defect (every term zero) is
-    skipped, and no point left reads 0.0.
+    of the terms entering the equation.  Points where every term vanishes
+    are skipped; a NaN defect at any other point, or no point left, reads
+    NaN, as in ode_residual.
     """
     p = profile.params
     x = np.asarray(space_grid, dtype=float)[:, None]
@@ -516,9 +519,10 @@ def pde_residual_V(profile: Profile, T: float, space_grid, time_grid,
     w0, wp, wm = (selfsimilar_eval(profile, T, y, t) ** p.m / p.m for y in (x, x + h, x - h))
     wxx = (wp - 2.0 * w0 + wm) / h ** 2
     wx1 = (p.n - 1.0) / x * (wp - wm) / (2.0 * h)
+    den = np.abs(Vt) + np.abs(wxx) + np.abs(wx1)
     with np.errstate(invalid="ignore"):   # 0/0 where every term vanishes
-        defect = np.abs(Vt - wxx - wx1) / (np.abs(Vt) + np.abs(wxx) + np.abs(wx1))
-    return float(np.fmax.reduce(defect, axis=None, initial=0.0))
+        defect = (np.abs(Vt - wxx - wx1) / den)[den != 0.0]
+    return float(np.max(defect)) if defect.size else math.nan
 
 
 # ---------------------------------------------------------------------------

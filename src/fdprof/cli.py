@@ -19,12 +19,12 @@ import numpy as np
 
 from . import analysis
 from .analysis import BadBracket, build_report
-from .integrate import (ContinuationFailed, _require_run_settings,
-                        solve_farfield_profile, solve_origin_profile)
-from .inversion import fside_nodes, invert_pointwise
+from .integrate import (ContinuationFailed, solve_farfield_profile,
+                        solve_origin_profile)
 from .localsolve import LocalStageFailed
-from .params import DomainError, derive_params
-from .profile import Profile, ProfileKind, TerminalEvent
+from .params import DomainError, derive_params, require_positive
+from .profile import (Profile, ProfileKind, TerminalEvent, fside_nodes,
+                      invert_pointwise)
 
 RESIDUAL_FACTOR = 100.0   # verification threshold: residual <= factor * tol
 REQUIRED = ("n", "m", "beta", "eta")   # the value options without a default
@@ -201,6 +201,7 @@ def _read_profile_csv(path: str):
 
 
 def cmd_verify(ns) -> int:
+    require_positive(tol=ns.tol)
     kind, r, v, vr = _read_profile_csv(ns.profile_csv)
     report_path = ns.report or os.path.join(os.path.dirname(ns.profile_csv) or ".",
                                             "report.json")
@@ -291,7 +292,7 @@ def _sweep_tuple(idx, n, m, beta, rho1, eta0, rmax, tol, out):
 
 def cmd_sweep(ns) -> int:
     # settings shared by every tuple are refused once, not once per row
-    _require_run_settings(ns.rmax, ns.tol, eta0=ns.eta0, rho1=ns.rho1)
+    require_positive(r_max=ns.rmax, tol=ns.tol, eta0=ns.eta0, rho1=ns.rho1)
     if ns.workers < 1:
         raise DomainError(f"workers={ns.workers} violates workers >= 1")
     os.makedirs(ns.out, exist_ok=True)

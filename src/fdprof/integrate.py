@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .localsolve import (GAP_SEAM, LocalSolution, check_datum, picard_f_origin,
                          picard_g_origin, series_seam)
-from .params import DomainError, ProfileParams
+from .params import DomainError, ProfileParams, require_positive
 from .profile import Chart, Profile, ProfileKind, TerminalEvent
 
 @dataclass(frozen=True)
@@ -121,16 +121,10 @@ def continue_profile(params: ProfileParams, loc: LocalSolution, r_max: float,
     return prof
 
 
-def _require_run_settings(r_max: float, tol: float, **more: float) -> None:
-    for name, x in (("r_max", r_max), ("tol", tol), *more.items()):
-        if not (math.isfinite(x) and x > 0.0):
-            raise DomainError(f"{name}={x} violates 0 < {name} < inf")
-
-
 def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
                          tol: float = 1e-9) -> Profile:
     """Full origin profile: series near r = 0, then Taylor continuation."""
-    _require_run_settings(r_max, tol)
+    require_positive(r_max=r_max, tol=tol)
     loc = picard_f_origin(params, eta0, tol, r_max)
     return continue_profile(params, loc, r_max, tol=tol)
 
@@ -138,7 +132,7 @@ def solve_origin_profile(params: ProfileParams, eta0: float, r_max: float,
 def solve_farfield_profile(params: ProfileParams, eta: float, r_max: float,
                            tol: float = 1e-9) -> Profile:
     """Full far-field profile in the inverted variable, from g(0) = eta."""
-    _require_run_settings(r_max, tol)
+    require_positive(r_max=r_max, tol=tol)
     loc = picard_g_origin(params, eta, tol, r_max)
     return continue_profile(params, loc, r_max, tol=tol)
 
@@ -160,7 +154,7 @@ def section_Y(p: ProfileParams, kind: ProfileKind, boundary: float, tol: float):
     c = Chart.of(p, kind)
     check_datum(c, boundary)
     reach = SECTION_REACH * c.datum_length(boundary)
-    _require_run_settings(reach, tol)
+    require_positive(r_max=reach, tol=tol)
     seam = series_seam(c, boundary, reach, GAP_SEAM, tol)
     u_sec = -c.lam / (1.0 - p.m)
     if (seam.u - u_sec) * u_sec >= 0.0:   # not on the fixed point's side, u = 0

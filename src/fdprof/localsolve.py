@@ -16,8 +16,8 @@ b^{1-m} x^|lam|, v = b (Y/theta)^{1/(1-m)} and x v_x / v = sign(lam) u.
 series_seam places the seam at a fraction of the root-test radius, a quarter
 for a solve (capped at r_max and at the datum's length Chart.datum_length(b),
 where theta = 1) and GAP_SEAM for a beta* gap (capped only by its reach, so
-its stepper starts farther out), and sums the series there to the order
-series_order sets from tol, on the size of the last terms it sums.  _local
+its stepper starts farther out), and sums the series there at the least
+order manifold_orders yields whose last terms there settle below tol.  _local
 places the nodes below the seam for the dense output's cubic Hermite of ln v
 in ln x; kernels continues the same (u, ln Y) state outward.  Coefficients
 and seam sums are plain floats, as in the stepper: on at most ORDER + 1
@@ -31,8 +31,8 @@ from operator import mul
 
 import numpy as np
 
-from .params import (DomainError, ProfileParams, require_farfield_admissible,
-                     require_origin_admissible)
+from .params import (ProfileParams, require_farfield_admissible,
+                     require_origin_admissible, require_positive)
 from .profile import Chart, ProfileKind
 
 ORDER = 60      # the ceiling of every series order
@@ -70,15 +70,14 @@ def _settled(zu: list, zy: list, tol: float) -> bool:
             and max(map(abs, zy[-2:])) <= 0.01 * tol * abs(sum(zy)))
 
 
-def series_order(chart: Chart, tol: float, theta_at, start: int = 4):
-    """(u, y, theta, (zu, zy)): the chart's manifold coefficients (u_j),
-    (y_j), j = 0..N, theta = theta_at(u, y), where the caller sums them, and
-    their terms there (series_terms; None where theta is).
+def manifold_orders(chart: Chart, start: int = 4):
+    """Yield the chart's manifold coefficients (u, y) = ((u_j), (y_j)),
+    j = 0..N, at each order N >= start, in steps of 4 up to the ceiling ORDER.
 
-    N is the least order >= start, in steps of 4 up to the ceiling ORDER, at
-    which the last two terms of u and of Y/theta there are below tol/100 of
-    what they enter, as Taylor methods stop (Jorba & Zou, Exp. Math. 14,
-    2005); a theta of None does not settle.  At the ceiling the caller decides.
+    Each caller sums the terms at its own theta and stops at the least order
+    whose last two terms of u and of Y/theta are below tol/100 of what they
+    enter (_settled), as Taylor methods stop (Jorba & Zou, Exp. Math. 14,
+    2005); at the ceiling the caller decides.
     """
     p = chart.params
     m, beta, A, lam, mu = (float(x) for x in (p.m, p.beta, chart.A, chart.lam, chart.mu))
@@ -89,12 +88,7 @@ def series_order(chart: Chart, tol: float, theta_at, start: int = 4):
             ys.append((1.0 - m) * uy / (lam * (j - 1)) if j > 1 else 1.0)
             us.append(-(m * sum(map(mul, us, reversed(us))) + A * ys[-1] + beta * uy)
                       / (lam * j - mu))
-        u, y = [0.0, *us], [0.0, *ys]
-        theta = theta_at(u, y)
-        terms = None if theta is None else series_terms(u, y, theta)
-        if terms and _settled(*terms, tol):
-            break
-    return u, y, theta, terms
+        yield [0.0, *us], [0.0, *ys]
 
 
 @np.errstate(divide="ignore", over="ignore")   # an inf bound does not bind
@@ -155,16 +149,14 @@ def check_datum(chart: Chart, b: float) -> None:
         require_origin_admissible(chart.params)
     else:
         require_farfield_admissible(chart.params)
-    if not 0.0 < b < math.inf:
-        name = "eta0" if origin else "eta"
-        raise DomainError(f"{name} must be positive and finite, got {b}")
+    require_positive(**{"eta0" if origin else "eta": b})
 
 
 @np.errstate(over="ignore")   # theta past the doubles is inf, its terms inf or NaN
 def series_seam(chart: Chart, b: float, x_cap: float, fraction: float,
                 tol: float) -> Seam:
     """The chart's manifold series for a datum b that check_datum admits,
-    summed at its seam to the order series_order sets from tol.
+    summed at its seam to the least order manifold_orders yields that settles.
 
     At each order the seam sits at fraction of the root-test radius in
     theta, 1/rho with rho the greatest |c_j|^{1/j} of u and y over the last
@@ -175,10 +167,8 @@ def series_seam(chart: Chart, b: float, x_cap: float, fraction: float,
     radius that under- or overflows a float, is a LocalStageFailed.
     """
     p, kind, e = chart.params, chart.kind, abs(chart.lam)
-    one_m, eps = 1.0 - p.m, x_cap
-
-    def seam_theta(u: list, y: list) -> float:
-        nonlocal eps
+    one_m = 1.0 - p.m
+    for u, y in manifold_orders(chart, math.ceil(math.log(0.01 * tol) / math.log(fraction))):
         if not all(map(math.isfinite, u + y)):
             raise LocalStageFailed(
                 f"{kind.value} series coefficients overflow at sigma={p.sigma:.3g}")
@@ -190,10 +180,9 @@ def series_seam(chart: Chart, b: float, x_cap: float, fraction: float,
         if not 0.0 < eps < math.inf:
             raise LocalStageFailed(f"{kind.value} series seam radius {eps:.3g} "
                                    f"underflows or overflows (sigma={p.sigma:.3g})")
-        return float(b ** one_m * np.float64(eps) ** e)
-
-    u, y, _, (zu, zy) = series_order(
-        chart, tol, seam_theta, math.ceil(math.log(0.01 * tol) / math.log(fraction)))
+        zu, zy = series_terms(u, y, float(b ** one_m * np.float64(eps) ** e))
+        if _settled(zu, zy, tol):
+            break
     if not all(map(math.isfinite, zu + zy)):
         raise LocalStageFailed(
             f"{kind.value} series terms overflow at the seam (sigma={p.sigma:.3g})")

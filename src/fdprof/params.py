@@ -5,6 +5,7 @@ the package recomputes exponents from (n, m, rho1, beta).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -52,8 +53,15 @@ class RegimeFlags:
     lemma_applicable: bool  # alpha_tilde > 0, beta_tilde != 0, quotient bound
 
 
+def require_positive(**values: float) -> None:
+    """Refuse the first named setting that is not a positive finite number."""
+    for name, x in values.items():
+        if not 0.0 < x < math.inf:
+            raise DomainError(f"{name}={x} violates 0 < {name} < inf")
+
+
 def derive_params(n: int, m: float, rho1: float, beta: float) -> ProfileParams:
-    """Validate (n, m, rho1) and populate every derived exponent.
+    """Validate (n, m, rho1, beta) and populate every derived exponent.
 
     Raises DomainError naming the violated inequality.
     """
@@ -62,8 +70,9 @@ def derive_params(n: int, m: float, rho1: float, beta: float) -> ProfileParams:
     n = int(n)
     if not (0.0 < m < (n - 2) / n):
         raise DomainError(f"m must satisfy 0 < m < (n-2)/n = {(n - 2) / n:.17g}, got {m}")
-    if not rho1 > 0.0:
-        raise DomainError(f"rho1 must be > 0, got {rho1}")
+    require_positive(rho1=rho1)
+    if not math.isfinite(beta):
+        raise DomainError(f"beta={beta} violates -inf < beta < inf")
     if not n - 2 - n * m > 0.0:
         raise DomainError(
             f"m={m!r} is too close to (n-2)/n: n - 2 - n*m = {n - 2 - n * m!r} "

@@ -12,7 +12,7 @@ import pytest
 from fdprof import (ContinuationFailed, ProfileKind, derive_params, integrate,
                     solve_farfield_profile, solve_origin_profile)
 from fdprof.analysis import stencil
-from fdprof.localsolve import series_order
+from fdprof.localsolve import manifold_orders
 from fdprof.profile import Chart
 
 RMAX = 100.0
@@ -109,8 +109,7 @@ def advance_g(p, state, r_max, tol=1e-9):
 
 def manifold_series(p, kind):
     """The chart's manifold coefficients (u_j), (y_j), j <= ORDER, as arrays."""
-    # a sum that never settles takes the ceiling's ORDER terms
-    u, y, *_ = series_order(Chart.of(p, kind), 1.0, lambda u, y: None)
+    *_, (u, y) = manifold_orders(Chart.of(p, kind))   # the ceiling's order
     return np.array(u), np.array(y)
 
 

@@ -17,8 +17,7 @@ from fdprof import (classify_regime, derive_params, roundtrip,
 from fdprof.analysis import (asymptotic_limits, classify_shape,
                              find_anomalous_beta, ode_residual, pde_residual_V,
                              verify_inequalities)
-from fdprof.inversion import fside_nodes
-from fdprof.profile import Profile, ProfileKind, TerminalEvent
+from fdprof.profile import Profile, ProfileKind, TerminalEvent, fside_nodes
 
 
 def report(num, ok, detail):

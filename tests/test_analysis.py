@@ -23,9 +23,9 @@ from fdprof import (BadBracket, ContinuationFailed, DecayLabel, DomainError,
 from fdprof import analysis, integrate, kernels
 from fdprof.analysis import l3_reference, saddle_gap
 from fdprof.integrate import section_Y
-from fdprof.inversion import fside_nodes, fside_samples
 from fdprof.kernels import integrate_flux_system
-from fdprof.profile import Profile, first_unrepresentable
+from fdprof.localsolve import series_terms
+from fdprof.profile import Profile, first_unrepresentable, fside_nodes, fside_samples
 
 CF = derive_params(4, 1 / 3, 1.0, 0.0)
 # perfbench's pinned standard tuples, read only
@@ -228,6 +228,33 @@ def test_attracting_slow_point_reads_slow(cache):
     """(4, 1/3, 0.2) ends 0.90 from the slow point and 4.06 from the fast
     one, and the slow point attracts (trace -0.4)."""
     assert classify_decay(cache.origin(4, 1 / 3, 0.2)).label is DecayLabel.SLOW
+
+
+def test_far_end_reads_warm_start_each_order(monkeypatch):
+    """_read starts each order's Newton from the last order's root.  Over the
+    90 standard far-end reads (perfbench's 45 tuples, origin at eta0 = 1 and
+    far field at the tuple's eta) Newton takes 570 steps; restarting every
+    order from Y takes 817."""
+    with open(PINNED, encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    profiles = []
+    for t in pinned["tuples"]:
+        p = derive_params(t["n"], t["m"], 1.0, t["beta"])
+        profiles += [solve_origin_profile(p, 1.0, pinned["rmax"], tol=pinned["tol"]),
+                     solve_farfield_profile(p, t["eta"], pinned["rmax"], tol=pinned["tol"])]
+    steps = 0
+
+    def counted(u, y, theta):
+        nonlocal steps
+        steps += u is y   # a Newton step sums y against itself
+        return series_terms(u, y, theta)
+
+    monkeypatch.setattr(analysis, "series_terms", counted)
+    for prof in profiles:
+        analysis._read.cache_clear()
+        analysis._read(prof.params, prof.tol, *analysis._far_end(prof)[1:])
+    analysis._read.cache_clear()
+    assert (len(profiles), steps) == (90, 570)
 
 
 def test_repelling_slow_point_reads_undetermined(cache):
@@ -920,6 +947,17 @@ class TestPdeResidual:
         assert worst > 0.0
         assert pde_residual_V(prof, 2.0, xs, ts, h) == pytest.approx(
             worst, rel=0.0, abs=100.0 * np.finfo(float).eps / h ** 2)
+
+    def test_nan_values_read_nan(self):
+        """A NaN V reads NaN, as in ode_residual, and so does a grid with no
+        point left; skipping NaN defects read 0.0 and 5.2e-7 here."""
+        prof = synthetic_origin(CF, np.linspace(0.3, 4.0, 400), f_exact, fr_exact)
+        prof.v[200:] = np.nan
+        ts = np.linspace(1.2, 1.8, 3)
+        assert math.isnan(pde_residual_V(prof, 2.0, np.linspace(2.5, 3.0, 4), ts, 1e-3))
+        assert math.isnan(pde_residual_V(prof, 2.0, np.linspace(2.0, 3.0, 4), ts, 1e-3))
+        assert math.isnan(pde_residual_V(prof, 2.0, np.linspace(2.0, 3.0, 4), [], 1e-3))
+        assert math.isnan(ode_residual(prof))
 
     def test_stencil_must_stay_positive(self, closed_form_origin):
         with pytest.raises(RangeError, match="reaches r <= 0"):

@@ -120,6 +120,15 @@ def test_report_blocks_are_the_result_types_fields(origin_run, farfield_run):
     assert "not-applicable" in statuses
 
 
+def test_write_json_stores_a_non_finite_float_as_null(tmp_path):
+    """JSON has no inf or NaN: write_json stores each as null, at any depth."""
+    path = tmp_path / "x.json"
+    cli.write_json(str(path), {"a": math.inf, "b": [-math.inf, 1.0, (math.nan,)],
+                               "c": {"d": math.nan}})
+    assert json.loads(path.read_text()) == {"a": None, "b": [None, 1.0, [None]],
+                                            "c": {"d": None}}
+
+
 def test_plot_files(origin_run):
     """The --plots flag drops three two-column data files."""
     _, arr = read_csv(os.path.join(origin_run, "profile.csv"))
@@ -501,6 +510,7 @@ def test_sweep_contains_node_overflow(monkeypatch, tmp_path, capsys):
     ("--rmax", "nan", "r_max=nan violates 0 < r_max < inf"),
     ("--eta0", "-1", "eta0=-1.0 violates 0 < eta0 < inf"),
     ("--rho1", "0", "rho1=0.0 violates 0 < rho1 < inf"),
+    ("--rho1", "inf", "rho1=inf violates 0 < rho1 < inf"),
     ("--n", ",", "n axis is empty"),
 ])
 def test_sweep_settings_fail_fast(flag, value, fragment, tmp_path, capsys):
@@ -518,6 +528,9 @@ def test_sweep_settings_fail_fast(flag, value, fragment, tmp_path, capsys):
     ("--tol", "0", "tol=0.0 violates 0 < tol < inf"),
     ("--tol", "-1", "tol=-1.0 violates 0 < tol < inf"),
     ("--tol", "nan", "tol=nan violates 0 < tol < inf"),
+    ("--rho1", "inf", "rho1=inf violates 0 < rho1 < inf"),
+    ("--eta0", "nan", "eta0=nan violates 0 < eta0 < inf"),
+    ("--beta", "nan", "beta=nan violates -inf < beta < inf"),
 ])
 def test_bad_radius_or_tolerance_fails_fast(flag, value, fragment, tmp_path,
                                             capsys):
@@ -528,6 +541,25 @@ def test_bad_radius_or_tolerance_fails_fast(flag, value, fragment, tmp_path,
     assert time.perf_counter() - t0 < 10.0
     assert code == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("beta", ["-inf", "inf", "nan"])
+def test_farfield_refuses_a_beta_that_is_not_finite(beta, tmp_path, capsys):
+    """derive_params names beta; -inf was blamed on alpha_tilde = nan."""
+    code, out, err = run_cli(capsys, "solve-farfield", "--n", "4", "--m", M13,
+                             f"--beta={beta}", "--eta", "1", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: beta={beta} violates -inf < beta < inf\n"
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_refuses_a_tol_that_is_not_positive_and_finite(origin_run, tol, capsys):
+    """verify's --tol sets its pass bar: inf passed every residual, nan
+    failed every one, and 0 or -1 fell back to the bar's floor."""
+    code, out, err = run_cli(capsys, "verify", str(Path(origin_run, "profile.csv")),
+                             f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err == f"error: tol={float(tol)} violates 0 < tol < inf\n"
 
 
 def test_rmax_below_seam_solves_on_the_series(tmp_path, capsys):

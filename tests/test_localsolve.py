@@ -53,7 +53,7 @@ def test_f_stays_in_ball():
 
 
 def test_f_diagnostics():
-    """iterations is the order series_order sets, and it grows as tol
+    """iterations is the order the series settles at, and it grows as tol
     shrinks.  The closed form's series converges for theta < 16, so its seam
     sits at the cap theta = 1, where each term is its coefficient: the last
     two it sums lie below tol/100 of 1 + |u| and of Y/theta."""
@@ -170,7 +170,7 @@ class _Recorded(Exception):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
 def test_series_order_sums_below_tol(monkeypatch, tol):
-    """A solve's seam and a gap's each sum the order series_order sets; the
+    """A solve's seam and a gap's each sum the order the series settles at; the
     60-term series' terms past that order sum below tol/10 at the seam, in u
     and in Y/theta relative, in both charts over the admissible grid."""
     seams = []
@@ -458,9 +458,9 @@ def test_solve_seam_lies_where_theta_is_at_most_one(kind, b):
 
 def test_f_rejects_nonpositive_eta():
     p = derive_params(4, 1 / 3, 1.0, 0.0)
-    with pytest.raises(DomainError, match="eta0 must be positive"):
+    with pytest.raises(DomainError, match="eta0=0.0 violates 0 < eta0 < inf"):
         picard_f_origin(p, 0.0)
-    with pytest.raises(DomainError, match="eta0 must be positive"):
+    with pytest.raises(DomainError, match="eta0=-1.0 violates 0 < eta0 < inf"):
         picard_f_origin(p, -1.0)
 
 
@@ -472,7 +472,7 @@ def test_f_rejects_beta_at_threshold():
 
 def test_g_rejects_bad_inputs():
     p = derive_params(4, 1 / 3, 1.0, 0.0)
-    with pytest.raises(DomainError, match="eta must be positive"):
+    with pytest.raises(DomainError, match="eta=0.0 violates 0 < eta < inf"):
         picard_g_origin(p, 0.0)
     bad = derive_params(4, 1 / 3, 1.0, 0.7)   # alpha_tilde < 0
     with pytest.raises(DomainError, match="far-field threshold"):

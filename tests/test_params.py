@@ -64,8 +64,8 @@ def test_singular_g_origin_flag():
     (3, 0.5, 1.0, "0 < m <"),
     (3, -0.1, 1.0, "0 < m <"),
     (3, 0.0, 1.0, "0 < m <"),
-    (4, 1 / 3, 0.0, "rho1 must be > 0"),
-    (4, 1 / 3, -2.0, "rho1 must be > 0"),
+    (4, 1 / 3, 0.0, "0 < rho1 < inf"),
+    (4, 1 / 3, -2.0, "0 < rho1 < inf"),
 ])
 def test_domain_errors_name_the_inequality(n, m, rho1, fragment):
     with pytest.raises(DomainError) as exc:
